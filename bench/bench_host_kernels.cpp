@@ -47,6 +47,38 @@ void BM_Memcpy(benchmark::State& state) {
 }
 BENCHMARK(BM_Memcpy)->Range(4096, 4 << 20);
 
+/// util::fill_pattern: the payload rewrite of the `_mb` variants (paper
+/// §V-A), which the simulator performs for real before every call.
+void BM_FillPattern(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  std::vector<std::byte> dst(bytes);
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    xhc::util::fill_pattern(dst.data(), bytes, seed++);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_FillPattern)->Range(4096, 4 << 20);
+
+/// util::fill_operands: the bounded float operands written by
+/// osu::Config::verify and the loadgen's integrity checks.
+void BM_FillOperands(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  std::vector<float> dst(bytes / sizeof(float));
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    xhc::util::fill_operands(dst.data(), dst.size(), seed++);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_FillOperands)->Range(4096, 4 << 20);
+
 void BM_ReduceF32Sum(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   std::vector<float> dst(count, 1.0f);

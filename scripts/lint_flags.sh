@@ -3,11 +3,14 @@
 # ledger can only judge flag traffic that flows through the Machine flag
 # API, so this pass rejects code that touches mach::Flag's atomic directly
 # or reaches for seq_cst (the paper's protocol is release/acquire plus
-# whitelisted acq_rel RMW — a seq_cst access is always a smell here).
+# whitelisted acq_rel RMW — a seq_cst access is always a smell here). It
+# also keeps src/ to one splitmix64 mixer, the one every payload byte and
+# every payload check derives from.
 #
 #   scripts/lint_flags.sh             # grep passes + clang-tidy (if installed)
-#   scripts/lint_flags.sh --selftest  # prove rule 5 can fail: a seeded
-#                                     # unregistered wait must be rejected
+#   scripts/lint_flags.sh --selftest  # prove rules 5 and 6 can fail: a
+#                                     # seeded unregistered wait and a seeded
+#                                     # mixer copy must be rejected
 #
 # Exits nonzero on any violation.
 set -euo pipefail
@@ -59,10 +62,32 @@ check_wait_sites() {
   return 0
 }
 
+# --- rule 6 machinery -------------------------------------------------------
+#
+# Every payload generator and checker derives from util::splitmix_word
+# (src/util/prng.h, DESIGN.md § Host data plane). A private copy of the
+# mixer elsewhere in src/ would be a second definition of the payload bytes,
+# free to drift from the one the checkers use, so the mixer's multipliers
+# may appear only in prng.h.
+check_mixer_copies() {
+  local root="$1"
+  local hits
+  hits=$(grep -RniE '0xbf58476d1ce4e5b9|0x94d049bb133111eb' "$root/src" \
+      2> /dev/null | grep -vE "^$root/src/util/prng\.h:" || true)
+  if [ -n "$hits" ]; then
+    echo "error: splitmix64 mixer outside src/util/prng.h (derive payloads" >&2
+    echo "and their checks from util::splitmix_word / fill_pattern /" >&2
+    echo "fill_operands):" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+  return 0
+}
+
 if [ "${1:-}" = "--selftest" ]; then
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT
-  mkdir -p "$tmp/src/core"
+  mkdir -p "$tmp/src/core" "$tmp/src/svc" "$tmp/src/util"
   cat > "$tmp/src/core/seeded.cpp" << 'EOF'
 void seeded(xhc::mach::Ctx& ctx, xhc::mach::Flag& scratch) {
   ctx.flag_wait_ge(scratch, 1);  // seeded violation: unregistered flag
@@ -78,7 +103,21 @@ void fine(xhc::mach::Ctx& ctx, xhc::core::GroupCtl& ctl) {
 }
 EOF
   check_wait_sites "$tmp"
-  echo "lint_flags --selftest: OK (seeded violation caught, registered wait passes)"
+  cat > "$tmp/src/svc/seeded.cpp" << 'EOF'
+std::uint64_t private_mix(std::uint64_t z) {  // seeded violation: a copy
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+EOF
+  if check_mixer_copies "$tmp" > /dev/null 2>&1; then
+    echo "lint_flags --selftest: FAILED (seeded mixer copy passed)" >&2
+    exit 1
+  fi
+  mv "$tmp/src/svc/seeded.cpp" "$tmp/src/util/prng.h"
+  check_mixer_copies "$tmp"
+  echo "lint_flags --selftest: OK (seeded violations caught; registered wait" \
+       "and the mixer in prng.h pass)"
   exit 0
 fi
 
@@ -152,7 +191,13 @@ if ! check_wait_sites .; then
   fail=1
 fi
 
-# 6. clang-tidy (.clang-tidy: bugprone-*, concurrency-*, performance-*)
+# 6. One splitmix64 mixer in src/ (machinery above; self-testable via
+#    --selftest).
+if ! check_mixer_copies .; then
+  fail=1
+fi
+
+# 7. clang-tidy (.clang-tidy: bugprone-*, concurrency-*, performance-*)
 #    over the verifier and machine layers, when the tool and a compilation
 #    database are available. `scripts/check.sh lint` widens this to all of
 #    src/ via run-clang-tidy with -warnings-as-errors.

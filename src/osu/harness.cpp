@@ -115,21 +115,6 @@ struct SizeHist {
   std::unique_ptr<obs::HistSet> set;
 };
 
-/// Deterministic bounded allreduce operand: an exact multiple of 1/256 in
-/// [-1, 1), derived from (seed, element index) with a splitmix64-style mix.
-/// Bounded exact operands keep the float sum well-conditioned, so a
-/// double-precision reference catches real payload corruption without
-/// tripping over legitimate reassociation differences between components.
-float verify_operand(std::uint64_t seed, std::size_t i) noexcept {
-  std::uint64_t z =
-      seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(i) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
-  return static_cast<float>(static_cast<int>(z & 511u) - 256) *
-         (1.0f / 256.0f);
-}
-
 }  // namespace
 
 std::vector<SizeResult> bcast_sweep(mach::Machine& machine,
@@ -241,19 +226,14 @@ std::vector<SizeResult> allreduce_sweep(mach::Machine& machine,
         if (config.modify_buffer || it == 0) {
           // Every rank refreshes its contribution (the payload actually
           // changes between calls in real applications, §V-A).
-          ctx.write_payload(sbuf, real_bytes,
-                            0xA000u + static_cast<std::uint64_t>(
-                                          it * 1000 + r));
+          const std::uint64_t seed =
+              0xA000u + static_cast<std::uint64_t>(it * 1000 + r);
+          ctx.write_payload(sbuf, real_bytes, seed);
           if (config.verify) {
             // Swap the timed garbage bytes for verifiable operands. The
             // modeled write above already charged the rewrite, and this
             // host-side fill is unmodeled, so timings stay identical.
-            auto* f = static_cast<float*>(sbuf);
-            const std::uint64_t seed =
-                0xA000u + static_cast<std::uint64_t>(it * 1000 + r);
-            for (std::size_t i = 0; i < count; ++i) {
-              f[i] = verify_operand(seed, i);
-            }
+            util::fill_operands(static_cast<float*>(sbuf), count, seed);
           }
         }
         ctx.barrier();
@@ -280,7 +260,7 @@ std::vector<SizeResult> allreduce_sweep(mach::Machine& machine,
         const std::uint64_t seed =
             0xA000u + static_cast<std::uint64_t>(last_it * 1000 + r);
         for (std::size_t i = 0; i < count; ++i) {
-          expect[i] += static_cast<double>(verify_operand(seed, i));
+          expect[i] += static_cast<double>(util::operand(seed, i));
         }
       }
       for (int r = 0; r < n; ++r) {

@@ -25,23 +25,13 @@ constexpr std::size_t kLargeEdge = 128u << 10;
 /// buffer with high probability.
 constexpr std::size_t kVerifySamples = 256;
 
-/// The 8-byte word util::fill_pattern(_, _, seed) writes at byte offset 8*k
-/// (little-endian byte order). SplitMix64's state after k steps is
-/// seed + (k+1)*gamma, so any offset is reachable in O(1) — sampled
-/// verification without regenerating the whole pattern.
-std::uint64_t pattern_word(std::uint64_t seed, std::size_t k) noexcept {
-  std::uint64_t z =
-      seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(k) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-/// Checks `bytes` of `buf` against the fill_pattern(seed) stream at word
-/// index `k0 + j` for buffer word j. Returns false on any mismatch.
+/// Checks `n_bytes` of `p` against word `word` of the fill_pattern(seed)
+/// stream (util::splitmix_word, little-endian byte order; any word is
+/// reachable in O(1), so sampling never regenerates the whole pattern).
+/// Returns false on any mismatch.
 bool check_pattern_word(const unsigned char* p, std::uint64_t seed,
                         std::size_t word, std::size_t n_bytes) noexcept {
-  const std::uint64_t v = pattern_word(seed, word);
+  const std::uint64_t v = util::splitmix_word(seed, word);
   for (std::size_t b = 0; b < n_bytes; ++b) {
     if (p[b] != static_cast<unsigned char>(v >> (8 * b))) return false;
   }
@@ -72,45 +62,58 @@ bool verify_pattern(const void* buf, std::size_t bytes, std::uint64_t seed) {
   return true;
 }
 
-/// Same operand family as osu::harness verification: exact multiples of
-/// 1/256 in [-1, 1), so a double-precision reference sum is insensitive to
-/// summation order and any over-tolerance deviation is real corruption.
-float operand(std::uint64_t seed, std::size_t i) noexcept {
-  std::uint64_t z =
-      seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(i) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
-  return static_cast<float>(static_cast<int>(z & 511u) - 256) *
-         (1.0f / 256.0f);
-}
-
+/// Operand seed of `contributor`'s share of a reduction request; element i
+/// of the share is util::operand(operand_seed(...), i).
 std::uint64_t operand_seed(std::uint64_t req_seed, int contributor) noexcept {
   return req_seed + 1000ull * static_cast<std::uint64_t>(contributor);
 }
 
-/// Checks a float reduction result at sampled elements against the
-/// double-precision reference over all `n` contributors.
-bool verify_reduction(const float* got, std::size_t count, std::uint64_t seed,
-                      int n) {
-  const std::size_t stride =
-      count <= kVerifySamples ? 1 : count / kVerifySamples;
+/// Stride between the checked elements of a `count`-element reduction:
+/// every element up to kVerifySamples, otherwise every
+/// (count / kVerifySamples)-th — at most kMaxChecked elements either way.
+std::size_t check_stride(std::size_t count) noexcept {
+  return count <= kVerifySamples ? 1 : count / kVerifySamples;
+}
+constexpr std::size_t kMaxChecked = 2 * kVerifySamples - 1;
+
+/// Writes into `ref`, per checked element in order, the double-precision
+/// sum of all `n` contributors' operands.
+void reduction_reference(double* ref, std::size_t count, std::uint64_t seed,
+                         int n) noexcept {
+  const std::size_t stride = check_stride(count);
   for (std::size_t i = 0; i < count; i += stride) {
     double expect = 0.0;
     for (int r = 0; r < n; ++r) {
-      expect += static_cast<double>(operand(operand_seed(seed, r), i));
+      expect += static_cast<double>(util::operand(operand_seed(seed, r), i));
     }
-    const double tol = 1e-4 * std::max(1.0, std::abs(expect));
-    if (std::abs(static_cast<double>(got[i]) - expect) > tol) return false;
+    *ref++ = expect;
+  }
+}
+
+/// Checks a float reduction result at the checked elements against its
+/// request's reduction_reference().
+bool verify_reduction(const float* got, std::size_t count,
+                      const double* ref) noexcept {
+  const std::size_t stride = check_stride(count);
+  for (std::size_t i = 0; i < count; i += stride, ++ref) {
+    const double tol = 1e-4 * std::max(1.0, std::abs(*ref));
+    if (std::abs(static_cast<double>(got[i]) - *ref) > tol) return false;
   }
   return true;
 }
 
-/// Leader-written per-communicator statistics; heap-allocated one block per
+/// Leader-written per-communicator block; heap-allocated one per
 /// communicator so concurrent leaders (RealMachine) never share lines.
 struct CommStats {
   std::array<OpClassStats, kNumOpClasses> cls;
   std::uint64_t backoff_stalls = 0;
+  /// Reduction references (DESIGN.md § Host data plane): the leader writes
+  /// request `index`'s into slot index % 3 before publishing its verdict,
+  /// and the verifying members read it after their verdict wait. The
+  /// slot's previous user, request index - 3, is done on every member:
+  /// verdict index - 1 went out only after every member acked verdict
+  /// index - 2, which a member does after finishing request index - 3.
+  std::array<std::array<double, kMaxChecked>, 3> ref{};
 };
 
 }  // namespace
@@ -326,28 +329,26 @@ LoadgenResult run_loadgen(CommRegistry& reg,
       case OpClass::kAllreduce:
       case OpClass::kReduce: {
         const std::size_t count = r.bytes / 4;
+        const std::uint64_t seed = operand_seed(r.seed, l);
         // Modeled write charges the rewrite and invalidates the line set;
         // the host-side operand fill below is unmodeled (harness idiom), so
         // timing is independent of --integrity.
-        tctx.write_payload(s, r.bytes, operand_seed(r.seed, l));
+        tctx.write_payload(s, r.bytes, seed);
         if (cfg.integrity) {
-          auto* f = static_cast<float*>(s);
-          const std::uint64_t seed = operand_seed(r.seed, l);
-          for (std::size_t i = 0; i < count; ++i) f[i] = operand(seed, i);
+          util::fill_operands(static_cast<float*>(s), count, seed);
         }
+        const double* ref = stats[cc]->ref[r.index % 3].data();
         if (r.op == OpClass::kAllreduce) {
           comm.component().allreduce(tctx, s, d, count, mach::DType::kF32,
                                      mach::ROp::kSum);
           if (cfg.integrity) {
-            ok = verify_reduction(static_cast<const float*>(d), count, r.seed,
-                                  comm.size());
+            ok = verify_reduction(static_cast<const float*>(d), count, ref);
           }
         } else {
           comm.component().reduce(tctx, s, d, count, mach::DType::kF32,
                                   mach::ROp::kSum, r.root);
           if (cfg.integrity && l == r.root) {
-            ok = verify_reduction(static_cast<const float*>(d), count, r.seed,
-                                  comm.size());
+            ok = verify_reduction(static_cast<const float*>(d), count, ref);
           }
         }
         break;
@@ -426,6 +427,11 @@ LoadgenResult run_loadgen(CommRegistry& reg,
         }
       }
       const double vt = tele != nullptr ? tctx.now() : 0.0;
+      if (admitted && cfg.integrity &&
+          (r.op == OpClass::kAllreduce || r.op == OpClass::kReduce)) {
+        reduction_reference(st.ref[r.index % 3].data(), r.bytes / 4, r.seed,
+                            comm.size());
+      }
       comm.publish_verdict(ctx, r.index, admitted);
       auto& cls = st.cls[static_cast<int>(r.op)];
       if (admitted) {

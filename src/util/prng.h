@@ -3,11 +3,39 @@
 // Used to fill message payloads in tests and in the `_mb` microbenchmark
 // variants that rewrite the buffer before every call (paper §V-A). A fixed,
 // tiny generator keeps payload generation reproducible and dependency-free.
+//
+// Every payload generator and checker derives from one word function
+// (DESIGN.md § Host data plane): bytes 8k..8k+7 of fill_pattern(seed) are
+// splitmix_word(seed, k) in little-endian order, and element k of
+// fill_operands(seed) is operand(seed, k), cut from the same word. This
+// header is the only place in src/ that spells out the mixer
+// (scripts/lint_flags.sh enforces it).
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace xhc::util {
+
+/// splitmix64's state increment (the golden-ratio gamma).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ull;
+
+/// splitmix64's output function applied to state `z`.
+constexpr std::uint64_t splitmix_mix(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Word k of the stream seeded with `seed`, i.e. the (k+1)-th
+/// SplitMix64(seed).next(), in O(1): the state after k+1 steps is
+/// seed + (k+1) * gamma.
+constexpr std::uint64_t splitmix_word(std::uint64_t seed,
+                                      std::uint64_t k) noexcept {
+  return splitmix_mix(seed + kSplitMixGamma * (k + 1));
+}
 
 /// splitmix64 — a high-quality 64-bit mixer; passes BigCrush as a stream.
 class SplitMix64 {
@@ -15,10 +43,7 @@ class SplitMix64 {
   explicit SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
   std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return splitmix_mix(state_ += kSplitMixGamma);
   }
 
   /// Uniform double in [0, 1).
@@ -33,24 +58,44 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
-/// Fills `bytes` of memory with a deterministic pattern derived from `seed`.
+/// Fills `bytes` of memory with a deterministic pattern derived from `seed`:
+/// bytes 8k..8k+7 are splitmix_word(seed, k) in little-endian order, and a
+/// trailing partial word keeps its low bytes. On little-endian hosts every
+/// whole word is one 8-byte store.
 inline void fill_pattern(void* dst, std::size_t bytes,
                          std::uint64_t seed) noexcept {
-  SplitMix64 rng(seed);
   auto* p = static_cast<unsigned char*>(dst);
-  std::size_t i = 0;
-  while (i + 8 <= bytes) {
-    const std::uint64_t v = rng.next();
-    for (int b = 0; b < 8; ++b) p[i + static_cast<std::size_t>(b)] =
-        static_cast<unsigned char>(v >> (8 * b));
-    i += 8;
-  }
-  if (i < bytes) {
-    const std::uint64_t v = rng.next();
-    for (int b = 0; i < bytes; ++i, ++b) {
-      p[i] = static_cast<unsigned char>(v >> (8 * b));
+  std::size_t k = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; 8 * k + 8 <= bytes; ++k) {
+      const std::uint64_t v = splitmix_word(seed, k);
+      std::memcpy(p + 8 * k, &v, sizeof v);
     }
   }
+  // Byte loop: the tail, and every word on big-endian hosts.
+  for (; 8 * k < bytes; ++k) {
+    const std::uint64_t v = splitmix_word(seed, k);
+    for (std::size_t b = 0; b < 8 && 8 * k + b < bytes; ++b) {
+      p[8 * k + b] = static_cast<unsigned char>(v >> (8 * b));
+    }
+  }
+}
+
+/// Element k of the bounded operand family: an exact multiple of 1/256 in
+/// [-1, 1), cut from splitmix_word(seed, k). Bounded exact operands keep a
+/// float sum well-conditioned, so a double-precision reference is
+/// insensitive to summation order and a deviation beyond a small tolerance
+/// is payload corruption, not reassociation.
+constexpr float operand(std::uint64_t seed, std::size_t k) noexcept {
+  return static_cast<float>(static_cast<int>(splitmix_word(seed, k) & 511u) -
+                            256) *
+         (1.0f / 256.0f);
+}
+
+/// dst[k] = operand(seed, k) for every k < count.
+inline void fill_operands(float* dst, std::size_t count,
+                          std::uint64_t seed) noexcept {
+  for (std::size_t k = 0; k < count; ++k) dst[k] = operand(seed, k);
 }
 
 }  // namespace xhc::util

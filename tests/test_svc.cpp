@@ -6,7 +6,9 @@
 // interleaving exploration of two overlapping communicators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -280,6 +282,124 @@ TEST(SvcLoadgen, SoakIsByteDeterministicAcrossRunsAndBackends) {
                 r->per_class[kk].latency.percentile(0.99));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Loadgen integrity checker: it must fail on corrupted payloads
+
+/// Parent-rank Ctx view that forwards everything; on the victim rank it
+/// corrupts the destination of every copy and reduction after the data
+/// lands, flipping the top exponent bit of the first f32 element (a
+/// low-order flip of a float can stay inside the reduction tolerance).
+class CorruptingCtx final : public mach::Ctx {
+ public:
+  CorruptingCtx(mach::Ctx& parent, bool victim)
+      : parent_(&parent), victim_(victim) {
+    wait_spins_ = parent.wait_spins();
+  }
+
+  int rank() const noexcept override { return parent_->rank(); }
+  int size() const noexcept override { return parent_->size(); }
+  int core() const noexcept override { return parent_->core(); }
+  double now() override { return parent_->now(); }
+  void charge(double seconds) override { parent_->charge(seconds); }
+  void stall(double seconds) override { parent_->stall(seconds); }
+  void copy(void* dst, const void* src, std::size_t n) override {
+    parent_->copy(dst, src, n);
+    corrupt(dst, n);
+  }
+  void reduce(void* dst, const void* src, std::size_t count, mach::DType dtype,
+              mach::ROp op) override {
+    parent_->reduce(dst, src, count, dtype, op);
+    corrupt(dst, count * mach::dtype_size(dtype));
+  }
+  void write_payload(void* dst, std::size_t n, std::uint64_t seed) override {
+    parent_->write_payload(dst, n, seed);
+  }
+  void flag_store(mach::Flag& f, std::uint64_t v) override {
+    parent_->flag_store(f, v);
+  }
+  std::uint64_t flag_read(const mach::Flag& f) override {
+    return parent_->flag_read(f);
+  }
+  void flag_wait_ge(const mach::Flag& f, std::uint64_t v) override {
+    parent_->flag_wait_ge(f, v);
+    wait_spins_ = parent_->wait_spins();
+  }
+  std::uint64_t fetch_add(mach::Flag& f, std::uint64_t delta) override {
+    return parent_->fetch_add(f, delta);
+  }
+  void barrier() override { parent_->barrier(); }
+
+ private:
+  void corrupt(void* dst, std::size_t n) const noexcept {
+    if (victim_ && n > 0) {
+      static_cast<unsigned char*>(dst)[std::min<std::size_t>(n, 4) - 1] ^=
+          0x40;
+    }
+  }
+
+  mach::Ctx* parent_;
+  bool victim_;
+};
+
+/// Machine view over a parent in the svc::TenantMachine style: run() hands
+/// every rank a CorruptingCtx, and parent rank `victim` corrupts.
+class CorruptingMachine final : public mach::Machine {
+ public:
+  CorruptingMachine(mach::Machine& parent, int victim)
+      : parent_(&parent), victim_(victim) {}
+
+  const topo::Topology& topology() const noexcept override {
+    return parent_->topology();
+  }
+  const topo::RankMap& map() const noexcept override { return parent_->map(); }
+  void* alloc(int owner_rank, std::size_t bytes, std::size_t align = 64,
+              bool zero = true) override {
+    return parent_->alloc(owner_rank, bytes, align, zero);
+  }
+  void free(void* p) override { parent_->free(p); }
+  mach::RunResult run(const std::function<void(mach::Ctx&)>& fn) override {
+    return parent_->run([&](mach::Ctx& ctx) {
+      CorruptingCtx corrupting(ctx, ctx.rank() == victim_);
+      fn(corrupting);
+    });
+  }
+  verify::Ledger& verify_ledger() noexcept override {
+    return parent_->verify_ledger();
+  }
+  const verify::Ledger& verify_ledger() const noexcept override {
+    return parent_->verify_ledger();
+  }
+
+ private:
+  mach::Machine* parent_;
+  int victim_;
+};
+
+TEST(SvcLoadgen, IntegrityCheckerCatchesCorruptedPayloads) {
+  // Every other loadgen test asserts a clean run; this one shows the
+  // checker can fail. Payloads stay <= 1 KiB, so every check is exhaustive.
+  svc::LoadgenConfig cfg = small_soak_config();
+  cfg.requests = 200;
+  cfg.integrity = true;
+  cfg.max_bytes = 1024;
+  const auto soak = [&](int victim) {
+    sim::SimMachine machine(topo::mini8(), 8);
+    CorruptingMachine parent(machine, victim);
+    return svc::run_soak(parent, cfg, generous_budget(8, cfg.n_comms, {}));
+  };
+  const svc::LoadgenResult clean = soak(-1);
+  EXPECT_EQ(clean.completed + clean.shed, cfg.requests);
+  EXPECT_EQ(clean.integrity_failures, 0u);
+  // Parent rank 5 leads none of the plan's communicators (their rank 0s
+  // are parent ranks 0 and 2).
+  const svc::LoadgenResult bad = soak(5);
+  const auto failures = [&](svc::OpClass c) {
+    return bad.per_class[static_cast<std::size_t>(c)].integrity_failures;
+  };
+  EXPECT_GT(failures(svc::OpClass::kBcast), 0u);
+  EXPECT_GT(failures(svc::OpClass::kAllreduce), 0u);
 }
 
 // ---------------------------------------------------------------------------

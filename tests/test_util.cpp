@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <cstring>
+#include <vector>
 
 #include "util/cacheline.h"
 #include "util/check.h"
@@ -191,6 +192,84 @@ TEST(Prng, FillPatternOddLengths) {
     std::vector<std::byte> buf(len + 1, std::byte{0xEE});
     fill_pattern(buf.data(), len, 5);
     EXPECT_EQ(buf[len], std::byte{0xEE}) << "overwrote past end, len=" << len;
+  }
+}
+
+/// The byte loop fill_pattern ran before it stored whole words: the oracle
+/// its output must match byte for byte.
+void fill_pattern_oracle(unsigned char* p, std::size_t bytes,
+                         std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::size_t i = 0;
+  while (i + 8 <= bytes) {
+    const std::uint64_t v = rng.next();
+    for (int b = 0; b < 8; ++b) {
+      p[i + static_cast<std::size_t>(b)] =
+          static_cast<unsigned char>(v >> (8 * b));
+    }
+    i += 8;
+  }
+  if (i < bytes) {
+    const std::uint64_t v = rng.next();
+    for (int b = 0; i < bytes; ++i, ++b) {
+      p[i] = static_cast<unsigned char>(v >> (8 * b));
+    }
+  }
+}
+
+constexpr std::uint64_t kOracleSeeds[] = {0, 1, ~std::uint64_t{0}, 0x9000};
+
+TEST(Prng, FillPatternMatchesByteLoopOracle) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t d = 1; d <= 7; ++d) {
+    lengths.push_back(4096 - d);
+    lengths.push_back(4096 + d);
+  }
+  lengths.push_back((std::size_t{1} << 20) + 3);
+  std::vector<unsigned char> got;
+  std::vector<unsigned char> want;
+  for (const std::size_t n : lengths) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      for (const std::uint64_t seed : kOracleSeeds) {
+        // Room for the offset plus at least 8 guard bytes past the end,
+        // which both fills must leave untouched.
+        got.assign(n + 15, 0xEE);
+        want.assign(n + 15, 0xEE);
+        fill_pattern(got.data() + off, n, seed);
+        fill_pattern_oracle(want.data() + off, n, seed);
+        ASSERT_TRUE(got == want)
+            << "len " << n << " offset " << off << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Prng, SplitmixWordIsTheStreamWord) {
+  for (const std::uint64_t seed : kOracleSeeds) {
+    SplitMix64 rng(seed);
+    for (std::uint64_t k = 0; k < 1024; ++k) {
+      ASSERT_EQ(splitmix_word(seed, k), rng.next())
+          << "seed " << seed << " k " << k;
+    }
+  }
+}
+
+TEST(Prng, FillOperandsMatchesScalarFormula) {
+  for (std::size_t count = 0; count <= 67; ++count) {
+    for (const std::uint64_t seed : kOracleSeeds) {
+      std::vector<float> got(count + 1, 7.0f);  // one sentinel past the end
+      fill_operands(got.data(), count, seed);
+      SplitMix64 rng(seed);
+      for (std::size_t i = 0; i < count; ++i) {
+        const float want =
+            static_cast<float>(static_cast<int>(rng.next() & 511u) - 256) *
+            (1.0f / 256.0f);
+        ASSERT_EQ(got[i], want)
+            << "count " << count << " seed " << seed << " i " << i;
+      }
+      EXPECT_EQ(got[count], 7.0f) << "count " << count;
+    }
   }
 }
 
