@@ -54,7 +54,7 @@ static int run(int argc, char** argv) {
         args.quick ? std::vector<std::size_t>{16384}
                    : std::vector<std::size_t>{4096, 16384, 65536, 262144};
     for (const std::size_t chunk : chunks) {
-      double lat[2];
+      double lat[2]{};
       for (int which = 0; which < 2; ++which) {
         auto machine = bench::make_system("epyc2p");
         coll::Tuning tuning;
@@ -114,7 +114,7 @@ static int run(int argc, char** argv) {
     util::Table table({"Size", "regcache on", "regcache off", "penalty"});
     for (const std::size_t bytes :
          {std::size_t{16384}, std::size_t{262144}, std::size_t{1} << 20}) {
-      double lat[2];
+      double lat[2]{};
       int i = 0;
       for (const bool cache : {true, false}) {
         auto machine = bench::make_system("epyc2p");

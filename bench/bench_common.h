@@ -118,13 +118,18 @@ struct BenchArgs {
 
   /// The sweeps allocate and free hundreds of multi-megabyte payload
   /// buffers. glibc's default serves those straight from mmap, so every
-  /// simulation run pays a fresh page-fault storm and gives the pages
-  /// right back; keeping them in the arena lets freed memory be reused
-  /// warm and cuts the suite's kernel time substantially.
+  /// simulation run would pay a fresh page-fault storm and give the pages
+  /// right back. Keeping them in the arena and never trimming it (-1 is
+  /// glibc's "never" value) faults each payload page once per process:
+  /// the next size wave reuses the pages the previous one freed, warm.
+  /// Placement is unchanged (trimming only returns the heap top to the
+  /// kernel), so addresses and every modeled number stay the same. The
+  /// cost is that a process keeps its peak heap resident until it exits,
+  /// per arena with --jobs (DESIGN.md § Host data plane).
   static void tune_allocator() {
 #if defined(M_MMAP_THRESHOLD) && defined(M_TRIM_THRESHOLD)
     mallopt(M_MMAP_THRESHOLD, 256 << 20);
-    mallopt(M_TRIM_THRESHOLD, 256 << 20);
+    mallopt(M_TRIM_THRESHOLD, -1);
 #endif
   }
 

@@ -47,37 +47,61 @@ void BM_Memcpy(benchmark::State& state) {
 }
 BENCHMARK(BM_Memcpy)->Range(4096, 4 << 20);
 
-/// util::fill_pattern: the payload rewrite of the `_mb` variants (paper
-/// §V-A), which the simulator performs for real before every call.
-void BM_FillPattern(benchmark::State& state) {
+using PatternFill = void (*)(void*, std::size_t, std::uint64_t) noexcept;
+using OperandFill = void (*)(float*, std::size_t, std::uint64_t) noexcept;
+
+void run_fill_pattern(benchmark::State& state, PatternFill fill) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
   std::vector<std::byte> dst(bytes);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    xhc::util::fill_pattern(dst.data(), bytes, seed++);
+    fill(dst.data(), bytes, seed++);
     benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_FillPattern)->Range(4096, 4 << 20);
 
-/// util::fill_operands: the bounded float operands written by
-/// osu::Config::verify and the loadgen's integrity checks.
-void BM_FillOperands(benchmark::State& state) {
+void run_fill_operands(benchmark::State& state, OperandFill fill) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
   std::vector<float> dst(bytes / sizeof(float));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    xhc::util::fill_operands(dst.data(), dst.size(), seed++);
+    fill(dst.data(), dst.size(), seed++);
     benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_FillOperands)->Range(4096, 4 << 20);
+
+/// util::fill_pattern: the payload rewrite of the `_mb` variants (paper
+/// §V-A), which the simulator performs for real before every call. Takes
+/// the 8-lane kernel from 16 KiB up on AVX-512 hosts.
+void BM_FillPattern(benchmark::State& state) {
+  run_fill_pattern(state, xhc::util::fill_pattern);
+}
+BENCHMARK(BM_FillPattern)->RangeMultiplier(4)->Range(4096, 4 << 20);
+
+/// The one-word-per-step reference fill_pattern is checked against.
+void BM_FillPatternScalar(benchmark::State& state) {
+  run_fill_pattern(state, xhc::util::fill_pattern_scalar);
+}
+BENCHMARK(BM_FillPatternScalar)->RangeMultiplier(4)->Range(4096, 4 << 20);
+
+/// util::fill_operands: the bounded float operands written by
+/// osu::Config::verify and the loadgen's integrity checks.
+void BM_FillOperands(benchmark::State& state) {
+  run_fill_operands(state, xhc::util::fill_operands);
+}
+BENCHMARK(BM_FillOperands)->RangeMultiplier(4)->Range(4096, 4 << 20);
+
+/// The one-operand-per-step reference fill_operands is checked against.
+void BM_FillOperandsScalar(benchmark::State& state) {
+  run_fill_operands(state, xhc::util::fill_operands_scalar);
+}
+BENCHMARK(BM_FillOperandsScalar)->RangeMultiplier(4)->Range(4096, 4 << 20);
 
 void BM_ReduceF32Sum(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));

@@ -37,9 +37,11 @@
 #                               # with the plane attached, and the SLO gate
 #                               # self-test (seeded straggler must trip it)
 #   scripts/check.sh lint       # full static pass: flag-protocol lints
-#                               # (incl. --selftest) + run-clang-tidy over
-#                               # src/ with warnings-as-errors (skipped
-#                               # with a note when clang-tidy is absent)
+#                               # (incl. --selftest), a -Werror build of
+#                               # every target (build-werror/), and
+#                               # run-clang-tidy over src/ with warnings-
+#                               # as-errors (skipped with a note when
+#                               # clang-tidy is absent)
 #   scripts/check.sh analyze    # static schedule verification: the
 #                               # analyzer sweep over every preset x op x
 #                               # size class (build/bench/analyze_protocol)
@@ -335,13 +337,18 @@ case "$mode" in
     ;;
   lint)
     # Full static pass: the flag-protocol lints (plus their self-test, so a
-    # broken rule 5 can't silently pass) and run-clang-tidy over all of
-    # src/ with every finding promoted to an error. The tidy pass needs a
-    # compilation database, so configure the plain build first; when the
-    # tool itself is absent the pass is skipped with a note (lint_flags.sh
-    # already ran its narrower clang-tidy core pass the same way).
+    # broken rule 5 can't silently pass), every target (library, tests,
+    # benches, examples) built with the compiler's -Wall -Wextra findings
+    # promoted to errors, and run-clang-tidy over all of src/ with every
+    # finding promoted to an error. The tidy pass needs a compilation
+    # database, so configure the plain build first; when the tool itself
+    # is absent the pass is skipped with a note (lint_flags.sh already ran
+    # its narrower clang-tidy core pass the same way).
     scripts/lint_flags.sh --selftest
     scripts/lint_flags.sh
+    echo "== -Werror build (build-werror/) =="
+    cmake -B build-werror -S . -DXHC_WERROR=ON > /dev/null
+    cmake --build build-werror -j "$(nproc)"
     cmake -B build -S . > /dev/null
     tidy=""
     for t in run-clang-tidy run-clang-tidy.py; do

@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "mach/host_alloc.h"
 #include "obs/timeseries.h"
 #include "topo/presets.h"
 #include "util/cacheline.h"
@@ -303,13 +304,9 @@ void* RealMachine::alloc(int owner_rank, std::size_t bytes, std::size_t align,
                          bool zero) {
   XHC_REQUIRE(owner_rank >= 0 && owner_rank < n_ranks(), "owner rank ",
               owner_rank, " out of range");
-  if (align < 64) align = 64;
-  const std::size_t rounded = (bytes + align - 1) / align * align;
-  void* p = std::aligned_alloc(align, rounded ? rounded : align);
-  XHC_CHECK(p != nullptr, "allocation of ", bytes, " bytes failed");
-  if (zero) std::memset(p, 0, rounded ? rounded : align);
-  registry_.insert(p, rounded ? rounded : align, owner_rank);
-  return p;
+  const HostBlock b = host_alloc(bytes, align, zero);
+  registry_.insert(b.p, b.bytes, owner_rank);
+  return b.p;
 }
 
 void RealMachine::free(void* p) {

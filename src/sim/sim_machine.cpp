@@ -5,6 +5,7 @@
 #include <cstring>
 #include <exception>
 
+#include "mach/host_alloc.h"
 #include "obs/coh.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -293,16 +294,11 @@ void* SimMachine::alloc(int owner_rank, std::size_t bytes, std::size_t align,
                         bool zero) {
   XHC_REQUIRE(owner_rank >= 0 && owner_rank < n_ranks(), "owner rank ",
               owner_rank, " out of range");
-  if (align < 64) align = 64;
-  const std::size_t rounded = (bytes + align - 1) / align * align;
-  void* p = std::aligned_alloc(align, rounded ? rounded : align);
-  XHC_CHECK(p != nullptr, "allocation of ", bytes, " bytes failed");
-  if (zero) std::memset(p, 0, rounded ? rounded : align);
-  const std::uint64_t id =
-      registry_.insert(p, rounded ? rounded : align, owner_rank);
+  const mach::HostBlock b = mach::host_alloc(bytes, align, zero);
+  const std::uint64_t id = registry_.insert(b.p, b.bytes, owner_rank);
   const int home_numa = topo_.core(map_.core_of(owner_rank)).numa;
-  cache_.add_block(id, rounded ? rounded : align, home_numa);
-  return p;
+  cache_.add_block(id, b.bytes, home_numa);
+  return b.p;
 }
 
 void SimMachine::free(void* p) {

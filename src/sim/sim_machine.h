@@ -82,6 +82,7 @@ class SimMachine final : public mach::Machine {
   void forget_flag_history(const void* base, std::size_t bytes);
 
   /// Test hooks.
+  const mach::AllocRegistry& registry() const noexcept { return registry_; }
   CacheModel& cache_model() noexcept { return cache_; }
   LineModel& line_model() noexcept { return lines_; }
   ResourceLedger& ledger() noexcept { return ledger_; }

@@ -29,7 +29,7 @@ namespace detail {
 template <typename... Ts>
 std::string concat(const Ts&... parts) {
   std::ostringstream os;
-  (os << ... << parts);
+  ((os << parts), ...);
   return os.str();
 }
 

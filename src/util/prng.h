@@ -8,24 +8,26 @@
 // (DESIGN.md § Host data plane): bytes 8k..8k+7 of fill_pattern(seed) are
 // splitmix_word(seed, k) in little-endian order, and element k of
 // fill_operands(seed) is operand(seed, k), cut from the same word. This
-// header is the only place in src/ that spells out the mixer
-// (scripts/lint_flags.sh enforces it).
+// header is the only place in src/ that spells out the mixer's multipliers
+// (scripts/lint_flags.sh enforces it); the bulk fills in prng.cpp name them.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 namespace xhc::util {
 
 /// splitmix64's state increment (the golden-ratio gamma).
 inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ull;
 
+/// splitmix64's two output multipliers.
+inline constexpr std::uint64_t kSplitMixMul1 = 0xbf58476d1ce4e5b9ull;
+inline constexpr std::uint64_t kSplitMixMul2 = 0x94d049bb133111ebull;
+
 /// splitmix64's output function applied to state `z`.
 constexpr std::uint64_t splitmix_mix(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  z = (z ^ (z >> 30)) * kSplitMixMul1;
+  z = (z ^ (z >> 27)) * kSplitMixMul2;
   return z ^ (z >> 31);
 }
 
@@ -60,26 +62,22 @@ class SplitMix64 {
 
 /// Fills `bytes` of memory with a deterministic pattern derived from `seed`:
 /// bytes 8k..8k+7 are splitmix_word(seed, k) in little-endian order, and a
-/// trailing partial word keeps its low bytes. On little-endian hosts every
-/// whole word is one 8-byte store.
-inline void fill_pattern(void* dst, std::size_t bytes,
-                         std::uint64_t seed) noexcept {
-  auto* p = static_cast<unsigned char*>(dst);
-  std::size_t k = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    for (; 8 * k + 8 <= bytes; ++k) {
-      const std::uint64_t v = splitmix_word(seed, k);
-      std::memcpy(p + 8 * k, &v, sizeof v);
-    }
-  }
-  // Byte loop: the tail, and every word on big-endian hosts.
-  for (; 8 * k < bytes; ++k) {
-    const std::uint64_t v = splitmix_word(seed, k);
-    for (std::size_t b = 0; b < 8 && 8 * k + b < bytes; ++b) {
-      p[8 * k + b] = static_cast<unsigned char>(v >> (8 * b));
-    }
-  }
-}
+/// trailing partial word keeps its low bytes. Fills of at least
+/// kVectorFillMin bytes write every whole 64-byte block with one 8-lane
+/// mixer step when the host has AVX-512F/DQ (chosen once at run time); the
+/// bytes are those of fill_pattern_scalar either way.
+void fill_pattern(void* dst, std::size_t bytes, std::uint64_t seed) noexcept;
+
+/// The one-word-per-step reference fill_pattern is checked against. It
+/// also writes the tail, small fills, and every fill on hosts without
+/// AVX-512: one 8-byte store per whole word on little-endian hosts, a byte
+/// loop for the tail and on big-endian hosts.
+void fill_pattern_scalar(void* dst, std::size_t bytes,
+                         std::uint64_t seed) noexcept;
+
+/// Smallest fill (in bytes) that takes the vector kernels; the
+/// latency-path fills (a few KiB at most) stay on the scalar loop.
+inline constexpr std::size_t kVectorFillMin = std::size_t{16} << 10;
 
 /// Element k of the bounded operand family: an exact multiple of 1/256 in
 /// [-1, 1), cut from splitmix_word(seed, k). Bounded exact operands keep a
@@ -92,10 +90,14 @@ constexpr float operand(std::uint64_t seed, std::size_t k) noexcept {
          (1.0f / 256.0f);
 }
 
-/// dst[k] = operand(seed, k) for every k < count.
-inline void fill_operands(float* dst, std::size_t count,
-                          std::uint64_t seed) noexcept {
-  for (std::size_t k = 0; k < count; ++k) dst[k] = operand(seed, k);
-}
+/// dst[k] = operand(seed, k) for every k < count. Takes the vector kernel
+/// under the same rule as fill_pattern (count * sizeof(float) at least
+/// kVectorFillMin, AVX-512F/DQ host); the values are those of
+/// fill_operands_scalar either way.
+void fill_operands(float* dst, std::size_t count, std::uint64_t seed) noexcept;
+
+/// The one-operand-per-step reference fill_operands is checked against.
+void fill_operands_scalar(float* dst, std::size_t count,
+                          std::uint64_t seed) noexcept;
 
 }  // namespace xhc::util

@@ -86,7 +86,7 @@ TEST(Hist, PercentilesBoundSamples) {
   EXPECT_DOUBLE_EQ(h.max(), 1e-3);
   // p50/p90/p99 are upper bucket bounds: at or above the true quantile,
   // within one sub-bucket of it.
-  for (const auto [q, exact] : {std::pair{0.5, 500e-6},
+  for (const auto& [q, exact] : {std::pair{0.5, 500e-6},
                                 std::pair{0.9, 900e-6},
                                 std::pair{0.99, 990e-6}}) {
     const double p = h.percentile(q);

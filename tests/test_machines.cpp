@@ -3,8 +3,17 @@
 // virtual clock's basic laws on SimMachine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
 
+#include "mach/host_alloc.h"
 #include "mach/real_machine.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
@@ -60,6 +69,26 @@ TYPED_TEST(MachineTest, AllocRejectsBadOwner) {
   auto m = make_machine<TypeParam>(4);
   EXPECT_THROW(m->alloc(-1, 8), util::Error);
   EXPECT_THROW(m->alloc(4, 8), util::Error);
+}
+
+TYPED_TEST(MachineTest, AllocRejectsSizesWhoseRoundUpOverflows) {
+  auto m = make_machine<TypeParam>(4);
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  // Each request would wrap to a tiny block when rounded up to `align`.
+  for (const auto& [bytes, align] :
+       {std::pair{kMax, std::size_t{64}}, std::pair{kMax - 10, std::size_t{64}},
+        std::pair{kMax - 4000, std::size_t{4096}}}) {
+    try {
+      (void)m->alloc(0, bytes, align);
+      FAIL() << "allocated " << bytes << " bytes at align " << align;
+    } catch (const util::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bytes=" + std::to_string(bytes)),
+                std::string::npos) << what;
+      EXPECT_NE(what.find("align=" + std::to_string(align)),
+                std::string::npos) << what;
+    }
+  }
 }
 
 TYPED_TEST(MachineTest, CopyMovesBytes) {
@@ -258,6 +287,80 @@ TEST(SimMachineTime, RegistryAttributesHomes) {
     t_far = ctx.now() - t0;
   });
   EXPECT_GT(t_far, t_near);
+}
+
+// ---------------------------------------------------------------------------
+// Sim-specific allocation: large blocks and the huge-page residency hint
+
+TEST(SimMachineAlloc, LargeBlockIsAlignedZeroedAndRegisteredRounded) {
+  sim::SimMachine m(topo::mini8(), 2);
+  constexpr std::size_t kBytes = mach::kHugePageHintMin + 100;
+  constexpr std::size_t kRounded = mach::kHugePageHintMin + 128;
+  // Dirty and free larger blocks first, so the zeroed block reuses written
+  // memory instead of fresh pages: glibc serves the first from mmap and
+  // raises its mmap threshold on the free, the later ones come from the
+  // heap, and the last one's free chunk is big enough to hold the block.
+  for (int i = 0; i < 3; ++i) {
+    void* dirty = m.alloc(1, 2 * kBytes, 64, /*zero=*/false);
+    std::memset(dirty, 0xAB, 2 * kBytes);
+    m.free(dirty);
+  }
+  auto* p = static_cast<unsigned char*>(m.alloc(1, kBytes));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
+  EXPECT_TRUE(std::all_of(p, p + kRounded, [](unsigned char c) {
+    return c == 0;
+  }));
+  const auto* block = m.registry().find(p);
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(block->base, reinterpret_cast<std::byte*>(p));
+  EXPECT_EQ(block->bytes, kRounded);
+  EXPECT_EQ(block->owner_rank, 1);
+  EXPECT_EQ(m.registry().find(p + kRounded - 1), block);
+  EXPECT_NE(m.registry().find(p + kRounded), block);
+  m.free(p);
+}
+
+/// VmFlags of the /proc/self/smaps mapping containing [lo, hi), or nullopt
+/// when no single mapping does (or smaps is unreadable).
+std::optional<std::string> vm_flags_over(std::uintptr_t lo, std::uintptr_t hi) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    std::uintptr_t start = 0;
+    std::uintptr_t end = 0;
+    char dash = 0;
+    std::istringstream head(line);
+    if (head >> std::hex >> start >> dash >> end && dash == '-') {
+      inside = start <= lo && hi <= end;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      return line;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(SimMachineAlloc, LargeBlockInteriorIsHintedHugePage) {
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string thp_mode;
+  if (!std::getline(thp, thp_mode) ||
+      thp_mode.find("[never]") != std::string::npos) {
+    GTEST_SKIP() << "transparent huge pages unavailable or disabled";
+  }
+  if (!std::ifstream("/proc/self/smaps")) {
+    GTEST_SKIP() << "/proc/self/smaps unreadable";
+  }
+  sim::SimMachine m(topo::mini8(), 2);
+  mach::Buffer buf(m, 0, 3 * mach::kHugePage + 4096, /*zero=*/false);
+  const auto base = reinterpret_cast<std::uintptr_t>(buf.get());
+  const std::uintptr_t lo =
+      (base + mach::kHugePage - 1) & ~(mach::kHugePage - 1);
+  const std::uintptr_t hi =
+      (base + 3 * mach::kHugePage + 4096) & ~(mach::kHugePage - 1);
+  ASSERT_LT(lo, hi);
+  const auto flags = vm_flags_over(lo, hi);
+  ASSERT_TRUE(flags.has_value()) << "no single mapping covers the interior";
+  EXPECT_NE((*flags + " ").find(" hg "), std::string::npos) << *flags;
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(Mechanism, PageMath) {
 
 TEST(RegCache, HitRequiresCoverage) {
   RegCache cache;
-  char buf[256];
+  char buf[256]{};
   EXPECT_FALSE(cache.lookup(1, buf, 256));  // cold
   cache.insert(1, buf, 256);
   EXPECT_TRUE(cache.lookup(1, buf, 256));       // exact
@@ -60,7 +60,7 @@ TEST(RegCache, HitRequiresCoverage) {
 
 TEST(RegCache, StatsAccumulate) {
   RegCache cache;
-  char buf[64];
+  char buf[64]{};
   cache.insert(0, buf, 64);
   (void)cache.lookup(0, buf, 64);
   (void)cache.lookup(0, buf, 64);
@@ -74,7 +74,7 @@ TEST(RegCache, StatsAccumulate) {
 
 TEST(RegCache, ClearDropsMappings) {
   RegCache cache;
-  char buf[64];
+  char buf[64]{};
   cache.insert(0, buf, 64);
   EXPECT_EQ(cache.clear(), 1u);
   EXPECT_FALSE(cache.lookup(0, buf, 64));
@@ -98,7 +98,7 @@ TEST(RegCache, CapacityBoundsEnforcedLru) {
 
 TEST(RegCache, LookupRefreshesRecency) {
   RegCache cache(2);
-  char a[64], b[64], c[64];
+  char a[64]{}, b[64]{}, c[64]{};
   cache.insert(0, a, 64);
   cache.insert(0, b, 64);
   EXPECT_TRUE(cache.lookup(0, a, 64));  // a becomes most-recent
@@ -110,7 +110,7 @@ TEST(RegCache, LookupRefreshesRecency) {
 
 TEST(RegCache, ReinsertUpdatesLengthWithoutEviction) {
   RegCache cache(2);
-  char a[256];
+  char a[256]{};
   cache.insert(0, a, 64);
   EXPECT_FALSE(cache.lookup(0, a, 256));    // cached range too short
   EXPECT_EQ(cache.insert(0, a, 256), 0u);   // grow in place
@@ -120,7 +120,7 @@ TEST(RegCache, ReinsertUpdatesLengthWithoutEviction) {
 
 TEST(RegCache, EraseOwnerInvalidatesOnlyThatOwner) {
   RegCache cache;
-  char a[64], b[64];
+  char a[64]{}, b[64]{};
   cache.insert(1, a, 64);
   cache.insert(1, b, 64);
   cache.insert(2, a, 64);
@@ -133,7 +133,7 @@ TEST(RegCache, EraseOwnerInvalidatesOnlyThatOwner) {
 
 TEST(RegCache, ForcedMissesCountAgainstHitRatio) {
   RegCache cache;
-  char a[64];
+  char a[64]{};
   cache.insert(0, a, 64);
   EXPECT_TRUE(cache.lookup(0, a, 64));
   cache.count_forced_miss();

@@ -178,7 +178,9 @@ TEST(SvcLoadgen, CommPlanOverlapsAndScheduleIsSorted) {
   std::vector<std::uint64_t> next_index(6, 0);
   for (std::size_t i = 0; i < sched.size(); ++i) {
     EXPECT_EQ(sched[i].id, i);
-    if (i > 0) EXPECT_GE(sched[i].arrival, sched[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(sched[i].arrival, sched[i - 1].arrival);
+    }
     // Per-communicator stream indices appear in order (verdict epochs).
     EXPECT_EQ(sched[i].index,
               next_index[static_cast<std::size_t>(sched[i].comm)]++);

@@ -226,20 +226,34 @@ TEST(Prng, FillPatternMatchesByteLoopOracle) {
     lengths.push_back(4096 - d);
     lengths.push_back(4096 + d);
   }
+  // Around the vector kernel's threshold, and every tail length past
+  // whole 64-byte blocks.
+  static_assert(kVectorFillMin == std::size_t{16} << 10);
+  for (std::size_t n = kVectorFillMin - 1; n <= kVectorFillMin + 71; ++n) {
+    lengths.push_back(n);
+  }
+  for (std::size_t t = 0; t < 64; ++t) {
+    lengths.push_back((std::size_t{64} << 10) + t);
+  }
   lengths.push_back((std::size_t{1} << 20) + 3);
   std::vector<unsigned char> got;
   std::vector<unsigned char> want;
+  std::vector<unsigned char> scalar;
   for (const std::size_t n : lengths) {
     for (std::size_t off = 0; off < 8; ++off) {
       for (const std::uint64_t seed : kOracleSeeds) {
         // Room for the offset plus at least 8 guard bytes past the end,
-        // which both fills must leave untouched.
+        // which every fill must leave untouched.
         got.assign(n + 15, 0xEE);
         want.assign(n + 15, 0xEE);
+        scalar.assign(n + 15, 0xEE);
         fill_pattern(got.data() + off, n, seed);
         fill_pattern_oracle(want.data() + off, n, seed);
+        fill_pattern_scalar(scalar.data() + off, n, seed);
         ASSERT_TRUE(got == want)
             << "len " << n << " offset " << off << " seed " << seed;
+        ASSERT_TRUE(scalar == want)
+            << "scalar: len " << n << " offset " << off << " seed " << seed;
       }
     }
   }
@@ -256,19 +270,37 @@ TEST(Prng, SplitmixWordIsTheStreamWord) {
 }
 
 TEST(Prng, FillOperandsMatchesScalarFormula) {
-  for (std::size_t count = 0; count <= 67; ++count) {
-    for (const std::uint64_t seed : kOracleSeeds) {
-      std::vector<float> got(count + 1, 7.0f);  // one sentinel past the end
-      fill_operands(got.data(), count, seed);
-      SplitMix64 rng(seed);
-      for (std::size_t i = 0; i < count; ++i) {
-        const float want =
-            static_cast<float>(static_cast<int>(rng.next() & 511u) - 256) *
-            (1.0f / 256.0f);
-        ASSERT_EQ(got[i], want)
-            << "count " << count << " seed " << seed << " i " << i;
+  // Short counts, then around the vector kernel's threshold (16 KiB of
+  // floats), every tail length past whole 16-operand blocks, and a long
+  // fill; each at an aligned and a 4-byte-misaligned destination.
+  std::vector<std::size_t> counts;
+  for (std::size_t c = 0; c <= 67; ++c) counts.push_back(c);
+  for (std::size_t c = 4095; c <= 4104; ++c) counts.push_back(c);
+  for (std::size_t k = 0; k < 8; ++k) counts.push_back(4099 + 8 * k);
+  counts.push_back((std::size_t{1} << 18) + 3);
+  std::vector<float> got;
+  std::vector<float> scalar;
+  for (const std::size_t count : counts) {
+    for (std::size_t off = 0; off < 2; ++off) {
+      for (const std::uint64_t seed : kOracleSeeds) {
+        got.assign(count + 2, 7.0f);  // a sentinel past the end
+        scalar.assign(count + 2, 7.0f);
+        fill_operands(got.data() + off, count, seed);
+        fill_operands_scalar(scalar.data() + off, count, seed);
+        SplitMix64 rng(seed);
+        for (std::size_t i = 0; i < count; ++i) {
+          const float want =
+              static_cast<float>(static_cast<int>(rng.next() & 511u) - 256) *
+              (1.0f / 256.0f);
+          ASSERT_EQ(got[off + i], want) << "count " << count << " offset "
+                                        << off << " seed " << seed << " i "
+                                        << i;
+        }
+        ASSERT_TRUE(got == scalar)
+            << "scalar: count " << count << " offset " << off << " seed "
+            << seed;
+        EXPECT_EQ(got[off + count], 7.0f) << "count " << count;
       }
-      EXPECT_EQ(got[count], 7.0f) << "count " << count;
     }
   }
 }
