@@ -309,4 +309,99 @@ inline std::string coh_report_string(const BenchArgs& args,
   return std::move(os).str();
 }
 
+/// One component's sweep over a size list (osu::bcast_sweep,
+/// osu::allreduce_sweep).
+using SweepFn = std::vector<osu::SizeResult> (*)(
+    mach::Machine&, coll::Component&, const std::vector<std::size_t>&,
+    const osu::Config&);
+
+/// The body of the latency figures (Fig. 8, Fig. 11): sweeps every
+/// component of `comps` over figure_sizes() on each selected system and
+/// prints one "<title>, <system>" table per system, each followed by the
+/// histogram, coherence, metrics/trace and critical-path output the flags
+/// request.
+inline int run_latency_figure(const BenchArgs& args, std::string_view title,
+                              const std::vector<std::string_view>& comps,
+                              SweepFn sweep) {
+  const auto sizes = figure_sizes(args.quick, args.large);
+  const auto systems = args.systems();
+
+  // One independent sim point per (system, component) pair. Each point owns
+  // a private SimMachine, so the worker pool may run them on any host
+  // thread in any order while the tables, assembled by point index below,
+  // stay byte-identical to a sequential sweep.
+  std::vector<std::vector<std::vector<osu::SizeResult>>> results(
+      systems.size(), std::vector<std::vector<osu::SizeResult>>(comps.size()));
+  std::vector<std::unique_ptr<obs::Observer>> observers(systems.size());
+  std::vector<std::vector<obs::NamedHist>> hists(systems.size() *
+                                                 comps.size());
+  std::vector<std::string> coh_reports(systems.size() * comps.size());
+
+  osu::run_points(
+      systems.size() * comps.size(), args.effective_jobs(),
+      [&](std::size_t i) {
+        const std::size_t si = i / comps.size();
+        const std::size_t ci = i % comps.size();
+        auto machine = make_system(systems[si]);
+        coll::Tuning tuning;
+        args.apply_tuning(tuning);
+        auto comp = coll::make_component(comps[ci], *machine, tuning);
+        osu::Config cfg;
+        cfg.warmup = 1;
+        cfg.iters = args.quick ? 1 : 2;
+        cfg.verify = args.verify;
+        if (args.observe()) {
+          // Observability forces effective_jobs()==1, so sharing one
+          // Observer across a system's components stays race-free.
+          if (!observers[si]) {
+            observers[si] = std::make_unique<obs::Observer>(machine->n_ranks());
+          }
+          cfg.observer = observers[si].get();
+        }
+        if (args.hist_on()) cfg.size_hists = &hists[i];
+        wire_wait_hist(args, *machine, cfg.observer);
+        wire_coherence(args, *machine);
+        results[si][ci] = sweep(*machine, *comp, sizes, cfg);
+        // Each point owns its machine, so the report is private to this
+        // worker; buffering keeps print order deterministic under --jobs.
+        coh_reports[i] = coh_report_string(
+            args, *machine,
+            std::string(systems[si]) + "/" + std::string(comps[ci]));
+      });
+
+  for (std::size_t si = 0; si < systems.size(); ++si) {
+    util::Table table([&] {
+      std::vector<std::string> header{"Size"};
+      for (const auto c : comps) header.emplace_back(c);
+      return header;
+    }());
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      std::vector<std::string> row{util::Table::fmt_bytes(sizes[i])};
+      for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+        row.push_back(us(results[si][ci][i].avg_us));
+      }
+      table.add_row(std::move(row));
+    }
+    const std::string system(systems[si]);
+    emit(args, table, std::string(title) + ", " + system);
+    if (args.hist_on()) {
+      std::vector<std::pair<std::string, std::vector<obs::NamedHist>>>
+          per_comp;
+      for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+        per_comp.emplace_back(std::string(comps[ci]),
+                              std::move(hists[si * comps.size() + ci]));
+      }
+      emit_hists(args, system, per_comp, observers[si].get());
+    }
+    for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+      std::cout << coh_reports[si * comps.size() + ci];
+    }
+    if (observers[si]) {
+      emit_observability(args, *observers[si], system);
+      emit_critpath(args, *observers[si], system);
+    }
+  }
+  return 0;
+}
+
 }  // namespace xhc::bench

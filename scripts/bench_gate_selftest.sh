@@ -13,7 +13,7 @@ build="${1:-build}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-common=(--build="$build" --quick --presets=mini8 --k=1)
+common=(--build="$build" --quick --presets=mini8)
 
 echo "== bench gate self-test ($build, mini8) =="
 scripts/bench_store.py record --store="$tmp/store.json" "${common[@]}" \

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark regression store: records figure sweeps into BENCH_perf.json.
 
-Runs the per-figure bench binaries in CSV mode, parses the section tables,
-reduces k repetitions to per-point medians, and appends one run entry to a
-JSON store (or writes a standalone candidate file for bench_compare).
+Runs the per-figure bench binaries in CSV mode once each, parses the
+section tables, and appends one run entry to a JSON store (or writes a
+standalone candidate file for bench_compare).
 
     scripts/bench_store.py record [options]
 
@@ -11,37 +11,34 @@ Options:
     --store=FILE     append the run to FILE (default BENCH_perf.json)
     --out=FILE       write a one-run candidate store to FILE instead
     --build=DIR      build tree holding bench/ binaries (default build)
-    --targets=LIST   comma list of fig8,fig11,fig10,fig4,fig8L,fig11L,svc
-                     (default all; the L variants re-run the bcast and
-                     allreduce sweeps with --large appended, extending the
-                     size axis to 256K/1M/4M for the bandwidth-path gate;
-                     svc runs the multi-tenant service loadgen and stores
-                     per-op-class latency percentiles and shed counts)
+    --targets=LIST   comma list of fig10,fig4,fig8L,fig11L,svc (default
+                     all; fig8L/fig11L run the Fig. 8 bcast and Fig. 11
+                     allreduce sweeps with --large, whose size axis is the
+                     figure's plus 256K/1M/4M; svc runs the multi-tenant
+                     service loadgen and stores per-op-class latency
+                     percentiles and shed counts)
     --presets=LIST   comma list of topology presets ('' = bench defaults)
     --quick          pass --quick to the benches (default on; --full negates)
-    --k=N            repetitions per target, median per point (default 3)
     --fault=SPEC     forward a fault-injection spec (self-test lever)
     --note=TEXT      free-form annotation stored with the run
 
 The store is {"version": 1, "runs": [...]}; each run carries a config
 fingerprint (targets, presets, quick, sim backend) that bench_compare uses
 to pick a comparable baseline, plus the flat point map
-{"fig8/<preset>/<component>/<size>": latency_us}. The sweeps execute on the
-deterministic simulator, so medians are exact and cross-machine stable.
+{"fig8L/<preset>/<component>/<size>": latency_us}. The sweeps execute on
+the deterministic simulator, so one pass is exact: every repetition would
+print the same tables, and points are cross-machine stable.
 
 Stdlib only; no third-party imports.
 """
 
 import json
 import os
-import statistics
 import subprocess
 import sys
 from datetime import datetime, timezone
 
 TARGETS = {
-    "fig8": ("bench_fig8_bcast", []),
-    "fig11": ("bench_fig11_allreduce", []),
     "fig10": ("bench_fig10_cacheline", []),
     "fig4": ("bench_fig4_atomics", []),
     "fig8L": ("bench_fig8_bcast", ["--large"]),
@@ -60,16 +57,15 @@ def parse_args(argv):
         "store": "BENCH_perf.json",
         "out": None,
         "build": "build",
-        "targets": "fig8,fig11,fig10,fig4,fig8L,fig11L,svc",
+        "targets": "fig10,fig4,fig8L,fig11L,svc",
         "presets": "",
         "quick": True,
-        "k": 3,
         "fault": "",
         "note": "",
     }
     if not argv or argv[0] != "record":
         fail("usage: bench_store.py record [--store=F|--out=F] [--build=DIR] "
-             "[--targets=L] [--presets=L] [--quick|--full] [--k=N] "
+             "[--targets=L] [--presets=L] [--quick|--full] "
              "[--fault=SPEC] [--note=TEXT]")
     for a in argv[1:]:
         if a == "--quick":
@@ -80,11 +76,9 @@ def parse_args(argv):
             key, val = a[2:].split("=", 1)
             if key not in opts:
                 fail("unknown option --%s" % key)
-            opts[key] = int(val) if key == "k" else val
+            opts[key] = val
         else:
             fail("unrecognized argument %r" % a)
-    if opts["k"] < 1:
-        fail("--k must be >= 1")
     return opts
 
 
@@ -148,25 +142,16 @@ def run_target(fig, opts):
         for c in cmds:
             c.append("--fault=%s" % opts["fault"])
 
-    reps = []
-    for _ in range(opts["k"]):
-        points = {}
-        for cmd in cmds:
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                fail("%s exited %d:\n%s" % (" ".join(cmd), proc.returncode,
-                                            proc.stderr.strip()))
-            points.update(parse_csv_sections(proc.stdout, fig))
-        if not points:
-            fail("no CSV points parsed from %s" % " ".join(cmds[0]))
-        reps.append(points)
-
-    keys = set(reps[0])
-    for r in reps[1:]:
-        if set(r) != keys:
-            fail("repetitions of %s produced different point sets" % fig)
-    return {k: round(statistics.median(r[k] for r in reps), 4)
-            for k in sorted(keys)}
+    points = {}
+    for cmd in cmds:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            fail("%s exited %d:\n%s" % (" ".join(cmd), proc.returncode,
+                                        proc.stderr.strip()))
+        points.update(parse_csv_sections(proc.stdout, fig))
+    if not points:
+        fail("no CSV points parsed from %s" % " ".join(cmds[0]))
+    return {k: round(v, 4) for k, v in points.items()}
 
 
 def git_commit():
@@ -207,7 +192,6 @@ def main(argv):
             "presets": opts["presets"],
             "quick": opts["quick"],
             "backend": os.environ.get("XHC_SIM_BACKEND", "fiber"),
-            "k": opts["k"],
             "fault": opts["fault"],
         },
         "note": opts["note"],

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the test suite — optionally
-# under a sanitizer or the protocol verifier (each mode gets its own build
-# directory).
+# under a sanitizer (each mode gets its own build directory). Outside TSan
+# trees every test runs with the protocol ledger on (tests/CMakeLists.txt).
 #
 #   scripts/check.sh            # plain tier-1 build + ctest (build/)
 #   scripts/check.sh thread     # ThreadSanitizer       (build-tsan/)
 #   scripts/check.sh address    # Address+UB sanitizer  (build-asan/)
 #   scripts/check.sh undefined  # UBSan alone           (build-ubsan/)
-#   scripts/check.sh verify     # XHC_VERIFY=ON ledger  (build-verify/)
 #   scripts/check.sh fault      # chaos suite: fixed seed sweep (build/)
 #                               # plus the same under TSan (build-tsan/)
-#   scripts/check.sh bench      # perf regression gate: quick fig8+fig11+
-#                               # fig10+fig4 (+ large-size fig8L/fig11L)
-#                               # sweep vs BENCH_perf.json + gate self-test
+#   scripts/check.sh bench      # perf regression gate: quick fig8L+
+#                               # fig11L (the Fig. 8/11 sweeps with the
+#                               # large sizes)+fig10+fig4+svc vs
+#                               # BENCH_perf.json + gate self-test
 #   scripts/check.sh largemsg   # large-message path gate: bandwidth-engine
 #                               # tests, verified --large sweeps, quick-table
 #                               # bit-identity with the paths disabled,
@@ -55,7 +55,7 @@ cd "$(dirname "$0")/.."
 mode="${1:-}"
 [ $# -gt 0 ] && shift
 
-# Quick fig8+fig11 sweep through the regression gate (DESIGN.md §
+# Quick bench-store sweep through the regression gate (DESIGN.md §
 # Observatory): first the self-test proving the gate can fail, then the
 # candidate-vs-committed-baseline comparison. The sweeps run on the
 # deterministic simulator, so the 5% default threshold has no flake margin.
@@ -91,10 +91,6 @@ case "$mode" in
   undefined)
     build_dir=build-ubsan
     cmake_args=(-DXHC_SANITIZE=undefined)
-    ;;
-  verify)
-    build_dir=build-verify
-    cmake_args=(-DXHC_VERIFY=ON)
     ;;
   fault)
     # Chaos mode: the fault/degradation suite in the plain build, a seeded
@@ -221,6 +217,10 @@ case "$mode" in
       | sed '/^== Coherence/,$d' | awk 'NF' > "$tmp/f8.coh"
     diff "$tmp/f8.plain" "$tmp/f8.coh"
     echo "fig8: latency table identical with tracking on (report stripped)"
+    build/bench/bench_fig11_allreduce --quick --preset=mini8 --coherence \
+      > "$tmp/f11.coh"
+    grep -q '^== Coherence' "$tmp/f11.coh"
+    echo "fig11: prints its coherence report"
     echo "== threads backend =="
     XHC_SIM_BACKEND=threads build/bench/bench_fig10_cacheline --quick \
       > /dev/null
@@ -381,7 +381,7 @@ case "$mode" in
     ;;
   *)
     echo "usage: $0" \
-         "[thread|address|undefined|verify|fault|bench|largemsg|coherence|" \
+         "[thread|address|undefined|fault|bench|largemsg|coherence|" \
          "service|lint|analyze] [ctest args...]" >&2
     exit 2
     ;;
@@ -401,7 +401,7 @@ ctest --output-on-failure -j "$(nproc)" "$@"
 # annotated switches, so re-run the simulation tests under the thread
 # backend in both the plain and TSan modes to keep both handoff mechanisms
 # covered by every check run. (ASan forces threads at compile time already;
-# UBSan/verify reruns would only repeat identical single-threaded logic.)
+# a UBSan rerun would only repeat identical single-threaded logic.)
 if [ "$mode" = "" ] || [ "$mode" = thread ]; then
   echo "== re-running sim tests under XHC_SIM_BACKEND=threads =="
   XHC_SIM_BACKEND=threads ctest --output-on-failure -j "$(nproc)" \

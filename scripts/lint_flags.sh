@@ -202,7 +202,7 @@ fi
 #    database are available. `scripts/check.sh lint` widens this to all of
 #    src/ via run-clang-tidy with -warnings-as-errors.
 tidy_db=""
-for d in build build-verify build-tsan; do
+for d in build build-tsan; do
   if [ -f "$d/compile_commands.json" ]; then
     tidy_db="$d"
     break

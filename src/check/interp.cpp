@@ -72,19 +72,18 @@ InterpResult run_model(const ScheduleModel& m, sim::SimMachine& machine,
       if (fresh.emplace(e.flag, nullptr).second) order.push_back(e.flag);
     }
   }
+  // SimMachine::free scrubs a block's flag history, so no crossing from a
+  // previous run_model at a reused address can satisfy this run's waits.
   mach::Buffer lines(machine, 0, order.size() * 64);
-  // The allocator reuses addresses across run_model calls; any crossing a
-  // previous occupant recorded would satisfy this run's waits instantly.
-  machine.forget_flag_history(lines.get(), order.size() * 64);
   for (std::size_t i = 0; i < order.size(); ++i) {
     fresh[order[i]] = new (lines.bytes() + i * 64) mach::Flag();
   }
 
   // The run's own discipline ledger carries the original registration over
   // to the fresh addresses and records instead of throwing. The machine's
-  // built-in ledger gets the fresh flags whitelisted as kShared so checked
-  // builds don't abort mid-run on a deliberately broken model; violations
-  // are this ledger's job here.
+  // built-in ledger gets the fresh flags whitelisted as kShared so a machine
+  // with its ledger switched on doesn't abort mid-run on a deliberately
+  // broken model; violations are this ledger's job here.
   verify::Ledger own;
   own.set_abort_on_violation(false);
   for (const auto& [old_f, new_f] : fresh) {

@@ -42,26 +42,13 @@ std::string ScheduleModel::buf_name(int id) const {
 
 namespace {
 
+using core::active_reducers;
+using core::aligned_chunk;
 using core::CommView;
 using core::ElemRange;
 using core::GroupCtl;
 using core::ShardCtl;
 using core::ShardSchedule;
-
-// Local copies of allreduce.cpp's file-scope helpers (anonymous namespace
-// there); the conformance test keeps them honest.
-std::size_t active_reducers(std::size_t bytes, std::size_t n_nonleader,
-                            std::size_t min_bytes) {
-  if (n_nonleader == 0) return 0;
-  if (min_bytes == 0) return n_nonleader;
-  const std::size_t by_min = (bytes + min_bytes - 1) / min_bytes;
-  return std::clamp<std::size_t>(by_min, 1, n_nonleader);
-}
-
-std::size_t aligned_chunk(std::size_t chunk, std::size_t elem) {
-  if (chunk < elem) return elem;
-  return chunk - chunk % elem;
-}
 
 class Extractor {
  public:

@@ -12,6 +12,7 @@
 //     paper's Fig. 10 and Fig. 4 experiments.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -259,5 +260,24 @@ class XhcComponent final : public coll::Component {
   std::vector<mach::Buffer> cico_bufs_;
   std::vector<CicoSeg> cico_;
 };
+
+// The allreduce's reducer split, shared with the schedule model
+// (check/schedule_model.cpp) so both derive the same chunk ranges.
+
+/// Number of members that actually reduce, honoring the per-member minimum
+/// workload (paper §IV-B step 2a: with little data only one member reduces).
+inline std::size_t active_reducers(std::size_t bytes, std::size_t n_nonleader,
+                                   std::size_t min_bytes) {
+  if (n_nonleader == 0) return 0;
+  if (min_bytes == 0) return n_nonleader;
+  const std::size_t by_min = (bytes + min_bytes - 1) / min_bytes;
+  return std::clamp<std::size_t>(by_min, 1, n_nonleader);
+}
+
+/// Chunk size aligned down to the element size (at least one element).
+inline std::size_t aligned_chunk(std::size_t chunk, std::size_t elem) {
+  if (chunk < elem) return elem;
+  return chunk - chunk % elem;
+}
 
 }  // namespace xhc::core

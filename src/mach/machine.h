@@ -158,11 +158,11 @@ class Machine {
   /// Protocol-conformance ledger over this machine's flags (single-writer /
   /// monotone / publish-order discipline, see src/verify/verify.h). Always
   /// present so components can register flags and tests can use the direct
-  /// API in any build; the per-operation hooks that feed it from flag_store
-  /// / flag_read are compiled in only under XHC_VERIFY_ENABLED. Virtual so
-  /// facade machines over a rank subset (svc::TenantMachine) can forward to
-  /// the parent's ledger — flags allocated through the facade must be named
-  /// in the ledger the parent's flag hooks actually consult.
+  /// API; the per-operation hooks that feed it from flag_store / flag_read
+  /// run only while its switch is on (verify::Ledger::set_enabled). Virtual
+  /// so facade machines over a rank subset (svc::TenantMachine) can forward
+  /// to the parent's ledger — flags allocated through the facade must be
+  /// named in the ledger the parent's flag hooks actually consult.
   virtual verify::Ledger& verify_ledger() noexcept { return verify_ledger_; }
   virtual const verify::Ledger& verify_ledger() const noexcept {
     return verify_ledger_;

@@ -143,11 +143,9 @@ class RealMachine::RealCtx final : public Ctx {
   }
 
   void flag_store(Flag& f, std::uint64_t v) override {
-#if XHC_VERIFY_ENABLED
     // Checked before the store so a reader can never see a value whose
     // legality the ledger has not yet judged.
-    ledger_->on_store(&f, rank_, v);
-#endif
+    if (ledger_->enabled()) ledger_->on_store(&f, rank_, v);
     f.v.store(v, std::memory_order_release);
   }
 
@@ -193,9 +191,7 @@ class RealMachine::RealCtx final : public Ctx {
 
   std::uint64_t fetch_add(Flag& f, std::uint64_t delta) override {
     const std::uint64_t prev = f.v.fetch_add(delta, std::memory_order_acq_rel);
-#if XHC_VERIFY_ENABLED
-    ledger_->on_rmw(&f, rank_, prev + delta);
-#endif
+    if (ledger_->enabled()) ledger_->on_rmw(&f, rank_, prev + delta);
     return prev;
   }
 

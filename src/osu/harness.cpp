@@ -79,10 +79,10 @@ struct PaddedAcc {
 };
 
 /// Publishes the protocol verifier's summary (src/verify/) as gauges so
-/// --metrics reports checked-build coverage next to the traffic counters,
+/// --metrics reports the ledger's coverage next to the traffic counters,
 /// plus the machine's modeled coherence counter deltas (coh_*, SimMachine
 /// only — delta semantics keep repeated sweeps double-count free).
-/// Cheap in every build; in plain builds the store/load counts stay zero.
+/// With the ledger switched off the store/load counts stay zero.
 void publish_verify_summary(mach::Machine& machine, obs::Observer* obs) {
   if (obs == nullptr) return;
   const verify::Summary s = machine.verify_ledger().summary();

@@ -70,6 +70,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
  public:
   SimCtx(SimMachine* m, int rank, double run_epoch)
       : m_(m),
+        verify_(&m->verify_ledger()),
         rank_(rank),
         core_(m->map_.core_of(rank)),
         run_epoch_(run_epoch) {}
@@ -135,11 +136,9 @@ class SimMachine::SimCtx final : public mach::Ctx {
     const double done = m_->lines_.write(&f, core_, t);
     f.v.store(v, std::memory_order_release);
     m_->flag_hist_[&f].append(v, done);
-#if XHC_VERIFY_ENABLED
     // The ledger records the same publish time the model uses, so the
     // read-side cross-check compares like with like.
-    m_->verify_ledger().on_store(&f, rank_, v, done);
-#endif
+    if (verify_->enabled()) verify_->on_store(&f, rank_, v, done);
     if (m_->access_ != nullptr) {
       m_->access_->on_flag(rank_, &f, AccessSink::FlagOp::kStore, v);
     }
@@ -151,9 +150,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
     const double t = m_->sched_->now(rank_);
     const double done = m_->lines_.read(&f, core_, t);
     const std::uint64_t value = m_->flag_hist_[&f].value_at(done);
-#if XHC_VERIFY_ENABLED
-    m_->verify_ledger().on_observe(&f, rank_, value, done);
-#endif
+    if (verify_->enabled()) verify_->on_observe(&f, rank_, value, done);
     if (m_->access_ != nullptr) {
       m_->access_->on_flag(rank_, &f, AccessSink::FlagOp::kRead, value);
     }
@@ -174,9 +171,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
         crossing.has_value() && *crossing <= now) {
       const double done =
           m_->lines_.read(&f, core_, now, /*pipelined=*/true);
-#if XHC_VERIFY_ENABLED
-      m_->verify_ledger().on_wait_resume(&f, rank_, v, done);
-#endif
+      if (verify_->enabled()) verify_->on_wait_resume(&f, rank_, v, done);
       m_->sched_->advance(rank_, done - now);
       return;
     }
@@ -201,9 +196,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
     // Pay for actually fetching the line at the resume time (the line-model
     // serializes concurrent fetchers — the fan-in effect).
     const double done = m_->lines_.read(&f, core_, resume);
-#if XHC_VERIFY_ENABLED
-    m_->verify_ledger().on_wait_resume(&f, rank_, v, done);
-#endif
+    if (verify_->enabled()) verify_->on_wait_resume(&f, rank_, v, done);
     m_->sched_->advance(rank_, done - resume);
     // Record the blocked virtual time (entry → line fetched). Pure
     // observation: no charge, so timings are unchanged whether or not a
@@ -224,9 +217,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
     const std::uint64_t next = prev + delta;
     f.v.store(next, std::memory_order_release);
     hist.append(next, done);
-#if XHC_VERIFY_ENABLED
-    m_->verify_ledger().on_rmw(&f, rank_, next, done);
-#endif
+    if (verify_->enabled()) verify_->on_rmw(&f, rank_, next, done);
     if (m_->access_ != nullptr) {
       m_->access_->on_flag(rank_, &f, AccessSink::FlagOp::kRmw, next);
     }
@@ -241,6 +232,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
 
  private:
   SimMachine* const m_;
+  verify::Ledger* const verify_;
   const int rank_;
   const int core_;
   const double run_epoch_;
@@ -306,28 +298,21 @@ void SimMachine::free(void* p) {
   const auto* block = registry_.find(p);
   if (block != nullptr) {
     cache_.remove_block(block->id);
+    // A reused address starts clean: a previous occupant's crossings must
+    // not satisfy waits on (or poison the ledger for) a fresh flag there.
     verify_ledger().forget_range(block->base, block->bytes);
-#if XHC_VERIFY_ENABLED
-    // Stale publish history on a reused address would poison the ledger
-    // cross-check, so checked builds scrub it. The plain build keeps the
-    // historical behavior so virtual-time output stays bit-identical.
-    forget_flag_history(block->base, block->bytes);
-#endif
+    const std::byte* lo = block->base;
+    for (auto it = flag_hist_.begin(); it != flag_hist_.end();) {
+      const auto* a = reinterpret_cast<const std::byte*>(it->first);
+      if (a >= lo && a < lo + block->bytes) {
+        it = flag_hist_.erase(it);
+      } else {
+        ++it;
+      }
+    }
   }
   registry_.erase(p);
   std::free(p);
-}
-
-void SimMachine::forget_flag_history(const void* base, std::size_t bytes) {
-  const auto* lo = static_cast<const std::byte*>(base);
-  for (auto it = flag_hist_.begin(); it != flag_hist_.end();) {
-    const auto* a = reinterpret_cast<const std::byte*>(it->first);
-    if (a >= lo && a < lo + bytes) {
-      it = flag_hist_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 double SimMachine::price_read(const mach::AllocRegistry::Block* block,

@@ -74,13 +74,6 @@ class SimMachine final : public mach::Machine {
   }
   void set_access_sink(AccessSink* sink) noexcept { access_ = sink; }
 
-  /// Erases the retained value history of every flag in [base, base+bytes).
-  /// For harnesses that place fresh flags into reused allocations (the
-  /// schedule interpreter): without this, a crossing recorded by a previous
-  /// occupant of the address would satisfy the new flag's waits instantly.
-  /// Call between runs, never during one.
-  void forget_flag_history(const void* base, std::size_t bytes);
-
   /// Test hooks.
   const mach::AllocRegistry& registry() const noexcept { return registry_; }
   CacheModel& cache_model() noexcept { return cache_; }
@@ -124,8 +117,8 @@ class SimMachine final : public mach::Machine {
   LineModel lines_;
   ResourceLedger ledger_;
   // Hashed on the flag's address; looked up on every simulated flag op
-  // (hot path), never iterated, so unordered lookup cost wins and the
-  // nondeterministic bucket order is irrelevant.
+  // (hot path), so unordered lookup cost wins. The only iteration, free()'s
+  // erase of the freed block's flags, does not depend on bucket order.
   std::unordered_map<const mach::Flag*, FlagHist> flag_hist_;
   std::unique_ptr<VirtualScheduler> sched_;  // alive during run()
   VirtualScheduler::PickHook pick_hook_;     // exploration; usually null

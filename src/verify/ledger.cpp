@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <string_view>
 
 #include "util/cacheline.h"
 #include "util/check.h"
@@ -34,6 +36,16 @@ std::string time_str(double t) {
 }
 
 }  // namespace
+
+bool enabled_from_env() {
+  const char* raw = std::getenv("XHC_VERIFY");
+  if (raw == nullptr || *raw == '\0') return false;
+  const std::string_view v(raw);
+  if (v == "0") return false;
+  if (v == "1") return true;
+  throw util::Error(util::detail::concat(
+      "XHC_VERIFY must be '0' or '1', got '", v, "'"));
+}
 
 const char* to_string(Kind k) noexcept {
   switch (k) {

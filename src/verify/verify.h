@@ -5,13 +5,13 @@
 // only after its release-store, and flags with distinct writers live on
 // distinct cache lines — used to be enforced by comment alone. This ledger
 // turns it into a runtime check: every Machine owns one, components register
-// their flags (name + writer policy), and checked builds (`-DXHC_VERIFY=ON`,
-// which defines XHC_VERIFY_ENABLED=1) route every flag store/load through it.
+// their flags (name + writer policy), and while the ledger's switch is on
+// (Ledger::set_enabled, default from XHC_VERIFY=0|1) RealMachine/SimMachine
+// route every flag store/load through it.
 //
-// The ledger itself is always compiled, so registration, the layout lint and
-// the direct API (used by tests and diagnostics) work in every build; only
-// the per-operation hooks inside RealMachine/SimMachine are gated, keeping
-// the hot path zero-cost when the toggle is off.
+// Registration, the layout lint and the direct API (used by tests and
+// diagnostics) work whatever the switch says; it gates only the machines'
+// per-operation hooks, which cost one predictable branch when it is off.
 #pragma once
 
 #include <cstddef>
@@ -24,11 +24,11 @@
 
 #include "mach/flag.h"
 
-#if !defined(XHC_VERIFY_ENABLED)
-#define XHC_VERIFY_ENABLED 0
-#endif
-
 namespace xhc::verify {
+
+/// Default of Ledger::enabled(): the XHC_VERIFY environment variable, "1" on
+/// and "0" (or unset) off. Throws util::Error on any other value.
+bool enabled_from_env();
 
 /// Who may store to a flag.
 enum class WriterPolicy : unsigned char {
@@ -98,11 +98,17 @@ struct LintItem {
 
 /// Per-machine flag ledger. All methods are thread-safe (RealMachine calls
 /// the hooks from concurrent rank threads); SimMachine's single host thread
-/// pays one uncontended lock per op in checked builds.
+/// pays one uncontended lock per op while the switch is on.
 class Ledger {
  public:
   /// Sentinel for hooks called without a virtual clock (RealMachine).
   static constexpr double kNoTime = -1.0;
+
+  /// Whether the machines' flag operations feed this ledger (on_store,
+  /// on_rmw, on_observe, on_wait_resume). Set only outside parallel
+  /// regions: rank threads read it unsynchronized.
+  bool enabled() const noexcept { return enabled_; }
+  void set_enabled(bool on) noexcept { enabled_ = on; }
 
   /// Declares a flag's name and writer policy. Idempotent; re-registering
   /// (e.g. a rebuilt component on a reused address) resets the record.
@@ -204,6 +210,7 @@ class Ledger {
   std::uint64_t stores_ = 0;
   std::uint64_t loads_ = 0;
   bool abort_ = true;
+  bool enabled_ = enabled_from_env();
 };
 
 }  // namespace xhc::verify

@@ -8,10 +8,12 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mach/host_alloc.h"
 #include "mach/real_machine.h"
@@ -141,7 +143,7 @@ TYPED_TEST(MachineTest, FetchAddReturnsPrevious) {
   auto m = make_machine<TypeParam>(4);
   auto* flag = static_cast<mach::Flag*>(m->alloc(0, sizeof(mach::Flag)));
   // Every rank fetch-adds this flag, so whitelist it for the protocol
-  // verifier the way the Fig. 4 atomic_ctr is (checked builds only).
+  // verifier the way the Fig. 4 atomic_ctr is (matters with its switch on).
   m->verify_ledger().register_flag(flag, "test.fetch_add_ctr",
                                    verify::WriterPolicy::kShared);
   std::atomic<std::uint64_t> sum_prev{0};
@@ -361,6 +363,50 @@ TEST(SimMachineAlloc, LargeBlockInteriorIsHintedHugePage) {
   const auto flags = vm_flags_over(lo, hi);
   ASSERT_TRUE(flags.has_value()) << "no single mapping covers the interior";
   EXPECT_NE((*flags + " ").find(" hg "), std::string::npos) << *flags;
+}
+
+// ---------------------------------------------------------------------------
+// Sim-specific free: a reused address does not inherit its flag history
+
+TEST(SimMachineFree, ReusedAddressForgetsFlagHistory) {
+  sim::SimMachine m(topo::mini8(), 1);
+  constexpr std::size_t kBlock = 4096;
+  void* old_block = m.alloc(0, kBlock);
+  auto* old_flag = new (old_block) mach::Flag();
+  m.run([&](mach::Ctx& ctx) { ctx.flag_store(*old_flag, 1); });
+  const auto old_addr = reinterpret_cast<std::uintptr_t>(old_block);
+  m.free(old_block);
+
+  // Which smaller request the allocator serves from the freed block depends
+  // on what else the heap holds, so walk down until one lands there. The
+  // misses stay allocated, or the walk would keep getting them back.
+  std::vector<void*> misses;
+  void* reused = nullptr;
+  for (std::size_t bytes = kBlock - 64; bytes > 0 && reused == nullptr;
+       bytes -= 64) {
+    void* p = m.alloc(0, bytes);
+    if (reinterpret_cast<std::uintptr_t>(p) == old_addr) {
+      reused = p;
+    } else {
+      misses.push_back(p);
+    }
+  }
+  if (reused != nullptr) {
+    auto* fresh = new (reused) mach::Flag();  // nobody ever stores to it
+    try {
+      m.run([&](mach::Ctx& ctx) { ctx.flag_wait_ge(*fresh, 1); });
+      ADD_FAILURE() << "the wait resumed on the previous occupant's publish";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("virtual-time deadlock"),
+                std::string::npos)
+          << e.what();
+    }
+    m.free(reused);
+  }
+  for (void* p : misses) m.free(p);
+  if (reused == nullptr) {
+    GTEST_SKIP() << "no smaller request reused the freed 4 KiB block";
+  }
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Protocol verifier tests (src/verify/): negative tests seed deliberate
 // violations through the direct ledger API — second writer, decreasing
 // sequence, packed layout — and assert each is reported with the offending
-// rank and flag identity. The e2e section (checked builds only) routes the
-// same violations through real Machine flag traffic.
+// rank and flag identity. The e2e section switches each machine's ledger on
+// and routes the same violations through real Machine flag traffic.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/ctl.h"
 #include "mach/flag.h"
@@ -25,7 +29,7 @@ bool contains(const std::string& haystack, const std::string& needle) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct ledger API (every build: the ledger is always compiled).
+// Direct ledger API (works whatever the machine-hook switch says).
 
 TEST(VerifyLedger, SecondWriterReportedWithRankAndFlag) {
   verify::Ledger ledger;
@@ -211,8 +215,8 @@ TEST(VerifyLedger, SummaryCountsOperations) {
 }
 
 // ---------------------------------------------------------------------------
-// Layout registration over a real control block (every build: registration
-// and the lint are not gated).
+// Layout registration over a real control block (registration and the lint
+// are not gated by the switch).
 
 TEST(VerifyLayout, GroupCtlRegistersCleanWithExpectedFig10Finding) {
   sim::SimMachine m(topo::mini8(), 8);
@@ -265,13 +269,70 @@ TEST(VerifyLayout, ShardPlaneRegistersCleanPerRankSlots) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end through Machine flag traffic (checked builds only: the
-// per-operation hooks are compiled out otherwise).
+// The switch: its XHC_VERIFY default, and what it gates.
 
-#if XHC_VERIFY_ENABLED
+TEST(VerifyLedger, EnabledFromEnvAcceptsOnlyZeroOrOne) {
+  const char* raw = std::getenv("XHC_VERIFY");
+  const std::optional<std::string> saved =
+      raw != nullptr ? std::optional<std::string>(raw) : std::nullopt;
+  unsetenv("XHC_VERIFY");
+  EXPECT_FALSE(verify::enabled_from_env());
+  setenv("XHC_VERIFY", "0", 1);
+  EXPECT_FALSE(verify::enabled_from_env());
+  EXPECT_FALSE(verify::Ledger().enabled());
+  setenv("XHC_VERIFY", "1", 1);
+  EXPECT_TRUE(verify::enabled_from_env());
+  EXPECT_TRUE(verify::Ledger().enabled());
+  setenv("XHC_VERIFY", "yes", 1);
+  try {
+    (void)verify::enabled_from_env();
+    ADD_FAILURE() << "XHC_VERIFY=yes was accepted";
+  } catch (const util::Error& e) {
+    EXPECT_TRUE(contains(e.what(), "XHC_VERIFY")) << e.what();
+    EXPECT_TRUE(contains(e.what(), "'yes'")) << e.what();
+  }
+  if (saved) {
+    setenv("XHC_VERIFY", saved->c_str(), 1);
+  } else {
+    unsetenv("XHC_VERIFY");
+  }
+}
+
+template <typename M>
+class VerifySwitch : public ::testing::Test {};
+using SwitchMachines = ::testing::Types<mach::RealMachine, sim::SimMachine>;
+TYPED_TEST_SUITE(VerifySwitch, SwitchMachines);
+
+TYPED_TEST(VerifySwitch, GatesEveryMachineStore) {
+  constexpr int kRanks = 4;
+  constexpr std::uint64_t kStores = 3;
+  for (const bool on : {false, true}) {
+    TypeParam m(topo::mini8(), kRanks);
+    m.verify_ledger().set_enabled(on);
+    std::vector<mach::Buffer> flags;
+    for (int r = 0; r < kRanks; ++r) {
+      flags.emplace_back(m, r, sizeof(mach::Flag));
+      m.verify_ledger().register_flag(
+          static_cast<mach::Flag*>(flags.back().get()),
+          "switch.seq[" + std::to_string(r) + "]");
+    }
+    m.run([&](mach::Ctx& ctx) {
+      auto* f = static_cast<mach::Flag*>(
+          flags[static_cast<std::size_t>(ctx.rank())].get());
+      for (std::uint64_t v = 1; v <= kStores; ++v) ctx.flag_store(*f, v);
+    });
+    EXPECT_EQ(m.verify_ledger().summary().stores_checked,
+              on ? kRanks * kStores : 0u)
+        << "ledger " << (on ? "on" : "off");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// End-to-end through Machine flag traffic, with each machine's ledger on.
 
 TEST(VerifyE2E, SimSecondWriterThrowsNamingRank) {
   sim::SimMachine m(topo::mini8(), 2);
+  m.verify_ledger().set_enabled(true);
   auto* f = static_cast<mach::Flag*>(m.alloc(0, sizeof(mach::Flag)));
   m.verify_ledger().register_flag(f, "e2e.owned");
   try {
@@ -291,6 +352,7 @@ TEST(VerifyE2E, SimSecondWriterThrowsNamingRank) {
 
 TEST(VerifyE2E, RealNonMonotonicThrowsNamingRank) {
   mach::RealMachine m(topo::mini8(), 1);
+  m.verify_ledger().set_enabled(true);
   auto* f = static_cast<mach::Flag*>(m.alloc(0, sizeof(mach::Flag)));
   m.verify_ledger().register_flag(f, "e2e.seq");
   try {
@@ -309,6 +371,7 @@ TEST(VerifyE2E, RealNonMonotonicThrowsNamingRank) {
 
 TEST(VerifyE2E, DisciplinedTrafficIsClean) {
   sim::SimMachine m(topo::mini8(), 4);
+  m.verify_ledger().set_enabled(true);
   const int n = 4;
   std::vector<mach::Flag*> flags;
   for (int r = 0; r < n; ++r) {
@@ -329,15 +392,6 @@ TEST(VerifyE2E, DisciplinedTrafficIsClean) {
   EXPECT_GE(s.loads_checked, 12u);   // 4 ranks x 3 waits
   for (auto* f : flags) m.free(f);
 }
-
-#else  // !XHC_VERIFY_ENABLED
-
-TEST(VerifyE2E, HooksRequireCheckedBuild) {
-  GTEST_SKIP() << "machine hooks are compiled out; configure with "
-                  "-DXHC_VERIFY=ON (scripts/check.sh verify) to run these";
-}
-
-#endif  // XHC_VERIFY_ENABLED
 
 }  // namespace
 }  // namespace xhc
