@@ -1,5 +1,6 @@
-// Protocol analyzer driver: static schedule verification over whole
-// preset x op x size-class grids, without executing a single collective.
+// Protocol analyzer driver: records the real XHC collectives on the
+// simulated machine over whole preset x op x size-class grids and proves
+// the flag protocol and payload ordering of every recorded schedule.
 //
 //   analyze_protocol                     # sweep everything, text reports
 //   analyze_protocol --preset=mini8      # one target
@@ -7,11 +8,13 @@
 //   analyze_protocol --json --out=schedules.json
 //   analyze_protocol --tune=xhc_stripe_threshold=4096
 //
-// Each cell extracts the first-op ScheduleModel from a freshly built
-// component and runs every analyzer check (single-writer, monotonicity,
-// threshold reachability, acyclicity, slot reuse, payload coverage).
-// Output is byte-deterministic; the exit status is the total finding
-// count clamped to 1, so CI can gate on it directly.
+// Each first-op cell runs one op (at --root, default 0) on a freshly built
+// component. Each steady-state cell runs check::steady_state_ops — nine
+// back-to-back ops of every class with rotating roots — on one component;
+// those cells mix op classes, so --op skips them. Every cell runs every
+// analyzer check (single-writer, monotonicity, threshold reachability,
+// acyclicity, payload races). Output is byte-deterministic; the exit status
+// is the total finding count clamped to 1, so CI can gate on it directly.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -20,7 +23,7 @@
 #include <vector>
 
 #include "check/analyzer.h"
-#include "check/schedule_model.h"
+#include "check/record.h"
 #include "coll/tuning.h"
 #include "core/xhc_component.h"
 #include "sim/sim_machine.h"
@@ -80,6 +83,8 @@ int main(int argc, char** argv) {
     (void)target_by_name(only_preset);  // fail fast on unknown names
     targets = {only_preset};
   }
+  std::vector<std::size_t> sizes = kSizes;
+  if (only_size >= 0) sizes = {static_cast<std::size_t>(only_size)};
 
   std::ostringstream os;
   std::size_t cells = 0;
@@ -89,35 +94,35 @@ int main(int argc, char** argv) {
     topo::Topology topo = target_by_name(target);
     const int ranks = topo.n_cores();
     sim::SimMachine machine(std::move(topo), ranks);
-    core::XhcComponent comp(machine, tuning, "analyze");
+    const auto analyze = [&](const std::vector<check::OpCall>& ops) {
+      core::XhcComponent comp(machine, tuning, "analyze");
+      const check::AnalysisReport rep = check::analyze(
+          check::record_schedule(machine, comp, ops), machine.verify_ledger());
+      total_findings += rep.findings.size();
+      if (json) {
+        os << (cells == 0 ? "\n" : ",\n") << "{\"preset\":\"" << target
+           << "\",\"report\":" << rep.json() << "}";
+      } else {
+        os << "-- preset=" << target << " --\n" << rep.text() << "\n";
+      }
+      ++cells;
+    };
     for (const OpSpec& spec : kOps) {
       if (!only_op.empty() && only_op != spec.name) continue;
-      std::vector<std::size_t> sizes = kSizes;
-      if (spec.op == check::Op::kBarrier) sizes = {0};
-      if (only_size >= 0) {
-        sizes = {static_cast<std::size_t>(only_size)};
-        if (spec.op == check::Op::kBarrier) sizes = {0};
+      if (spec.op == check::Op::kBarrier) {
+        analyze({{spec.op, 0, 0}});
+        continue;
       }
+      for (const std::size_t bytes : sizes) analyze({{spec.op, bytes, root}});
+    }
+    if (only_op.empty()) {
       for (const std::size_t bytes : sizes) {
-        const check::ScheduleModel model =
-            check::extract_schedule(comp, spec.op, bytes, root);
-        const check::AnalysisReport rep =
-            check::analyze(model, machine.verify_ledger());
-        total_findings += rep.findings.size();
-        if (json) {
-          os << (cells == 0 ? "\n" : ",\n")
-             << "{\"preset\":\"" << target << "\",\"report\":" << rep.json()
-             << "}";
-        } else {
-          os << "-- preset=" << target << " --\n" << rep.text() << "\n";
-        }
-        ++cells;
+        analyze(check::steady_state_ops(ranks, bytes));
       }
     }
   }
   if (json) os << "\n]\n";
 
-  os << (json ? "" : "") << std::flush;
   std::string body = std::move(os).str();
   if (!json) {
     body += "analyzed " + std::to_string(cells) + " schedules, " +

@@ -42,9 +42,10 @@
 #                               # run-clang-tidy over src/ with warnings-
 #                               # as-errors (skipped with a note when
 #                               # clang-tidy is absent)
-#   scripts/check.sh analyze    # static schedule verification: the
-#                               # analyzer sweep over every preset x op x
-#                               # size class (build/bench/analyze_protocol)
+#   scripts/check.sh analyze    # schedule verification: the analyzer
+#                               # sweep over every preset x op x size class
+#                               # plus the steady-state cells
+#                               # (build/bench/analyze_protocol)
 #
 # Extra arguments after the mode are forwarded to ctest, e.g.
 #   scripts/check.sh thread -R Obs
@@ -368,12 +369,13 @@ case "$mode" in
     exit 0
     ;;
   analyze)
-    # Static schedule verification (DESIGN.md § Static analysis): build the
-    # analyzer driver and sweep every preset x op x size class, verifying
+    # Schedule verification (DESIGN.md § Static analysis): build the
+    # analyzer driver, record every preset x op x size class (and the
+    # steady-state sequences) from the real collectives, and verify
     # single-writer discipline, monotonicity, threshold reachability,
-    # deadlock-freedom (acyclicity), slot reuse, and payload coverage on
-    # the pre-execution schedules. Extra args are forwarded to the driver
-    # (e.g. --preset=mini8 --op=bcast --json).
+    # deadlock-freedom (acyclicity), and the race check: every pair of
+    # conflicting payload accesses is ordered by happens-before. Extra args
+    # are forwarded to the driver (e.g. --preset=mini8 --op=bcast --json).
     cmake -B build -S .
     cmake --build build -j --target analyze_protocol
     build/bench/analyze_protocol "$@"

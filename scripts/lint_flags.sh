@@ -31,14 +31,15 @@ fields_re=$(echo "$reg_fields" | paste -sd'|' -)
 
 # Every blocking wait site must name a ledger-registered flag: the wait's
 # flag operand has to reference one of the registered control-block fields.
-# A wait on a scratch flag is invisible to both the runtime ledger and the
-# static schedule analyzer (src/check/), so the deadlock/threshold analyses
-# would silently lose coverage. Excluded: src/mach + src/sim (the machine
-# implementations the API bottoms out in), src/check (the interpreter
-# replays model events on fresh flags it registers itself at runtime), and
-# the tenant forwarding shims in src/svc/tenant.h (pure pass-throughs to
-# the parent machine; the flag operand is a parameter, and the real wait
-# sites behind them are linted where they occur).
+# A wait on a scratch flag is invisible to the runtime ledger and carries
+# no name or writer policy into the schedule analyzer (src/check/), so the
+# deadlock/threshold analyses would silently lose coverage. Excluded:
+# src/mach + src/sim (the machine implementations the API bottoms out in),
+# src/check (the interpreter replays recorded flag events on fresh flags it
+# registers itself at runtime), and the tenant forwarding shims in
+# src/svc/tenant.h (pure pass-throughs to the parent machine; the flag
+# operand is a parameter, and the real wait sites behind them are linted
+# where they occur).
 check_wait_sites() {
   local root="$1"
   local sites bad=""

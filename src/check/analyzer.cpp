@@ -1,9 +1,9 @@
 #include "check/analyzer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "verify/verify.h"
@@ -20,20 +20,23 @@ const char* to_string(Property p) noexcept {
       return "unreachable-threshold";
     case Property::kWaitCycle:
       return "wait-cycle";
-    case Property::kSlotReuse:
-      return "slot-reuse";
-    case Property::kCoverage:
-      return "coverage";
+    case Property::kRace:
+      return "race";
   }
   return "?";
 }
 
 namespace {
 
+const char* kind_name(EvKind k) {
+  static constexpr const char* kNames[] = {"publish", "wait", "rmw", "read",
+                                           "write"};
+  return kNames[static_cast<int>(k)];
+}
+
 struct Ref {
   int rank = -1;
   int idx = -1;
-  bool valid() const noexcept { return rank >= 0; }
 };
 
 /// All events touching one flag, in (rank, program-index) order — which is
@@ -48,50 +51,63 @@ struct FlagUse {
 
 class Analysis {
  public:
-  Analysis(const ScheduleModel& m, const verify::Ledger& ledger)
-      : m_(m), ledger_(ledger) {}
+  Analysis(const Schedule& s, const verify::Ledger& ledger)
+      : s_(s), ledger_(ledger) {}
 
   AnalysisReport run() {
     index();
     check_writers();
     check_monotone();
     resolve_satisfiers();
-    check_reachability();
-    check_cycles();
-    check_coverage();
+    // A cycle leaves happens-before without an order to clock; the
+    // wait-cycle finding already names the deadlock.
+    if (check_cycles()) check_races();
     finish();
     return std::move(rep_);
   }
 
  private:
-  const Event& ev(Ref ref) const {
-    return m_.per_rank[static_cast<std::size_t>(ref.rank)]
-                      [static_cast<std::size_t>(ref.idx)];
-  }
   int node_id(Ref ref) const {
     return offset_[static_cast<std::size_t>(ref.rank)] + ref.idx;
   }
   Ref ref_of(int node) const {
-    int rank = 0;
-    while (rank + 1 < m_.n_ranks &&
-           offset_[static_cast<std::size_t>(rank) + 1] <= node) {
-      ++rank;
-    }
+    const int rank = rank_of_[static_cast<std::size_t>(node)];
     return Ref{rank, node - offset_[static_cast<std::size_t>(rank)]};
+  }
+  const Event& ev(Ref ref) const {
+    return s_.per_rank[static_cast<std::size_t>(ref.rank)]
+                      [static_cast<std::size_t>(ref.idx)];
+  }
+  const Event& ev(int node) const { return ev(ref_of(node)); }
+
+  /// "r3#17 in bcast/512/r0": rank, program index and op of an event.
+  std::string where(Ref ref) const {
+    return "r" + std::to_string(ref.rank) + "#" + std::to_string(ref.idx) +
+           " in " + to_string(s_.ops[static_cast<std::size_t>(ev(ref).op)]);
   }
 
   void index() {
-    offset_.assign(static_cast<std::size_t>(m_.n_ranks) + 1, 0);
-    for (int r = 0; r < m_.n_ranks; ++r) {
-      offset_[static_cast<std::size_t>(r) + 1] =
-          offset_[static_cast<std::size_t>(r)] +
-          static_cast<int>(m_.per_rank[static_cast<std::size_t>(r)].size());
+    const auto n = static_cast<std::size_t>(s_.n_ranks);
+    offset_.assign(n + 1, 0);
+    for (std::size_t r = 0; r < n; ++r) {
+      offset_[r + 1] = offset_[r] + static_cast<int>(s_.per_rank[r].size());
     }
     n_nodes_ = offset_.back();
-    for (int r = 0; r < m_.n_ranks; ++r) {
-      const auto& stream = m_.per_rank[static_cast<std::size_t>(r)];
+    rank_of_.resize(static_cast<std::size_t>(n_nodes_));
+    last_wait_.assign(static_cast<std::size_t>(n_nodes_), -1);
+    for (int r = 0; r < s_.n_ranks; ++r) {
+      const auto& stream = s_.per_rank[static_cast<std::size_t>(r)];
+      int last_wait = -1;
       for (int i = 0; i < static_cast<int>(stream.size()); ++i) {
         const Event& e = stream[static_cast<std::size_t>(i)];
+        const Ref ref{r, i};
+        const int node = node_id(ref);
+        rank_of_[static_cast<std::size_t>(node)] = r;
+        if (!e.is_flag()) {
+          ++rep_.n_accesses;
+          last_wait_[static_cast<std::size_t>(node)] = last_wait;
+          continue;
+        }
         FlagUse& fu = flags_[e.flag];
         if (fu.name.empty()) {
           fu.name = ledger_.flag_name(e.flag);
@@ -101,7 +117,6 @@ class Analysis {
           fu.policy = ledger_.flag_policy(e.flag).value_or(
               verify::WriterPolicy::kFixed);
         }
-        const Ref ref{r, i};
         switch (e.kind) {
           case EvKind::kPublish:
             fu.publishes.push_back(ref);
@@ -109,25 +124,22 @@ class Analysis {
           case EvKind::kRmw:
             fu.rmws.push_back(ref);
             break;
-          case EvKind::kWait:
+          default:
             fu.waits.push_back(ref);
+            last_wait = node;
             ++rep_.n_waits;
             break;
         }
+        last_wait_[static_cast<std::size_t>(node)] = last_wait;
       }
     }
     rep_.n_events = static_cast<std::size_t>(n_nodes_);
     rep_.n_flags = flags_.size();
   }
 
-  void add(Property p, const FlagUse& fu, Ref at, std::string detail) {
-    Finding f;
-    f.property = p;
-    f.flag = fu.name;
-    f.rank = at.rank;
-    f.site = at.valid() ? ev(at).site : "";
-    f.detail = std::move(detail);
-    rep_.findings.push_back(std::move(f));
+  void add(Property p, const std::string& flag, int rank,
+           std::string detail) {
+    rep_.findings.push_back(Finding{p, flag, rank, std::move(detail)});
   }
 
   // --- single-writer / RMW discipline --------------------------------------
@@ -163,12 +175,13 @@ class Analysis {
             break;
           }
         }
-        add(Property::kSingleWriter, fu, at,
-            "flag published by ranks {" + all + "}");
+        add(Property::kSingleWriter, fu.name, culprit,
+            "flag published by ranks {" + all + "}, first by r" +
+                std::to_string(culprit) + " at " + where(at));
       }
       for (const Ref ref : fu.rmws) {
-        add(Property::kSingleWriter, fu, ref,
-            "RMW on a flag not whitelisted as shared");
+        add(Property::kSingleWriter, fu.name, ref.rank,
+            "RMW on a flag not whitelisted as shared at " + where(ref));
       }
     }
   }
@@ -181,25 +194,50 @@ class Analysis {
         const Event& e = ev(ref);
         auto it = last.find(ref.rank);
         if (it != last.end() && e.value < it->second) {
-          add(Property::kMonotonicity, fu, ref,
+          add(Property::kMonotonicity, fu.name, ref.rank,
               "publish " + std::to_string(e.value) + " after " +
-                  std::to_string(it->second));
+                  std::to_string(it->second) + " at " + where(ref));
         }
         last[ref.rank] = std::max(it == last.end() ? 0 : it->second, e.value);
       }
     }
   }
 
-  // --- earliest satisfying publish per wait --------------------------------
+  // --- happens-before edges into each wait, and their reachability -------
   void resolve_satisfiers() {
-    sat_.assign(static_cast<std::size_t>(n_nodes_), Ref{});
+    sats_.assign(static_cast<std::size_t>(n_nodes_), {});
     for (auto& [flag, fu] : flags_) {
-      if (fu.policy == verify::WriterPolicy::kShared) continue;
+      const bool shared = fu.policy == verify::WriterPolicy::kShared;
+      // kShared: the sum of the anonymous increments; otherwise the
+      // largest published value.
+      std::uint64_t reach = 0;
+      for (const Ref p : shared ? fu.rmws : fu.publishes) {
+        reach = shared ? reach + ev(p).value : std::max(reach, ev(p).value);
+      }
       for (const Ref w : fu.waits) {
         const std::uint64_t t = ev(w).value;
+        if (t > reach) {
+          add(Property::kUnreachableThreshold, fu.name, w.rank,
+              "threshold " + std::to_string(t) +
+                  (shared ? " exceeds RMW total " + std::to_string(reach)
+                          : " above any publish (max " +
+                                std::to_string(reach) + ")") +
+                  " at " + where(w));
+          continue;
+        }
+        if (t == 0) continue;
+        auto& sat = sats_[static_cast<std::size_t>(node_id(w))];
+        if (shared) {
+          // An increment orders the wait only when the threshold is out of
+          // reach without it.
+          for (const Ref p : fu.rmws) {
+            if (reach - ev(p).value < t) sat.push_back(node_id(p));
+          }
+          continue;
+        }
         for (const Ref p : fu.publishes) {
           if (ev(p).value >= t) {
-            sat_[static_cast<std::size_t>(node_id(w))] = p;
+            sat.push_back(node_id(p));
             break;
           }
         }
@@ -207,87 +245,46 @@ class Analysis {
     }
   }
 
-  void check_reachability() {
-    for (auto& [flag, fu] : flags_) {
-      if (fu.policy == verify::WriterPolicy::kShared) {
-        std::uint64_t sum = 0;
-        for (const Ref ref : fu.rmws) sum += ev(ref).value;
-        for (const Ref w : fu.waits) {
-          if (ev(w).value > sum) {
-            add(Property::kUnreachableThreshold, fu, w,
-                "threshold " + std::to_string(ev(w).value) +
-                    " exceeds RMW total " + std::to_string(sum));
-          }
-        }
-        continue;
-      }
-      std::uint64_t maxv = 0;
-      for (const Ref p : fu.publishes) maxv = std::max(maxv, ev(p).value);
-      for (const Ref w : fu.waits) {
-        if (!sat_[static_cast<std::size_t>(node_id(w))].valid() &&
-            ev(w).value > 0) {
-          add(Property::kUnreachableThreshold, fu, w,
-              "threshold " + std::to_string(ev(w).value) +
-                  " above any publish (max " + std::to_string(maxv) + ")");
-        }
-      }
-    }
-  }
-
-  // --- acyclicity of program order + satisfier edges -----------------------
-  void check_cycles() {
-    std::vector<std::vector<int>> adj(static_cast<std::size_t>(n_nodes_));
-    std::vector<int> indeg(static_cast<std::size_t>(n_nodes_), 0);
+  // --- acyclicity of happens-before ----------------------------------------
+  /// Returns true when the graph is acyclic; order_ then holds a
+  /// topological order of every node.
+  bool check_cycles() {
+    const auto nn = static_cast<std::size_t>(n_nodes_);
+    std::vector<std::vector<int>> adj(nn);
+    std::vector<int> deg(nn, 0);
     std::size_t edges = 0;
     const auto link = [&](int from, int to) {
       adj[static_cast<std::size_t>(from)].push_back(to);
-      ++indeg[static_cast<std::size_t>(to)];
+      ++deg[static_cast<std::size_t>(to)];
       ++edges;
     };
-    for (int r = 0; r < m_.n_ranks; ++r) {
-      const int n = static_cast<int>(
-          m_.per_rank[static_cast<std::size_t>(r)].size());
-      for (int i = 0; i + 1 < n; ++i) {
-        link(node_id(Ref{r, i}), node_id(Ref{r, i + 1}));
-      }
-    }
-    for (auto& [flag, fu] : flags_) {
-      if (fu.policy == verify::WriterPolicy::kShared) {
-        for (const Ref w : fu.waits) {
-          for (const Ref p : fu.rmws) link(node_id(p), node_id(w));
-        }
-        continue;
-      }
-      for (const Ref w : fu.waits) {
-        const Ref p = sat_[static_cast<std::size_t>(node_id(w))];
-        if (p.valid()) link(node_id(p), node_id(w));
-      }
+    for (int v = 0; v < n_nodes_; ++v) {
+      const Ref ref = ref_of(v);
+      if (ref.idx > 0) link(v - 1, v);
+      for (const int p : sats_[static_cast<std::size_t>(v)]) link(p, v);
     }
     rep_.n_edges = edges;
 
     // Kahn; anything left sits on a cycle.
-    std::vector<int> q;
-    std::vector<int> deg = indeg;
+    order_.clear();
     for (int v = 0; v < n_nodes_; ++v) {
-      if (deg[static_cast<std::size_t>(v)] == 0) q.push_back(v);
+      if (deg[static_cast<std::size_t>(v)] == 0) order_.push_back(v);
     }
     std::size_t done = 0;
-    while (done < q.size()) {
-      const int v = q[done++];
+    while (done < order_.size()) {
+      const int v = order_[done++];
       for (const int to : adj[static_cast<std::size_t>(v)]) {
-        if (--deg[static_cast<std::size_t>(to)] == 0) q.push_back(to);
+        if (--deg[static_cast<std::size_t>(to)] == 0) order_.push_back(to);
       }
     }
-    if (done == static_cast<std::size_t>(n_nodes_)) return;
+    if (done == nn) return true;
 
     // Extract one concrete cycle deterministically: from the smallest
     // remaining node, repeatedly step to its smallest remaining predecessor
     // until a node repeats.
-    std::vector<char> left(static_cast<std::size_t>(n_nodes_), 1);
-    for (std::size_t i = 0; i < done; ++i) {
-      left[static_cast<std::size_t>(q[i])] = 0;
-    }
-    std::vector<std::vector<int>> radj(static_cast<std::size_t>(n_nodes_));
+    std::vector<char> left(nn, 1);
+    for (const int v : order_) left[static_cast<std::size_t>(v)] = 0;
+    std::vector<std::vector<int>> radj(nn);
     for (int v = 0; v < n_nodes_; ++v) {
       if (left[static_cast<std::size_t>(v)] == 0) continue;
       for (const int to : adj[static_cast<std::size_t>(v)]) {
@@ -298,25 +295,24 @@ class Analysis {
     }
     int start = 0;
     while (left[static_cast<std::size_t>(start)] == 0) ++start;
-    std::vector<int> order(static_cast<std::size_t>(n_nodes_), -1);
+    std::vector<int> seen_at(nn, -1);
     std::vector<int> walk;
     int at = start;
-    while (order[static_cast<std::size_t>(at)] < 0) {
-      order[static_cast<std::size_t>(at)] = static_cast<int>(walk.size());
+    while (seen_at[static_cast<std::size_t>(at)] < 0) {
+      seen_at[static_cast<std::size_t>(at)] = static_cast<int>(walk.size());
       walk.push_back(at);
       auto& preds = radj[static_cast<std::size_t>(at)];
       at = *std::min_element(preds.begin(), preds.end());
     }
-    std::vector<int> cycle(walk.begin() + order[static_cast<std::size_t>(at)],
-                           walk.end());
+    std::vector<int> cycle(
+        walk.begin() + seen_at[static_cast<std::size_t>(at)], walk.end());
     std::reverse(cycle.begin(), cycle.end());  // happens-before order
 
-    // Anchor the finding at the cycle's first wait (smallest node id).
+    // Anchor the finding at the cycle's first wait.
     Ref anchor = ref_of(cycle.front());
     for (const int v : cycle) {
-      const Ref ref = ref_of(v);
-      if (ev(ref).kind == EvKind::kWait) {
-        anchor = ref;
+      if (ev(v).kind == EvKind::kWait) {
+        anchor = ref_of(v);
         break;
       }
     }
@@ -324,107 +320,163 @@ class Analysis {
     const std::size_t shown = std::min<std::size_t>(cycle.size(), 12);
     for (std::size_t i = 0; i < shown; ++i) {
       const Ref ref = ref_of(cycle[i]);
-      desc += " r" + std::to_string(ref.rank) + ":" + ev(ref).site;
+      desc += " r" + std::to_string(ref.rank) + "#" +
+              std::to_string(ref.idx) + ":" + kind_name(ev(ref).kind);
     }
     if (cycle.size() > shown) {
       desc += " ... (" + std::to_string(cycle.size()) + " nodes)";
     }
-    const FlagUse& fu = flags_[ev(anchor).flag];
-    add(Property::kWaitCycle, fu, anchor, desc);
+    add(Property::kWaitCycle, flags_[ev(anchor).flag].name, anchor.rank,
+        desc);
+    return false;
   }
 
-  // --- payload coverage + slot reuse ---------------------------------------
-  static bool slotted_site(const char* site) {
-    const std::string_view s(site);
-    return s == "rs.src_wait" || s == "ag.piece_wait" ||
-           s == "stripe.ready_wait";
+  // --- payload races --------------------------------------------------------
+  /// The vector clock stored for wait node `wait`, one entry per rank.
+  std::uint32_t* clock_row(int wait) {
+    const int slot = wait_slot_[static_cast<std::size_t>(wait)];
+    return vc_.data() + static_cast<std::size_t>(slot) *
+                            static_cast<std::size_t>(s_.n_ranks);
   }
 
-  void check_coverage() {
-    for (auto& [flag, fu] : flags_) {
-      if (fu.policy == verify::WriterPolicy::kShared) continue;
-      std::map<int, int> by_rank;
-      for (const Ref ref : fu.publishes) ++by_rank[ref.rank];
-      if (by_rank.size() > 1) continue;  // reported as single-writer already
-      for (const Ref w : fu.waits) {
-        const Event& we = ev(w);
-        const Ref p = sat_[static_cast<std::size_t>(node_id(w))];
-        if (!p.valid()) continue;  // reported as unreachable already
+  /// How many of rank q's events happen before or at `node`. A rank's clock
+  /// only grows at its waits, so this is the clock of its last wait at or
+  /// before `node`.
+  std::uint32_t clock(int node, int q) {
+    const Ref ref = ref_of(node);
+    if (ref.rank == q) return static_cast<std::uint32_t>(ref.idx) + 1;
+    const int lw = last_wait_[static_cast<std::size_t>(node)];
+    return lw < 0 ? 0 : clock_row(lw)[q];
+  }
 
-        if (m_.bytes > 0 && slotted_site(we.site) && we.value > 0) {
-          const std::uint64_t want = (we.value - 1) / m_.bytes;
-          const std::uint64_t got = (ev(p).value - 1) / m_.bytes;
-          if (want != got) {
-            add(Property::kSlotReuse, fu, w,
-                "threshold in timeline slot " + std::to_string(want) +
-                    " satisfied from slot " + std::to_string(got));
-          }
+  bool before(int a, int b) {
+    const Ref ra = ref_of(a);
+    return clock(b, ra.rank) > static_cast<std::uint32_t>(ra.idx);
+  }
+
+  /// "r3#17 in bcast/512/r0 read b5@r0[0,4096)".
+  std::string describe(int node) const {
+    const Event& e = ev(node);
+    return where(ref_of(node)) + " " + kind_name(e.kind) + " b" +
+           std::to_string(e.block) + "@r" +
+           std::to_string(s_.block_owner[static_cast<std::size_t>(e.block)]) +
+           "[" + std::to_string(e.lo) + "," + std::to_string(e.hi) + ")";
+  }
+
+  void check_races() {
+    const auto n = static_cast<std::size_t>(s_.n_ranks);
+    wait_slot_.assign(static_cast<std::size_t>(n_nodes_), -1);
+    int n_slots = 0;
+    for (int v = 0; v < n_nodes_; ++v) {
+      if (ev(v).kind == EvKind::kWait) {
+        wait_slot_[static_cast<std::size_t>(v)] = n_slots++;
+      }
+    }
+    vc_.assign(static_cast<std::size_t>(n_slots) * n, 0);
+    // Topological order: a wait's predecessors are clocked before it.
+    for (const int v : order_) {
+      if (ev(v).kind != EvKind::kWait) continue;
+      std::uint32_t* c = clock_row(v);
+      const auto join = [&](int u) {
+        for (std::size_t q = 0; q < n; ++q) {
+          c[q] = std::max(c[q], clock(u, static_cast<int>(q)));
         }
+      };
+      const Ref at = ref_of(v);
+      if (at.idx > 0) join(v - 1);
+      for (const int u : sats_[static_cast<std::size_t>(v)]) join(u);
+      c[static_cast<std::size_t>(at.rank)] =
+          static_cast<std::uint32_t>(at.idx) + 1;
+    }
 
-        for (const DataRange& need : we.needs) {
-          // Union of the satisfying writer's declared coverage, up to and
-          // including the satisfier, on this buffer at a sufficient epoch.
-          std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
-          const auto& stream =
-              m_.per_rank[static_cast<std::size_t>(p.rank)];
-          for (int i = 0; i <= p.idx; ++i) {
-            const Event& e = stream[static_cast<std::size_t>(i)];
-            if (e.kind != EvKind::kPublish) continue;
-            for (const DataRange& wr : e.writes) {
-              if (wr.buf == need.buf && wr.epoch >= need.epoch) {
-                got.emplace_back(wr.lo, wr.hi);
-              }
-            }
+    struct Access {
+      std::uint64_t lo = 0;
+      std::uint64_t hi = 0;
+      int node = 0;
+    };
+    std::vector<std::vector<Access>> by_block(s_.block_owner.size());
+    for (int v = 0; v < n_nodes_; ++v) {
+      const Event& e = ev(v);
+      if (e.is_flag()) continue;
+      by_block[static_cast<std::size_t>(e.block)].push_back({e.lo, e.hi, v});
+    }
+    struct Race {
+      std::size_t pairs = 0;
+      std::string example;
+    };
+    std::map<std::pair<int, std::string>, Race> races;
+    for (auto& acc : by_block) {
+      std::sort(acc.begin(), acc.end(), [](const Access& a, const Access& b) {
+        return a.lo != b.lo ? a.lo < b.lo : a.node < b.node;
+      });
+      for (std::size_t i = 0; i < acc.size(); ++i) {
+        for (std::size_t j = i + 1; j < acc.size() && acc[j].lo < acc[i].hi;
+             ++j) {
+          const int a = acc[i].node;
+          const int b = acc[j].node;
+          if (rank_of_[static_cast<std::size_t>(a)] ==
+              rank_of_[static_cast<std::size_t>(b)]) {
+            continue;
           }
-          std::sort(got.begin(), got.end());
-          std::uint64_t pos = need.lo;
-          for (const auto& [lo, hi] : got) {
-            if (lo > pos) break;
-            pos = std::max(pos, hi);
+          if (ev(a).kind == EvKind::kRead && ev(b).kind == EvKind::kRead) {
+            continue;
           }
-          if (pos < need.hi) {
-            add(Property::kCoverage, fu, w,
-                "needs " + m_.buf_name(need.buf) + " [" +
-                    std::to_string(need.lo) + "," + std::to_string(need.hi) +
-                    ") epoch " + std::to_string(need.epoch) +
-                    "; writer r" + std::to_string(p.rank) + " covers up to " +
-                    std::to_string(pos));
+          ++rep_.n_pairs;
+          if (before(a, b) || before(b, a)) continue;
+          // Blame the access that came second in the recorded run: the
+          // order it relied on there is the one no wait guarantees.
+          const bool a_late = ev(a).seq > ev(b).seq;
+          const int late = a_late ? a : b;
+          const int early = a_late ? b : a;
+          const int lw = last_wait_[static_cast<std::size_t>(late)];
+          Race& race =
+              races[{rank_of_[static_cast<std::size_t>(late)],
+                     lw < 0 ? std::string("-") : flags_[ev(lw).flag].name}];
+          if (race.pairs++ == 0) {
+            race.example =
+                describe(late) + " unordered with " + describe(early);
           }
         }
       }
     }
+    for (const auto& [key, race] : races) {
+      add(Property::kRace, key.second, key.first,
+          race.example + "; " + std::to_string(race.pairs) + " racy pair" +
+              (race.pairs == 1 ? "" : "s"));
+    }
   }
 
   void finish() {
-    rep_.op = m_.op;
-    rep_.bytes = m_.bytes;
-    rep_.root = m_.root;
-    rep_.n_ranks = m_.n_ranks;
+    rep_.ops = s_.ops;
+    rep_.n_ranks = s_.n_ranks;
     std::sort(rep_.findings.begin(), rep_.findings.end(),
               [](const Finding& a, const Finding& b) {
                 if (a.flag != b.flag) return a.flag < b.flag;
                 if (a.property != b.property) return a.property < b.property;
                 if (a.rank != b.rank) return a.rank < b.rank;
-                if (a.site != b.site) return a.site < b.site;
                 return a.detail < b.detail;
               });
     rep_.findings.erase(
         std::unique(rep_.findings.begin(), rep_.findings.end(),
                     [](const Finding& a, const Finding& b) {
                       return a.flag == b.flag && a.property == b.property &&
-                             a.rank == b.rank && a.site == b.site &&
-                             a.detail == b.detail;
+                             a.rank == b.rank && a.detail == b.detail;
                     }),
         rep_.findings.end());
   }
 
-  const ScheduleModel& m_;
+  const Schedule& s_;
   const verify::Ledger& ledger_;
   AnalysisReport rep_;
   std::vector<int> offset_;
   int n_nodes_ = 0;
+  std::vector<int> rank_of_;    ///< per node
+  std::vector<int> last_wait_;  ///< per node: last wait at or before it
   std::map<const mach::Flag*, FlagUse> flags_;
-  std::vector<Ref> sat_;  ///< per node id: the wait's earliest satisfier
+  std::vector<std::vector<int>> sats_;  ///< per wait: satisfier nodes
+  std::vector<int> order_;              ///< topological order
+  std::vector<int> wait_slot_;          ///< per wait: row of vc_
+  std::vector<std::uint32_t> vc_;       ///< per wait: n_ranks clocks
 };
 
 std::string json_escape(const std::string& s) {
@@ -443,14 +495,26 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// The op labels joined by `sep`, each wrapped in `quote`.
+std::string op_list(const std::vector<OpCall>& ops, const char* sep,
+                    const char* quote) {
+  std::string out;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (i != 0) out += sep;
+    out += quote + to_string(ops[i]) + quote;
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string AnalysisReport::text() const {
   std::ostringstream os;
-  os << "schedule-analysis op=" << check::to_string(op) << " bytes=" << bytes
-     << " root=" << root << " ranks=" << n_ranks << "\n";
+  os << "schedule-analysis ops=" << op_list(ops, ",", "")
+     << " ranks=" << n_ranks << "\n";
   os << "events=" << n_events << " flags=" << n_flags << " waits=" << n_waits
-     << " edges=" << n_edges << "\n";
+     << " edges=" << n_edges << " accesses=" << n_accesses
+     << " pairs=" << n_pairs << "\n";
   if (findings.empty()) {
     os << "result: CLEAN\n";
   } else {
@@ -458,8 +522,8 @@ std::string AnalysisReport::text() const {
        << (findings.size() == 1 ? "" : "s") << "\n";
     for (const Finding& f : findings) {
       os << "finding property=" << check::to_string(f.property)
-         << " flag=" << f.flag << " rank=" << f.rank << " site=" << f.site
-         << " detail=" << f.detail << "\n";
+         << " flag=" << f.flag << " rank=" << f.rank << " detail=" << f.detail
+         << "\n";
     }
   }
   return os.str();
@@ -467,25 +531,24 @@ std::string AnalysisReport::text() const {
 
 std::string AnalysisReport::json() const {
   std::ostringstream os;
-  os << "{\"op\":\"" << check::to_string(op) << "\",\"bytes\":" << bytes
-     << ",\"root\":" << root << ",\"ranks\":" << n_ranks
+  os << "{\"ops\":[" << op_list(ops, ",", "\"") << "],\"ranks\":" << n_ranks
      << ",\"events\":" << n_events << ",\"flags\":" << n_flags
      << ",\"waits\":" << n_waits << ",\"edges\":" << n_edges
+     << ",\"accesses\":" << n_accesses << ",\"pairs\":" << n_pairs
      << ",\"findings\":[";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     if (i != 0) os << ",";
     os << "{\"property\":\"" << check::to_string(f.property)
-       << "\",\"flag\":\"" << json_escape(f.flag)
-       << "\",\"rank\":" << f.rank << ",\"site\":\"" << json_escape(f.site)
-       << "\",\"detail\":\"" << json_escape(f.detail) << "\"}";
+       << "\",\"flag\":\"" << json_escape(f.flag) << "\",\"rank\":" << f.rank
+       << ",\"detail\":\"" << json_escape(f.detail) << "\"}";
   }
   os << "]}";
   return os.str();
 }
 
-AnalysisReport analyze(const ScheduleModel& m, const verify::Ledger& ledger) {
-  return Analysis(m, ledger).run();
+AnalysisReport analyze(const Schedule& s, const verify::Ledger& ledger) {
+  return Analysis(s, ledger).run();
 }
 
 }  // namespace xhc::check

@@ -1,34 +1,35 @@
-// Static schedule analyzer: proves per-operation protocol properties on a
-// ScheduleModel without executing a collective.
+// Schedule analyzer: proves protocol properties on a recorded Schedule.
 //
 // Checked properties (one Finding per violation):
 //   single-writer           at most one rank publishes each non-kShared flag
-//                           within the operation; RMW only on kShared flags
+//                           within the schedule; RMW only on kShared flags
 //   monotonicity            each writer's publish values never decrease
 //   unreachable-threshold   every wait threshold is reached by some publish
 //                           (for kShared: by the sum of RMW deltas)
-//   wait-cycle              the happens-before graph — program order plus an
-//                           edge from each wait's earliest satisfying
-//                           publish — is acyclic, which implies
-//                           deadlock-freedom (DESIGN.md § Static analysis)
-//   slot-reuse              a slotted-timeline wait (shard prog / stripe
-//                           counters) is satisfied only by a publish of the
-//                           same timeline slot, never by progress leaking in
-//                           from another stage
-//   coverage                the payload bytes a wait reads afterwards are
-//                           within the satisfying writer's cumulative
-//                           published coverage at a sufficient epoch
+//   wait-cycle              the happens-before graph is acyclic, which
+//                           implies deadlock-freedom (DESIGN.md § Static
+//                           analysis)
+//   race                    any two payload accesses by different ranks to
+//                           overlapping bytes, at least one a write, are
+//                           ordered by happens-before
+//
+// Happens-before is program order plus an edge into each wait from its
+// earliest satisfying publish (kShared: from every RMW the threshold cannot
+// be reached without). The race check orders accesses with vector clocks
+// over that graph. A race is reported on the rank whose access came second
+// in the recorded run, naming the flag of that rank's last wait before it —
+// the wait that should have ordered the pair.
 //
 // Reports are byte-deterministic: findings are ordered, flags are named via
-// the verify ledger's registration, and the JSON rendering is hand-built
-// with no environment-dependent content.
+// the verify ledger's registration, allocations by first access, and the
+// JSON rendering is hand-built with no environment-dependent content.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "check/schedule_model.h"
+#include "check/record.h"
 
 namespace xhc::verify {
 class Ledger;
@@ -41,40 +42,39 @@ enum class Property {
   kMonotonicity,
   kUnreachableThreshold,
   kWaitCycle,
-  kSlotReuse,
-  kCoverage,
+  kRace,
 };
 const char* to_string(Property p) noexcept;
 
 struct Finding {
   Property property = Property::kSingleWriter;
-  std::string flag;   ///< registered flag name
-  int rank = -1;      ///< offending rank
-  std::string site;   ///< protocol site of the offending event
-  std::string detail; ///< one-line human-readable diagnostic
+  std::string flag;    ///< registered flag name ("-": a race before any wait)
+  int rank = -1;       ///< offending rank
+  std::string detail;  ///< one-line human-readable diagnostic
 };
 
 struct AnalysisReport {
-  Op op = Op::kBcast;
-  std::size_t bytes = 0;
-  int root = 0;
+  std::vector<OpCall> ops;
   int n_ranks = 0;
   std::size_t n_events = 0;
   std::size_t n_flags = 0;
   std::size_t n_waits = 0;
   std::size_t n_edges = 0;
-  std::vector<Finding> findings;  ///< sorted (flag, property, rank, site)
+  std::size_t n_accesses = 0;
+  std::size_t n_pairs = 0;  ///< conflicting cross-rank access pairs checked
+  std::vector<Finding> findings;  ///< sorted (flag, property, rank, detail)
 
   bool clean() const noexcept { return findings.empty(); }
-  /// Deterministic plain-text report (one header line, one line per finding).
+  /// Deterministic plain-text report (two header lines, one line per
+  /// finding).
   std::string text() const;
   /// Deterministic machine-readable JSON object.
   std::string json() const;
 };
 
-/// Runs every check on `m`. `ledger` resolves flag names and writer
+/// Runs every check on `s`. `ledger` resolves flag names and writer
 /// policies (the same registration the runtime verifier uses), so the
 /// analyzer enforces exactly the declared discipline.
-AnalysisReport analyze(const ScheduleModel& m, const verify::Ledger& ledger);
+AnalysisReport analyze(const Schedule& s, const verify::Ledger& ledger);
 
 }  // namespace xhc::check

@@ -11,12 +11,12 @@
 //
 // The unit of exploration is a Runner: one full execution of the program
 // under a given PickHook, reporting pass/fail. Tests wrap either a real
-// collective (payload + ledger checks inside) or a model interpretation
-// (interp.h) in a Runner, so the explorer itself stays ignorant of what it
-// is scheduling. Decision points beyond max_branch_depth fall back to the
-// default deterministic policy, which bounds the tree while still driving
-// every execution to termination — on the <= 4-rank topologies the smoke
-// tests use, the DFS typically exhausts the whole tree.
+// collective (payload + ledger checks inside) or the replay of a mutated
+// schedule (interp.h) in a Runner, so the explorer itself stays ignorant of
+// what it is scheduling. Decision points beyond max_branch_depth fall back
+// to the default deterministic policy, which bounds the tree while still
+// driving every execution to termination — on the <= 4-rank topologies the
+// smoke tests use, the DFS typically exhausts the whole tree.
 #pragma once
 
 #include <cstdint>

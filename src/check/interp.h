@@ -1,26 +1,24 @@
-// Schedule-model interpreter: executes a ScheduleModel's event streams on
-// the simulated machine.
+// Schedule interpreter: replays a Schedule's flag events on the simulated
+// machine.
 //
-// Each rank replays its program-order events — release-publish, blocking
-// wait, RMW — against a fresh set of flags allocated for the run, so a
-// mutated model (mutate.h) never touches a live component's control
-// blocks. Payload correctness is checked abstractly: every publish records
-// the coverage it declares, every resumed wait asserts its needs are
-// inside the coverage published so far (at a sufficient epoch). A private
-// verify::Ledger (abort-off) collects writer/monotonicity violations the
-// run exhibits.
+// Each rank replays its program-order flag events — release-publish,
+// blocking wait, RMW — against a fresh set of flags allocated for the run,
+// so a mutated schedule (mutate.h) never touches a live component's control
+// blocks. Payload accesses are skipped: the analyzer's race check covers
+// them. A private verify::Ledger (abort-off) collects the writer/
+// monotonicity violations the run exhibits.
 //
-// This is the bridge between the static analyzer and the interleaving
-// explorer: run_model() under a PickHook turns one abstract schedule into
-// as many concrete executions as the explorer asks for, and the mutation
-// tests use it to demonstrate which seeded bugs a runtime execution under
-// the DEFAULT schedule cannot observe — the static pass must catch those.
+// This is the bridge between the analyzer and the interleaving explorer:
+// run_model() under a PickHook turns one mutated schedule into as many
+// concrete executions as the explorer asks for, and the mutation tests use
+// it to demonstrate which seeded bugs a runtime execution under the DEFAULT
+// schedule cannot observe — the static pass must catch those.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "check/schedule_model.h"
+#include "check/record.h"
 #include "sim/access_sink.h"
 #include "sim/scheduler.h"
 #include "verify/verify.h"
@@ -36,7 +34,7 @@ struct InterpResult {
   bool deadlock = false;   ///< the scheduler reported a blocked machine
   /// Writer/monotonicity violations from the run's private ledger.
   std::vector<verify::Violation> violations;
-  /// Coverage failures and the abort diagnostic, one line each (capped).
+  /// The abort diagnostic, when the run did not complete.
   std::vector<std::string> errors;
 
   bool ok() const noexcept {
@@ -44,14 +42,14 @@ struct InterpResult {
   }
 };
 
-/// Executes `m` on `machine` (one simulated rank per model rank; the
-/// machine must have exactly m.n_ranks ranks). `names` is the ledger the
-/// model's flags were registered with — names and writer policies carry
-/// over to the run's fresh flags. `hook` perturbs the schedule (null: the
-/// engine's default deterministic order); `sink` additionally observes
-/// every flag access (may be null). The machine's pick hook / access sink
-/// are restored to null on return.
-InterpResult run_model(const ScheduleModel& m, sim::SimMachine& machine,
+/// Replays the flag events of `m` on `machine` (one simulated rank per
+/// schedule rank; the machine must have exactly m.n_ranks ranks). `names`
+/// is the ledger the schedule's flags were registered with — names and
+/// writer policies carry over to the run's fresh flags. `hook` perturbs the
+/// schedule (null: the engine's default deterministic order); `sink`
+/// additionally observes every flag access (may be null). The machine's
+/// pick hook / access sink are restored to null on return.
+InterpResult run_model(const Schedule& m, sim::SimMachine& machine,
                        const verify::Ledger& names,
                        sim::VirtualScheduler::PickHook hook = nullptr,
                        sim::AccessSink* sink = nullptr);

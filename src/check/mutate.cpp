@@ -41,7 +41,7 @@ struct Ref {
   int idx = -1;
 };
 
-Event& at(ScheduleModel& m, Ref ref) {
+Event& at(Schedule& m, Ref ref) {
   return m.per_rank[static_cast<std::size_t>(ref.rank)]
                    [static_cast<std::size_t>(ref.idx)];
 }
@@ -53,13 +53,14 @@ struct Use {
   std::string name;
 };
 
-std::map<const mach::Flag*, Use> index_flags(const ScheduleModel& m,
+std::map<const mach::Flag*, Use> index_flags(const Schedule& m,
                                              const verify::Ledger& names) {
   std::map<const mach::Flag*, Use> out;
   for (int r = 0; r < m.n_ranks; ++r) {
     const auto& stream = m.per_rank[static_cast<std::size_t>(r)];
     for (int i = 0; i < static_cast<int>(stream.size()); ++i) {
       const Event& e = stream[static_cast<std::size_t>(i)];
+      if (!e.is_flag()) continue;
       Use& u = out[e.flag];
       if (u.name.empty()) {
         u.name = names.flag_name(e.flag);
@@ -73,36 +74,15 @@ std::map<const mach::Flag*, Use> index_flags(const ScheduleModel& m,
   return out;
 }
 
-/// True when `need` lies inside the union of the coverage rank `writer`
-/// has declared up to and including event `upto` — the same rule the
-/// analyzer applies, reused here so threshold-low candidates are only
-/// sites where the lowered wait genuinely outruns the data.
-bool covered(const ScheduleModel& m, int writer, int upto,
-             const DataRange& need) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
-  const auto& stream = m.per_rank[static_cast<std::size_t>(writer)];
-  for (int i = 0; i <= upto; ++i) {
-    const Event& e = stream[static_cast<std::size_t>(i)];
-    if (e.kind != EvKind::kPublish) continue;
-    for (const DataRange& wr : e.writes) {
-      if (wr.buf == need.buf && wr.epoch >= need.epoch) {
-        got.emplace_back(wr.lo, wr.hi);
-      }
-    }
-  }
-  std::sort(got.begin(), got.end());
-  std::uint64_t pos = need.lo;
-  for (const auto& [lo, hi] : got) {
-    if (lo > pos) break;
-    pos = std::max(pos, hi);
-  }
-  return pos >= need.hi;
+/// "r3#17": rank and program index of an event.
+std::string pos(Ref ref) {
+  return "r" + std::to_string(ref.rank) + "#" + std::to_string(ref.idx);
 }
 
 /// Deterministic scan of every wait event, innermost loop over ranks then
 /// program order, feeding the per-kind candidate filters below.
 template <typename Fn>
-void each_wait(ScheduleModel& m, Fn&& fn) {
+void each_wait(Schedule& m, Fn&& fn) {
   for (int r = 0; r < m.n_ranks; ++r) {
     const int n =
         static_cast<int>(m.per_rank[static_cast<std::size_t>(r)].size());
@@ -112,21 +92,45 @@ void each_wait(ScheduleModel& m, Fn&& fn) {
   }
 }
 
-MutantInfo threshold_low(ScheduleModel& m, std::uint64_t seed,
+/// True when `writer` writes, strictly between its events `from` and `to`,
+/// bytes that rank `reader` reads after its wait `wait` and before its next
+/// wait — the data a wait lowered from `to` to `from` guards, and would let
+/// the reader see too early.
+bool reads_window(const Schedule& m, int writer, int from, int to,
+                  int reader, int wait) {
+  const auto& ws = m.per_rank[static_cast<std::size_t>(writer)];
+  const auto& rs = m.per_rank[static_cast<std::size_t>(reader)];
+  for (int i = from + 1; i < to; ++i) {
+    const Event& w = ws[static_cast<std::size_t>(i)];
+    if (w.kind != EvKind::kWrite) continue;
+    for (std::size_t j = static_cast<std::size_t>(wait) + 1;
+         j < rs.size() && rs[j].kind != EvKind::kWait; ++j) {
+      const Event& r = rs[j];
+      if (r.kind == EvKind::kRead && r.block == w.block && r.lo < w.hi &&
+          w.lo < r.hi) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+MutantInfo threshold_low(Schedule& m, std::uint64_t seed,
                          std::map<const mach::Flag*, Use>& flags) {
   std::vector<Ref> cands;
   each_wait(m, [&](Ref w) {
     const Event& we = at(m, w);
-    if (we.needs.empty()) return;
     const Use& u = flags[we.flag];
     if (u.policy == verify::WriterPolicy::kShared || u.pubs.empty()) return;
-    const Event& fp = at(m, u.pubs.front());
-    if (fp.value >= we.value) return;
-    for (const DataRange& need : we.needs) {
-      if (!covered(m, u.pubs.front().rank, u.pubs.front().idx, need)) {
+    const Ref first = u.pubs.front();
+    if (first.rank == w.rank || at(m, first).value >= we.value) return;
+    for (const Ref p : u.pubs) {
+      if (p.rank != first.rank) return;  // not a single-writer flag
+      if (at(m, p).value < we.value) continue;
+      if (reads_window(m, first.rank, first.idx, p.idx, w.rank, w.idx)) {
         cands.push_back(w);
-        return;
       }
+      return;
     }
   });
   MutantInfo info;
@@ -140,14 +144,13 @@ MutantInfo threshold_low(ScheduleModel& m, std::uint64_t seed,
   info.applied = true;
   info.flag = u.name;
   info.rank = w.rank;
-  info.expect = {Property::kCoverage, Property::kSlotReuse};
-  info.detail = "lowered " + std::string(we.site) + " threshold on " +
-                u.name + " from " + std::to_string(old) + " to " +
-                std::to_string(we.value);
+  info.expect = {Property::kRace};
+  info.detail = "lowered " + pos(w) + " wait on " + u.name + " from " +
+                std::to_string(old) + " to " + std::to_string(we.value);
   return info;
 }
 
-MutantInfo threshold_high(ScheduleModel& m, std::uint64_t seed,
+MutantInfo threshold_high(Schedule& m, std::uint64_t seed,
                           std::map<const mach::Flag*, Use>& flags) {
   std::vector<Ref> cands;
   each_wait(m, [&](Ref w) { cands.push_back(w); });
@@ -169,13 +172,12 @@ MutantInfo threshold_high(ScheduleModel& m, std::uint64_t seed,
   info.flag = u.name;
   info.rank = w.rank;
   info.expect = {Property::kUnreachableThreshold};
-  info.detail = "raised " + std::string(we.site) + " threshold on " + u.name +
-                " from " + std::to_string(old) + " to " +
-                std::to_string(we.value);
+  info.detail = "raised " + pos(w) + " wait on " + u.name + " from " +
+                std::to_string(old) + " to " + std::to_string(we.value);
   return info;
 }
 
-MutantInfo dropped_publish(ScheduleModel& m, std::uint64_t seed,
+MutantInfo dropped_publish(Schedule& m, std::uint64_t seed,
                            std::map<const mach::Flag*, Use>& flags) {
   std::vector<Ref> cands;
   each_wait(m, [&](Ref w) {
@@ -219,7 +221,7 @@ MutantInfo dropped_publish(ScheduleModel& m, std::uint64_t seed,
   return info;
 }
 
-MutantInfo swapped_stage_order(ScheduleModel& m, std::uint64_t seed,
+MutantInfo swapped_stage_order(Schedule& m, std::uint64_t seed,
                                std::map<const mach::Flag*, Use>& flags) {
   // Candidate: publish P (rank r) that is the ONLY satisfier of wait W
   // (rank q != r), with a later wait V of r whose earliest satisfier is a
@@ -271,15 +273,14 @@ MutantInfo swapped_stage_order(ScheduleModel& m, std::uint64_t seed,
   const Use& u = flags[moved.flag];
   info.applied = true;
   info.expect = {Property::kWaitCycle};
-  info.detail = "deferred r" + std::to_string(c.pub.rank) + " " +
-                std::string(moved.site) + " publish of " + u.name +
+  info.detail = "deferred " + pos(c.pub) + " publish of " + u.name +
                 " past its dependent waits";
   stream.erase(stream.begin() + c.pub.idx);
   stream.push_back(std::move(moved));
   return info;
 }
 
-MutantInfo widened_writer(ScheduleModel& m, std::uint64_t seed,
+MutantInfo widened_writer(Schedule& m, std::uint64_t seed,
                           std::map<const mach::Flag*, Use>& flags) {
   std::vector<Ref> cands;
   for (int r = 0; r < m.n_ranks; ++r) {
@@ -313,15 +314,15 @@ MutantInfo widened_writer(ScheduleModel& m, std::uint64_t seed,
   // on a tie); predict the same rank here.
   info.rank = owner_pubs > 1 ? other : std::min(p.rank, other);
   info.expect = {Property::kSingleWriter};
-  info.detail = "duplicated " + std::string(dup.site) + " publish of " +
-                u.name + " into rank " + std::to_string(other);
+  info.detail = "duplicated " + pos(p) + " publish of " + u.name +
+                " into rank " + std::to_string(other);
   m.per_rank[static_cast<std::size_t>(other)].push_back(std::move(dup));
   return info;
 }
 
 }  // namespace
 
-MutantInfo apply_mutation(ScheduleModel& m, MutationKind kind,
+MutantInfo apply_mutation(Schedule& m, MutationKind kind,
                           std::uint64_t seed, const verify::Ledger& names) {
   auto flags = index_flags(m, names);
   switch (kind) {

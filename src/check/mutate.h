@@ -1,10 +1,10 @@
 // Mutation self-test harness: seeded protocol defects for the analyzer.
 //
 // Confidence in a verifier comes from watching it fail things. Each
-// mutation below injects one classic synchronization bug into a
-// ScheduleModel — the kind a refactor of core/ could realistically
-// introduce — and reports exactly which Finding the analyzer must produce
-// (property, flag, rank). The mutation tests (tests/test_check.cpp) then
+// mutation below injects one classic synchronization bug into a recorded
+// Schedule — the kind a refactor of core/ could realistically introduce —
+// and reports exactly which Finding the analyzer must produce (property,
+// flag, rank). The mutation tests (tests/test_check.cpp) then
 // assert a 100% kill score: every applied mutant yields the predicted
 // finding. Several of these bugs are invisible to the runtime suite under
 // the default schedule (an off-by-one threshold that the default
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "check/analyzer.h"
-#include "check/schedule_model.h"
+#include "check/record.h"
 
 namespace xhc::verify {
 class Ledger;
@@ -27,9 +27,11 @@ namespace xhc::check {
 
 enum class MutationKind {
   /// Lower a wait threshold to the flag's first published value: the wait
-  /// releases before the payload it reads is covered (off-by-one /
-  /// premature-read bug). Expected: coverage (or slot-reuse on the slotted
-  /// shard timelines).
+  /// releases before the payload it reads is written (off-by-one /
+  /// premature-read bug). Candidates are chosen by data dependence alone:
+  /// between the new and the old satisfier, the flag's writer writes bytes
+  /// the waiting rank reads after the wait and before its next one.
+  /// Expected: race on the waiting rank, named after the lowered flag.
   kThresholdLow,
   /// Raise a wait threshold past every publish: the wait can never be
   /// satisfied (forgotten final publish / wrong count). Expected:
@@ -52,7 +54,7 @@ const char* to_string(MutationKind k) noexcept;
 /// What the analyzer is expected to report for one applied mutant.
 struct MutantInfo {
   MutationKind kind = MutationKind::kThresholdLow;
-  bool applied = false;  ///< false: the model offers no candidate site
+  bool applied = false;  ///< false: the schedule offers no candidate site
   /// Expected finding coordinates; empty flag / rank -1 mean "any"
   /// (kSwappedStageOrder: the cycle's anchor wait is schedule-dependent).
   std::string flag;
@@ -67,11 +69,11 @@ struct MutantInfo {
 
 /// Applies one seeded mutation of `kind` to `m` in place. Candidate sites
 /// are enumerated in deterministic (rank, program-index) order and the
-/// seed selects among them, so every (model, kind, seed) triple names one
-/// reproducible bug. `names` resolves flag names/policies for candidate
-/// filtering and the expectation. Returns applied=false (model untouched)
-/// when the schedule has no site for this bug class.
-MutantInfo apply_mutation(ScheduleModel& m, MutationKind kind,
+/// seed selects among them, so every (schedule, kind, seed) triple names
+/// one reproducible bug. `names` resolves flag names/policies for candidate
+/// filtering and the expectation. Returns applied=false (schedule
+/// untouched) when the schedule has no site for this bug class.
+MutantInfo apply_mutation(Schedule& m, MutationKind kind,
                           std::uint64_t seed, const verify::Ledger& names);
 
 }  // namespace xhc::check

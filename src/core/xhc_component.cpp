@@ -95,6 +95,11 @@ void XhcComponent::barrier(mach::Ctx& ctx) {
         ctx.flag_wait_ge(*ctl.member_seq[shape.slot_of(j)], s);
       }
     } else {
+      // Atomic sync gathers (members-1) acks per op of any kind
+      // (wait_acks), so the barrier must count too.
+      if (tuning_.sync == coll::SyncMethod::kAtomicFetchAdd) {
+        ack_publish(ctx, m, s);
+      }
       ctx.flag_store(*ctl.member_seq[m.my_slot], s);
     }
   }

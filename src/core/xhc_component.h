@@ -261,8 +261,7 @@ class XhcComponent final : public coll::Component {
   std::vector<CicoSeg> cico_;
 };
 
-// The allreduce's reducer split, shared with the schedule model
-// (check/schedule_model.cpp) so both derive the same chunk ranges.
+// The allreduce's reducer split.
 
 /// Number of members that actually reduce, honoring the per-member minimum
 /// workload (paper §IV-B step 2a: with little data only one member reduces).

@@ -21,7 +21,7 @@ class AccessSink {
  public:
   enum class FlagOp : unsigned char {
     kStore,      ///< flag_store; value = stored value
-    kRmw,        ///< fetch_add; value = resulting value
+    kRmw,        ///< fetch_add; value = delta
     kRead,       ///< flag_read; value = observed value
     kWaitEnter,  ///< flag_wait_ge entry; value = threshold
   };

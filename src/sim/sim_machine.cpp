@@ -219,7 +219,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
     hist.append(next, done);
     if (verify_->enabled()) verify_->on_rmw(&f, rank_, next, done);
     if (m_->access_ != nullptr) {
-      m_->access_->on_flag(rank_, &f, AccessSink::FlagOp::kRmw, next);
+      m_->access_->on_flag(rank_, &f, AccessSink::FlagOp::kRmw, delta);
     }
     m_->sched_->notify(&f);
     m_->sched_->advance(rank_, done - t);

@@ -3,8 +3,12 @@
 // barrier for tuned, allreduce-based defaults for every other component.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "coll/registry.h"
 #include "coll/tuning.h"
+#include "core/xhc_component.h"
 #include "mach/real_machine.h"
 #include "osu/harness.h"
 #include "sim/sim_machine.h"
@@ -119,6 +123,68 @@ TEST(Barrier, NoRankLeavesBeforeTheLastArrives) {
     for (int r = 0; r < 32; ++r) {
       EXPECT_GE(release[static_cast<std::size_t>(r)], last_arrival)
           << comp_name << " rank " << r;
+    }
+  }
+}
+
+// Under atomic sync every leader's ack gather waits for (members-1) fetch-
+// adds per op so far, so the native barrier has to add its own: any op
+// after a barrier used to deadlock on the group's atomic_ctr.
+TEST(Barrier, AtomicSyncOpsAfterBarrier) {
+  coll::Tuning tuning;
+  tuning.sync = coll::SyncMethod::kAtomicFetchAdd;
+  for (const char* name : {"flat4", "mini8"}) {
+    const topo::Topology topo =
+        std::string(name) == "flat4" ? topo::flat(4) : topo::mini8();
+    const int n = topo.n_cores();
+    for (const std::size_t count : {std::size_t{64}, std::size_t{4096}}) {
+      for (const int root : {0, n - 1}) {
+        sim::SimMachine machine(topo, n);
+        core::XhcComponent comp(machine, tuning);
+        const std::size_t bytes = count * sizeof(std::int64_t);
+        std::vector<mach::Buffer> bc, sb, ar, rd;
+        std::vector<std::int64_t> sum(count, 0);
+        for (int r = 0; r < n; ++r) {
+          bc.emplace_back(machine, r, bytes);
+          sb.emplace_back(machine, r, bytes);
+          ar.emplace_back(machine, r, bytes);
+          rd.emplace_back(machine, r, bytes);
+          auto* s = static_cast<std::int64_t*>(sb.back().get());
+          for (std::size_t i = 0; i < count; ++i) {
+            s[i] = static_cast<std::int64_t>(r * 31 + i);
+            sum[i] += s[i];
+          }
+        }
+        auto* payload = static_cast<std::int64_t*>(
+            bc[static_cast<std::size_t>(root)].get());
+        for (std::size_t i = 0; i < count; ++i) {
+          payload[i] = static_cast<std::int64_t>(7 * i + 3);
+        }
+        machine.run([&](mach::Ctx& ctx) {
+          const auto r = static_cast<std::size_t>(ctx.rank());
+          comp.barrier(ctx);
+          comp.bcast(ctx, bc[r].get(), bytes, root);
+          comp.barrier(ctx);
+          comp.allreduce(ctx, sb[r].get(), ar[r].get(), count,
+                         mach::DType::kI64, mach::ROp::kSum);
+          comp.barrier(ctx);
+          comp.reduce(ctx, sb[r].get(), rd[r].get(), count, mach::DType::kI64,
+                      mach::ROp::kSum, root);
+        });
+        const std::string label = std::string(name) + " bytes " +
+                                  std::to_string(bytes) + " root " +
+                                  std::to_string(root);
+        for (int r = 0; r < n; ++r) {
+          const auto ri = static_cast<std::size_t>(r);
+          EXPECT_EQ(0, std::memcmp(bc[ri].get(), payload, bytes))
+              << label << ": bcast on rank " << r;
+          EXPECT_EQ(0, std::memcmp(ar[ri].get(), sum.data(), bytes))
+              << label << ": allreduce on rank " << r;
+        }
+        EXPECT_EQ(0, std::memcmp(rd[static_cast<std::size_t>(root)].get(),
+                                 sum.data(), bytes))
+            << label << ": reduce at the root";
+      }
     }
   }
 }
