@@ -102,7 +102,6 @@ struct BenchArgs {
   /// tuning a bench is about to build a component from.
   void apply_tuning(coll::Tuning& tuning) const {
     tuning.trace = observe();
-    tuning.hist = hist_on();
     tuning.faults = faults;
     tuning.fault_seed = fault_seed;
     for (const auto& t : tune) coll::apply_param(tuning, t);
@@ -232,11 +231,10 @@ inline void emit_observability(const BenchArgs& args, const obs::Observer& o,
 }
 
 /// Attaches the observer's histogram set to the machine's flag-wait hook.
-/// Call before the sweep, outside any parallel region; a null observer or
-/// histograms not requested leaves the hook disabled.
-inline void wire_wait_hist(const BenchArgs& args, mach::Machine& machine,
-                           obs::Observer* o) {
-  if (args.hist_on() && o != nullptr) machine.set_wait_hist(&o->hists());
+/// Call before the sweep, outside any parallel region; a null observer
+/// leaves the hook disabled.
+inline void wire_wait_hist(mach::Machine& machine, obs::Observer* o) {
+  if (o != nullptr) machine.set_wait_hist(&o->hists());
 }
 
 /// Prints the histogram table (--hist) and writes the JSON (--hist-out) for
@@ -359,7 +357,7 @@ inline int run_latency_figure(const BenchArgs& args, std::string_view title,
           cfg.observer = observers[si].get();
         }
         if (args.hist_on()) cfg.size_hists = &hists[i];
-        wire_wait_hist(args, *machine, cfg.observer);
+        wire_wait_hist(*machine, cfg.observer);
         wire_coherence(args, *machine);
         results[si][ci] = sweep(*machine, *comp, sizes, cfg);
         // Each point owns its machine, so the report is private to this

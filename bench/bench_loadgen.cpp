@@ -126,7 +126,6 @@ static int run(int argc, char** argv) {
     if (tele_on) {
       svc::TelemetryConfig tcfg;
       tcfg.window_seconds = a.windows;
-      tcfg.machine_hist = a.base.hist_on();
       tcfg.slo = a.slo;
       tels[i] = std::make_unique<svc::Telemetry>(*machine, tcfg,
                                                  a.cfg.requests);
@@ -192,7 +191,7 @@ static int run(int argc, char** argv) {
     // tenant's component-level kinds — all through the fig8-style emitter.
     std::vector<std::pair<std::string, std::vector<obs::NamedHist>>> per_comp;
     per_comp.emplace_back("svc", tele->phase_hists());
-    per_comp.emplace_back("mach", obs::named_hists(tele->machine_hists()));
+    per_comp.emplace_back("mach", obs::named_hists(tele->wait_hists()));
     for (int c = 0; c < tele->n_comms(); ++c) {
       per_comp.emplace_back(tele->comm_label(c),
                             obs::named_hists(tele->observer(c)->hists()));

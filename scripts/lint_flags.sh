@@ -9,8 +9,9 @@
 #
 #   scripts/lint_flags.sh             # grep passes + clang-tidy (if installed)
 #   scripts/lint_flags.sh --selftest  # prove rules 5 and 6 can fail: a
-#                                     # seeded unregistered wait and a seeded
-#                                     # mixer copy must be rejected
+#                                     # seeded unregistered wait and await
+#                                     # and a seeded mixer copy must be
+#                                     # rejected
 #
 # Exits nonzero on any violation.
 set -euo pipefail
@@ -31,25 +32,31 @@ fields_re=$(echo "$reg_fields" | paste -sd'|' -)
 
 # Every blocking wait site must name a ledger-registered flag: the wait's
 # flag operand has to reference one of the registered control-block fields.
-# A wait on a scratch flag is invisible to the runtime ledger and carries
-# no name or writer policy into the schedule analyzer (src/check/), so the
-# deadlock/threshold analyses would silently lose coverage. Excluded:
-# src/mach + src/sim (the machine implementations the API bottoms out in),
-# src/check (the interpreter replays recorded flag events on fresh flags it
-# registers itself at runtime), and the tenant forwarding shims in
-# src/svc/tenant.h (pure pass-throughs to the parent machine; the flag
-# operand is a parameter, and the real wait sites behind them are linted
-# where they occur).
+# A wait site is a `flag_wait_ge(<flag>, ...)` call or a call of XHC's wait
+# step `await(ctx, <flag>, ...)`. A wait on a scratch flag is invisible to
+# the runtime ledger and carries no name or writer policy into the schedule
+# analyzer (src/check/), so the deadlock/threshold analyses would silently
+# lose coverage. Excluded: src/mach + src/sim (the machine implementations
+# the API bottoms out in), src/check (the interpreter replays recorded flag
+# events on fresh flags it registers itself at runtime), and two forwarding
+# layers whose flag operand is a parameter, linted at their call sites
+# instead: the tenant shims in src/svc/tenant.h (pure pass-throughs to the
+# parent machine) and the one flag_wait_ge inside XhcComponent::await.
 check_wait_sites() {
   local root="$1"
   local sites bad=""
-  sites=$(grep -RnE 'flag_wait_ge\(' "$root/src" 2> /dev/null \
+  local await_body="^$root/src/core/xhc_component\.cpp:[0-9]+:"
+  await_body+=" *ctx\.flag_wait_ge\(flag, value\);$"
+  sites=$(grep -RnE 'flag_wait_ge\(|\bawait\(ctx,' "$root/src" 2> /dev/null \
     | grep -vE "^$root/src/(mach|sim|check)/" \
     | grep -vE "^$root/src/svc/tenant\.h:" \
+    | grep -vE "$await_body" \
     | grep -vE ':[0-9]+: *(//|\*|///)' || true)
   while IFS= read -r line; do
     [ -z "$line" ] && continue
-    if ! echo "$line" | grep -qE "flag_wait_ge\([^,]*\b($fields_re)\b"; then
+    if ! echo "$line" \
+        | grep -qE "(flag_wait_ge\(|\bawait\(ctx, *)[^,]*\b($fields_re)\b"
+    then
       bad+="$line"$'\n'
     fi
   done <<< "$sites"
@@ -99,8 +106,18 @@ EOF
     exit 1
   fi
   cat > "$tmp/src/core/seeded.cpp" << 'EOF'
+void XhcComponent::seeded(xhc::mach::Ctx& ctx, xhc::mach::Flag& scratch) {
+  await(ctx, scratch, 1, "seeded", 0, 0);  // seeded: unregistered await
+}
+EOF
+  if check_wait_sites "$tmp" > /dev/null 2>&1; then
+    echo "lint_flags --selftest: FAILED (seeded unregistered await passed)" >&2
+    exit 1
+  fi
+  cat > "$tmp/src/core/seeded.cpp" << 'EOF'
 void fine(xhc::mach::Ctx& ctx, xhc::core::GroupCtl& ctl) {
   ctx.flag_wait_ge(*ctl.seq[0], 1);
+  await(ctx, *ctl.announce[0], 1, "fine", 0, 0);
 }
 EOF
   check_wait_sites "$tmp"
@@ -117,8 +134,8 @@ EOF
   fi
   mv "$tmp/src/svc/seeded.cpp" "$tmp/src/util/prng.h"
   check_mixer_copies "$tmp"
-  echo "lint_flags --selftest: OK (seeded violations caught; registered wait" \
-       "and the mixer in prng.h pass)"
+  echo "lint_flags --selftest: OK (seeded violations caught; registered" \
+       "waits and the mixer in prng.h pass)"
   exit 0
 fi
 

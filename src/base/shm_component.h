@@ -39,8 +39,6 @@ class ShmComponent final : public coll::Component {
   /// Ring slot size actually in use. Equals the 32 KiB default unless
   /// injected shm exhaustion degraded the rings to smaller slots.
   std::size_t slot_bytes() const noexcept { return slot_; }
-  /// Shared-segment allocation retries performed during construction.
-  std::uint64_t shm_retries() const noexcept { return shm_retries_; }
 
  private:
   static constexpr std::size_t kDefaultSlot = 32 * 1024;  ///< ring slot bytes

@@ -58,10 +58,6 @@ void apply_param(Tuning& t, std::string_view assignment) {
     XHC_CHECK(end != nullptr && *end == '\0' && !value.empty(),
               "xhc_fault_seed: bad integer '", value, "'");
     t.fault_seed = static_cast<std::uint64_t>(v);
-  } else if (key == "xhc_hist") {
-    XHC_CHECK(value == "0" || value == "1", "xhc_hist: expected 0 or 1, got '",
-              value, "'");
-    t.hist = value == "1";
   } else if (key == "xhc_reg_cache_entries") {
     char* end = nullptr;
     const unsigned long long v = std::strtoull(value.c_str(), &end, 10);

@@ -74,14 +74,9 @@ struct Tuning {
   /// Observability master switch (DESIGN.md § Observability): when false
   /// (default), components ignore any attached obs::Observer and span /
   /// counter sites cost one predictable branch — benchmark numbers are
-  /// unaffected. When true, an attached Observer collects spans + metrics.
+  /// unaffected. When true, an attached Observer collects spans, metrics
+  /// and latency histograms (DESIGN.md § Observatory).
   bool trace = false;
-
-  /// Latency-histogram switch (DESIGN.md § Observatory): when true (and
-  /// trace is on, so an Observer is attached), wait sites, chunk loops and
-  /// whole ops additionally record into the Observer's per-rank histogram
-  /// set. Off by default; disabled sites cost one null check.
-  bool hist = false;
 
   /// Fault-injection plan (DESIGN.md § Fault injection & degradation),
   /// parsed by fault::Plan::parse. Empty (default) disables injection

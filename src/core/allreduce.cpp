@@ -67,8 +67,8 @@ void XhcComponent::pump_own(mach::Ctx& ctx, const CommView& view,
         }
       } else {
         const int red = reducers[ci % n_red];
-        WaitObs obs(*this, ctx, "reduce_done", m.level, red);
-        ctx.flag_wait_ge(*ctl.reduce_done[shape.slot_of(red)], base + hi);
+        await(ctx, *ctl.reduce_done[shape.slot_of(red)], base + hi,
+              "reduce_done", m.level, red);
       }
       pos = hi;
 
@@ -121,9 +121,9 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
   }
   if (in_place) sbuf = rbuf;
 
-  XHC_TRACE(trace_sink(), ctx, "collective",
-            deliver_all ? "xhc.allreduce" : "xhc.reduce", bytes);
-  HistTimer op_t(hist_sink(), ctx, obs::HistKind::kOp);
+  Timed op_region(*this, ctx, "collective",
+                  deliver_all ? "xhc.allreduce" : "xhc.reduce",
+                  obs::HistKind::kOp, bytes);
   maybe_stall(ctx, -1);  // operation-entry straggler opportunity (any level)
   const int r = ctx.rank();
   RankState& rs = state(r);
@@ -219,10 +219,8 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
     const bool active = my_idx < n_red;
 
     // Leader's result buffer (destination of the group partial).
-    {
-      WaitObs obs(*this, ctx, "seq_wait", top.level, top.leader);
-      ctx.flag_wait_ge(*ctl.seq[top.leader_slot], s);
-    }
+    await(ctx, *ctl.seq[top.leader_slot], s, "seq_wait", top.level,
+          top.leader);
     std::byte* dst;
     const std::byte* leader_contrib = nullptr;
     if (cico) {
@@ -240,18 +238,13 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
       for (std::size_t i = 0; i < reducers.size(); ++i) {
         const int j = reducers[i];
         const int slot = shape.slot_of(j);
-        {
-          WaitObs obs(*this, ctx, "member_seq_wait", top.level, j);
-          ctx.flag_wait_ge(*ctl.member_seq[slot], s);
-        }
+        await(ctx, *ctl.member_seq[slot], s, "member_seq_wait", top.level, j);
         src[i] = static_cast<const std::byte*>(rs.endpoint->attach(
             ctx, j, ctl.minfo[slot]->contrib, bytes));
       }
       if (top.level == 0) {
-        {
-          WaitObs obs(*this, ctx, "member_seq_wait", top.level, top.leader);
-          ctx.flag_wait_ge(*ctl.member_seq[top.leader_slot], s);
-        }
+        await(ctx, *ctl.member_seq[top.leader_slot], s, "member_seq_wait",
+              top.level, top.leader);
         leader_contrib = static_cast<const std::byte*>(rs.endpoint->attach(
             ctx, top.leader, ctl.minfo[top.leader_slot]->contrib, bytes));
       }
@@ -267,10 +260,8 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
       // peers reducing other chunks depend on it.
       pump_own(ctx, view, plan, hi);
       if (active && ci % n_red == my_idx) {
-        XHC_TRACE(trace_sink(), ctx, "reduce", "allreduce.reduce_chunk",
-                  hi - lo);
-        HistTimer chunk_t(hist_sink(), ctx, obs::HistKind::kChunk);
-        count_chunk(ctx, top.level);
+        Timed chunk_region(*this, ctx, "reduce", "allreduce.reduce_chunk",
+                           obs::HistKind::kChunk, hi - lo, top.level);
         if (top.level == 0) {
           // In-place at the internal root: dst may alias the leader's own
           // contribution, which is then already in place.
@@ -279,21 +270,17 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
           }
         } else {
           // The destination must already hold the leader's subtree partial.
-          WaitObs obs(*this, ctx, "reduce_ready_wait", top.level, top.leader);
-          ctx.flag_wait_ge(*ctl.reduce_ready[top.leader_slot], base + hi);
+          await(ctx, *ctl.reduce_ready[top.leader_slot], base + hi,
+                "reduce_ready_wait", top.level, top.leader);
         }
         const std::size_t n_elems = (hi - lo) / elem;
         for (std::size_t i = 0; i < reducers.size(); ++i) {
           if (top.level > 0 && reducers[i] != r) {
-            WaitObs obs(*this, ctx, "reduce_ready_wait", top.level,
-                        reducers[i]);
-            ctx.flag_wait_ge(*ctl.reduce_ready[shape.slot_of(reducers[i])],
-                             base + hi);
+            await(ctx, *ctl.reduce_ready[shape.slot_of(reducers[i])], base + hi,
+                  "reduce_ready_wait", top.level, reducers[i]);
           }
-          rs.endpoint->charge_op(ctx, hi - lo, ctx.size(),
-                                 cico ? -1 : reducers[i]);
-          ctx.reduce(dst + lo, src[i] + lo, n_elems, dtype, op);
-          book(ctx, obs::Counter::kReduceBytes, hi - lo);
+          fold(ctx, dst + lo, src[i] + lo, n_elems, dtype, op,
+               cico ? -1 : reducers[i]);
         }
         ctx.flag_store(*ctl.reduce_done[top.my_slot], base + hi);
         record_traffic(r, top.leader);
@@ -360,10 +347,7 @@ void XhcComponent::allreduce_rs_ag(mach::Ctx& ctx, const CommView& view,
     for (std::size_t i = 0; i < st.peers.size(); ++i) {
       const int j = st.peers[i];
       if (j == r) continue;
-      {
-        WaitObs obs(*this, ctx, "shard_seq_wait", k, j);
-        ctx.flag_wait_ge(*sc.shard_seq[j], s);
-      }
+      await(ctx, *sc.shard_seq[j], s, "shard_seq_wait", k, j);
       src[i] = static_cast<const std::byte*>(rs.endpoint->attach(
           ctx, j, k == 0 ? sc.sinfo[j]->contrib : sc.sinfo[j]->result,
           bytes));
@@ -379,16 +363,14 @@ void XhcComponent::allreduce_rs_ag(mach::Ctx& ctx, const CommView& view,
         for (std::size_t i = 0; i < st.peers.size(); ++i) {
           const int j = st.peers[i];
           if (j == r) continue;
-          WaitObs obs(*this, ctx, "rs_src_wait", k, j);
-          ctx.flag_wait_ge(*sc.prog[j], base + sched.rs_slot(k - 1) +
-                                            (hi - st.parent.lo) * elem);
+          await(ctx, *sc.prog[j],
+                base + sched.rs_slot(k - 1) + (hi - st.parent.lo) * elem,
+                "rs_src_wait", k, j);
         }
       }
       {
-        XHC_TRACE(trace_sink(), ctx, "reduce", "allreduce.rs_chunk",
-                  (hi - lo) * elem);
-        HistTimer chunk_t(hist_sink(), ctx, obs::HistKind::kChunk);
-        count_chunk(ctx, k);
+        Timed chunk_region(*this, ctx, "reduce", "allreduce.rs_chunk",
+                           obs::HistKind::kChunk, (hi - lo) * elem, k);
         if (k == 0 && !in_place) {
           // Seed the shard with this rank's own contribution. In place the
           // bytes are already there, and stage-0 peers read disjoint ranges
@@ -396,14 +378,11 @@ void XhcComponent::allreduce_rs_ag(mach::Ctx& ctx, const CommView& view,
           ctx.copy(dst + lo * elem, own_contrib + lo * elem,
                    (hi - lo) * elem);
         }
-        const std::size_t n_elems = hi - lo;
         for (std::size_t i = 0; i < st.peers.size(); ++i) {
           const int j = st.peers[i];
           if (j == r) continue;
-          rs.endpoint->charge_op(ctx, n_elems * elem, ctx.size(), j);
-          ctx.reduce(dst + lo * elem, src[i] + lo * elem, n_elems, dtype,
-                     op);
-          book(ctx, obs::Counter::kReduceBytes, n_elems * elem);
+          fold(ctx, dst + lo * elem, src[i] + lo * elem, hi - lo, dtype, op,
+               j);
         }
       }
       ctx.flag_store(*sc.prog[r],
@@ -434,28 +413,21 @@ void XhcComponent::allreduce_rs_ag(mach::Ctx& ctx, const CommView& view,
       // (same peer set), so the sinfo read needs no further wait.
       const std::byte* srcp = static_cast<const std::byte*>(
           rs.endpoint->attach(ctx, j, sc.sinfo[j]->result, bytes));
-      const obs::Counter ctr = pull_counter(rs, j);
       const std::size_t chunk_elems = std::max<std::size_t>(
           tuning_.large_chunk_for_level(u) / elem, 1);
       if (u < n_stages - 1) {
-        WaitObs obs(*this, ctx, "ag_piece_wait", u, j);
-        ctx.flag_wait_ge(*sc.prog[j], base + sched.ag_slot(u));
+        await(ctx, *sc.prog[j], base + sched.ag_slot(u), "ag_piece_wait", u,
+              j);
       }
       for (std::size_t lo = pr.lo; lo < pr.hi;) {
         const std::size_t hi = std::min(pr.hi, lo + chunk_elems);
         maybe_stall(ctx, u);
         if (u == n_stages - 1) {
-          WaitObs obs(*this, ctx, "ag_piece_wait", u, j);
-          ctx.flag_wait_ge(*sc.prog[j],
-                           base + sched.rs_slot(u) + (hi - pr.lo) * elem);
+          await(ctx, *sc.prog[j], base + sched.rs_slot(u) + (hi - pr.lo) * elem,
+                "ag_piece_wait", u, j);
         }
-        XHC_TRACE(trace_sink(), ctx, "copy", "allreduce.ag_pull",
-                  (hi - lo) * elem);
-        HistTimer chunk_t(hist_sink(), ctx, obs::HistKind::kChunk);
-        count_chunk(ctx, u);
-        rs.endpoint->charge_op(ctx, (hi - lo) * elem, ctx.size(), j);
-        ctx.copy(dst + lo * elem, srcp + lo * elem, (hi - lo) * elem);
-        book(ctx, ctr, (hi - lo) * elem);
+        pull_chunk(ctx, dst + lo * elem, srcp + lo * elem, (hi - lo) * elem, u,
+                   j, "allreduce.ag_pull");
         lo = hi;
       }
       record_traffic(j, r);

@@ -29,10 +29,8 @@ void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView& view,
   // Wait for the leader to join this op and publish its buffer. The wait is
   // exact: seq/info are indexed by the leader's slot, so a later op under a
   // different leader can never satisfy it or clobber the pointer (GroupCtl).
-  {
-    WaitObs obs(*this, ctx, "seq_wait", top.level, top.leader);
-    ctx.flag_wait_ge(*top_ctl.seq[top.leader_slot], s);
-  }
+  await(ctx, *top_ctl.seq[top.leader_slot], s, "seq_wait", top.level,
+        top.leader);
   const void* src;
   if (cico) {
     src = cico_[static_cast<std::size_t>(top.leader)].result;
@@ -54,25 +52,12 @@ void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView& view,
   const std::uint64_t base = rs.bcast_base[static_cast<std::size_t>(
       top.ctl_id)];
 
-  // Which counter the pulled bytes belong to: the CICO path is explicit,
-  // and the single-copy path may have degraded per-owner (XPMEM→CMA→CICO,
-  // DESIGN.md § Fault injection & degradation) — attribute CMA/KNEM bytes
-  // to their own counter so the degradation traffic is visible in metrics.
-  const obs::Counter copy_ctr =
-      cico ? obs::Counter::kCicoBytes : pull_counter(rs, top.leader);
-
   for (std::size_t lo = 0; lo < bytes;) {
     const std::size_t hi = std::min(bytes, lo + chunk);
-    HistTimer chunk_t(hist_sink(), ctx, obs::HistKind::kChunk);
     maybe_stall(ctx, top.level);
     announce_wait(ctx, top, base + hi);
-    rs.endpoint->charge_op(ctx, hi - lo, ctx.size(), cico ? -1 : top.leader);
-    {
-      XHC_TRACE(trace_sink(), ctx, "copy", "bcast.pull_chunk", hi - lo);
-      ctx.copy(dst + lo, static_cast<const std::byte*>(src) + lo, hi - lo);
-    }
-    count_chunk(ctx, top.level);
-    book(ctx, copy_ctr, hi - lo);
+    pull_chunk(ctx, dst + lo, static_cast<const std::byte*>(src) + lo, hi - lo,
+               top.level, cico ? -1 : top.leader, "bcast.pull_chunk");
     // Republish to led groups (pipelining across levels, §III-B).
     for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
       const std::uint64_t led_base =
@@ -101,8 +86,8 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
   if (bytes == 0 || ctx.size() == 1) return;
   XHC_REQUIRE(root >= 0 && root < ctx.size(), "bad root ", root);
 
-  XHC_TRACE(trace_sink(), ctx, "collective", "xhc.bcast", bytes);
-  HistTimer op_t(hist_sink(), ctx, obs::HistKind::kOp);
+  Timed op_region(*this, ctx, "collective", "xhc.bcast", obs::HistKind::kOp,
+                  bytes);
   maybe_stall(ctx, -1);  // operation-entry straggler opportunity (any level)
   const int r = ctx.rank();
   RankState& rs = state(r);
@@ -244,10 +229,7 @@ void XhcComponent::bcast_striped(mach::Ctx& ctx, const CommView& view,
   }
   XHC_CHECK(my_pos < width, "rank missing from top group");
 
-  {
-    WaitObs obs(*this, ctx, "shard_seq_wait", top.level, root);
-    ctx.flag_wait_ge(*sc.shard_seq[root], s);
-  }
+  await(ctx, *sc.shard_seq[root], s, "shard_seq_wait", top.level, root);
   const std::byte* root_src = static_cast<const std::byte*>(
       rs.endpoint->attach(ctx, root, sc.sinfo[root]->result, bytes));
 
@@ -275,14 +257,8 @@ void XhcComponent::bcast_striped(mach::Ctx& ctx, const CommView& view,
   for (std::size_t lo = own.lo; lo < own.hi;) {
     const std::size_t hi = std::min(own.hi, lo + chunk);
     maybe_stall(ctx, top.level);
-    rs.endpoint->charge_op(ctx, hi - lo, ctx.size(), root);
-    {
-      XHC_TRACE(trace_sink(), ctx, "copy", "bcast.stripe_pull", hi - lo);
-      HistTimer chunk_t(hist_sink(), ctx, obs::HistKind::kChunk);
-      ctx.copy(dst + lo, root_src + lo, hi - lo);
-    }
-    count_chunk(ctx, top.level);
-    book(ctx, pull_counter(rs, root), hi - lo);
+    pull_chunk(ctx, dst + lo, root_src + lo, hi - lo, top.level, root,
+               "bcast.stripe_pull");
     ctx.flag_store(*sc.stripe_ready[r], sbase + (hi - own.lo));
     done[my_pos] = hi - own.lo;
     relay();
@@ -300,27 +276,17 @@ void XhcComponent::bcast_striped(mach::Ctx& ctx, const CommView& view,
     if (sw.size() == 0) continue;
     const std::byte* src = root_src;
     if (owner != root) {
-      WaitObs obs(*this, ctx, "shard_seq_wait", top.level, owner);
-      ctx.flag_wait_ge(*sc.shard_seq[owner], s);
+      await(ctx, *sc.shard_seq[owner], s, "shard_seq_wait", top.level, owner);
       src = static_cast<const std::byte*>(
           rs.endpoint->attach(ctx, owner, sc.sinfo[owner]->result, bytes));
     }
-    const obs::Counter ctr = pull_counter(rs, owner);
     for (std::size_t lo = sw.lo; lo < sw.hi;) {
       const std::size_t hi = std::min(sw.hi, lo + chunk);
       maybe_stall(ctx, top.level);
-      {
-        WaitObs obs(*this, ctx, "stripe_ready_wait", top.level, owner);
-        ctx.flag_wait_ge(*sc.stripe_ready[owner], sbase + (hi - sw.lo));
-      }
-      rs.endpoint->charge_op(ctx, hi - lo, ctx.size(), owner);
-      {
-        XHC_TRACE(trace_sink(), ctx, "copy", "bcast.stripe_pull", hi - lo);
-        HistTimer chunk_t(hist_sink(), ctx, obs::HistKind::kChunk);
-        ctx.copy(dst + lo, src + lo, hi - lo);
-      }
-      count_chunk(ctx, top.level);
-      book(ctx, ctr, hi - lo);
+      await(ctx, *sc.stripe_ready[owner], sbase + (hi - sw.lo),
+            "stripe_ready_wait", top.level, owner);
+      pull_chunk(ctx, dst + lo, src + lo, hi - lo, top.level, owner,
+                 "bcast.stripe_pull");
       done[w] = hi - sw.lo;
       relay();
       lo = hi;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/critpath.h"
 #include "topo/hierarchy.h"
 #include "util/check.h"
 
@@ -91,8 +92,8 @@ void XhcComponent::barrier(mach::Ctx& ctx) {
     if (m.is_leader) {
       for (const int j : m.members) {
         if (j == r) continue;
-        WaitObs obs(*this, ctx, "member_seq_wait", m.level, j);
-        ctx.flag_wait_ge(*ctl.member_seq[shape.slot_of(j)], s);
+        await(ctx, *ctl.member_seq[shape.slot_of(j)], s, "member_seq_wait",
+              m.level, j);
       }
     } else {
       // Atomic sync gathers (members-1) acks per op of any kind
@@ -126,12 +127,9 @@ void XhcComponent::barrier(mach::Ctx& ctx) {
 
 void XhcComponent::set_observer(obs::Observer* observer) noexcept {
   // Tuning::trace gates all collection: without it the pointer is dropped
-  // and every span/counter site stays a null check.
+  // and every span, counter and histogram site stays a null check.
   coll::Component::set_observer(tuning_.trace ? observer : nullptr);
   obs::Observer* effective = coll::Component::observer();
-  // Histograms ride on the same Observer but have their own knob; without
-  // it every HistTimer / WaitObs histogram site stays a null check.
-  hist_ = effective != nullptr && tuning_.hist ? &effective->hists() : nullptr;
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     ranks_[r]->endpoint->set_observer(effective, static_cast<int>(r));
   }
@@ -159,18 +157,74 @@ std::optional<smsc::RegCache::Stats> XhcComponent::reg_cache_stats() const {
   return total;
 }
 
-obs::Counter XhcComponent::pull_counter(const RankState& rs,
-                                        int owner) const noexcept {
-  switch (rs.endpoint->effective_mechanism(owner)) {
-    case smsc::Mechanism::kXpmem:
-      return obs::Counter::kSingleCopyBytes;
-    case smsc::Mechanism::kCma:
-    case smsc::Mechanism::kKnem:
-      return obs::Counter::kCmaBytes;
-    case smsc::Mechanism::kCico:
-      break;
+XhcComponent::Timed::Timed(const XhcComponent& c, mach::Ctx& ctx,
+                           const char* cat, const char* name,
+                           obs::HistKind kind, std::uint64_t arg,
+                           int level) noexcept
+    : o_(c.observer()),
+      ctx_(&ctx),
+      cat_(cat),
+      name_(name),
+      kind_(kind),
+      arg_(arg),
+      level_(level) {
+  if (o_ != nullptr) t0_ = ctx.now();
+}
+
+XhcComponent::Timed::~Timed() {
+  if (o_ == nullptr) return;
+  const int r = ctx_->rank();
+  const double t1 = ctx_->now();
+  if (o_->trace().enabled()) o_->trace().record(r, cat_, name_, t0_, t1, arg_);
+  o_->hists().record(r, kind_, t1 - t0_);
+  if (kind_ == obs::HistKind::kChunk) {
+    // kChunksLevel0..2 are contiguous; deeper levels share kChunksDeeper.
+    const int l = level_ >= 0 && level_ < 3 ? level_ : 3;
+    o_->metrics().add(r, static_cast<obs::Counter>(
+                             static_cast<int>(obs::Counter::kChunksLevel0) + l),
+                      1);
   }
-  return obs::Counter::kCicoBytes;
+}
+
+void XhcComponent::await(mach::Ctx& ctx, const mach::Flag& flag,
+                         std::uint64_t value, const char* site, int level,
+                         int peer) {
+  const std::uint64_t spins0 = ctx.wait_spins();
+  {
+    Timed wait(*this, ctx, "wait", site, obs::HistKind::kWaitSite,
+               obs::wait_arg(level, peer));
+    ctx.flag_wait_ge(flag, value);
+  }
+  book(ctx, obs::Counter::kFlagWaits, 1);
+  book(ctx, obs::Counter::kFlagSpinIters, ctx.wait_spins() - spins0);
+}
+
+void XhcComponent::pull_chunk(mach::Ctx& ctx, std::byte* dst,
+                              const std::byte* src, std::size_t n, int level,
+                              int owner, const char* name) {
+  smsc::Endpoint& ep = *state(ctx.rank()).endpoint;
+  {
+    Timed chunk(*this, ctx, "copy", name, obs::HistKind::kChunk, n, level);
+    ep.charge_op(ctx, n, ctx.size(), owner);
+    ctx.copy(dst, src, n);
+  }
+  if (observer() == nullptr) return;
+  const smsc::Mechanism mech =
+      owner < 0 ? smsc::Mechanism::kCico : ep.effective_mechanism(owner);
+  book(ctx,
+       mech == smsc::Mechanism::kXpmem  ? obs::Counter::kSingleCopyBytes
+       : mech == smsc::Mechanism::kCico ? obs::Counter::kCicoBytes
+                                        : obs::Counter::kCmaBytes,
+       n);
+}
+
+void XhcComponent::fold(mach::Ctx& ctx, std::byte* dst, const std::byte* src,
+                        std::size_t n_elems, mach::DType dtype, mach::ROp op,
+                        int owner) {
+  const std::size_t n = n_elems * mach::dtype_size(dtype);
+  state(ctx.rank()).endpoint->charge_op(ctx, n, ctx.size(), owner);
+  ctx.reduce(dst, src, n_elems, dtype, op);
+  book(ctx, obs::Counter::kReduceBytes, n);
 }
 
 void XhcComponent::announce_publish(mach::Ctx& ctx,
@@ -204,17 +258,19 @@ void XhcComponent::announce_publish(mach::Ctx& ctx,
 void XhcComponent::announce_wait(mach::Ctx& ctx,
                                  const CommView::Membership& m,
                                  std::uint64_t value) {
-  WaitObs obs(*this, ctx, "announce_wait", m.level, m.leader);
   GroupCtl& ctl = tree_.ctl(m.ctl_id);
   switch (tuning_.flag_layout) {
     case coll::FlagLayout::kSingle:
-      ctx.flag_wait_ge(*ctl.announce[m.leader_slot], value);
+      await(ctx, *ctl.announce[m.leader_slot], value, "announce_wait",
+            m.level, m.leader);
       return;
     case coll::FlagLayout::kMultiSharedLine:
-      ctx.flag_wait_ge(ctl.announce_shared[m.my_slot], value);
+      await(ctx, ctl.announce_shared[m.my_slot], value, "announce_wait",
+            m.level, m.leader);
       return;
     case coll::FlagLayout::kMultiSeparateLines:
-      ctx.flag_wait_ge(*ctl.announce_sep[m.my_slot], value);
+      await(ctx, *ctl.announce_sep[m.my_slot], value, "announce_wait",
+            m.level, m.leader);
       return;
   }
 }
@@ -239,15 +295,14 @@ void XhcComponent::wait_acks(mach::Ctx& ctx, const CommView::Membership& m,
     // straggler the leader actually blocked on.
     for (const int j : m.members) {
       if (j == ctx.rank()) continue;
-      WaitObs obs(*this, ctx, "wait_acks", m.level, j);
-      ctx.flag_wait_ge(*ctl.ack[shape.slot_of(j)], s);
+      await(ctx, *ctl.ack[shape.slot_of(j)], s, "wait_acks", m.level, j);
     }
   } else {
     // Atomic counter: contributions are anonymous, no single peer to name.
-    WaitObs obs(*this, ctx, "wait_acks", m.level, /*peer=*/-1);
     const std::uint64_t expected =
         static_cast<std::uint64_t>(m.members.size() - 1) * s;
-    ctx.flag_wait_ge(*ctl.atomic_ctr[0], expected);
+    await(ctx, *ctl.atomic_ctr[0], expected, "wait_acks", m.level,
+          /*peer=*/-1);
   }
 }
 

@@ -19,8 +19,6 @@
 #include "coll/component.h"
 #include "core/comm_tree.h"
 #include "fault/fault.h"
-#include "obs/critpath.h"
-#include "obs/hist.h"
 #include "smsc/endpoint.h"
 
 namespace xhc::core {
@@ -54,9 +52,10 @@ class XhcComponent final : public coll::Component {
 
   std::optional<smsc::RegCache::Stats> reg_cache_stats() const override;
 
-  /// Attaches the observability sink (gated by Tuning::trace): plumbs it
-  /// into every rank's smsc endpoint and publishes the control-plane gauges
-  /// (control-block bytes, group count, CICO segment size).
+  /// Attaches the observability sink (gated by Tuning::trace; spans,
+  /// counters and histograms all follow it): plumbs it into every rank's
+  /// smsc endpoint and publishes the control-plane gauges (control-block
+  /// bytes, group count, CICO segment size).
   void set_observer(obs::Observer* observer) noexcept override;
 
   const coll::Tuning& tuning() const noexcept { return tuning_; }
@@ -85,86 +84,49 @@ class XhcComponent final : public coll::Component {
     return *ranks_[static_cast<std::size_t>(rank)];
   }
 
-  // --- observability helpers -----------------------------------------------
-  /// RAII around a blocking wait site: opens a "wait" span and differences
-  /// the machine's spin counter into kFlagWaits / kFlagSpinIters. The span
-  /// arg packs (level, peer) — which rank's publication is awaited — so the
-  /// critical-path analyzer (obs/critpath.h) can follow the blocking edge;
-  /// when histograms are on, the wait duration is also recorded into the
-  /// kWaitSite histogram. Costs two branches when no observer is attached.
-  class WaitObs {
+  // --- step kinds: the protocol loops' only instrumented sites -------------
+  /// RAII region: one span (cat, name, arg) and one `kind` histogram sample
+  /// over the same interval; a kChunk region also counts one pipeline chunk
+  /// at `level`. One null check when no observer is attached.
+  class Timed {
    public:
-    WaitObs(const XhcComponent& c, mach::Ctx& ctx, const char* name,
-            int level = -1, int peer = -1) noexcept
-        : o_(c.observer()),
-          h_(c.hist_),
-          ctx_(&ctx),
-          guard_(o_ != nullptr ? &o_->trace() : nullptr, ctx, "wait", name,
-                 obs::wait_arg(level, peer)),
-          spins0_(o_ != nullptr ? ctx.wait_spins() : 0),
-          t0_(h_ != nullptr ? ctx.now() : 0.0) {}
-    ~WaitObs() {
-      if (o_ != nullptr) {
-        o_->metrics().add(ctx_->rank(), obs::Counter::kFlagWaits, 1);
-        o_->metrics().add(ctx_->rank(), obs::Counter::kFlagSpinIters,
-                          ctx_->wait_spins() - spins0_);
-      }
-      if (h_ != nullptr) {
-        h_->record(ctx_->rank(), obs::HistKind::kWaitSite,
-                   ctx_->now() - t0_);
-      }
-    }
-    WaitObs(const WaitObs&) = delete;
-    WaitObs& operator=(const WaitObs&) = delete;
+    Timed(const XhcComponent& c, mach::Ctx& ctx, const char* cat,
+          const char* name, obs::HistKind kind, std::uint64_t arg,
+          int level = -1) noexcept;
+    ~Timed();
+    Timed(const Timed&) = delete;
+    Timed& operator=(const Timed&) = delete;
 
    private:
     obs::Observer* o_;
-    obs::HistSet* h_;
     mach::Ctx* ctx_;
-    obs::SpanGuard guard_;
-    std::uint64_t spins0_;
-    double t0_;
+    const char* cat_;
+    const char* name_;
+    obs::HistKind kind_;
+    std::uint64_t arg_;
+    int level_;
+    double t0_ = 0.0;
   };
 
-  /// RAII latency sample: records scope duration into one histogram kind of
-  /// the attached HistSet. A null set reduces the guard to one branch.
-  class HistTimer {
-   public:
-    HistTimer(obs::HistSet* h, mach::Ctx& ctx, obs::HistKind k) noexcept
-        : h_(h), ctx_(&ctx), k_(k), t0_(h != nullptr ? ctx.now() : 0.0) {}
-    ~HistTimer() {
-      if (h_ != nullptr) h_->record(ctx_->rank(), k_, ctx_->now() - t0_);
-    }
-    HistTimer(const HistTimer&) = delete;
-    HistTimer& operator=(const HistTimer&) = delete;
+  /// Blocks until `flag` reaches `value`: a "wait" span named `site` whose
+  /// arg packs (level, peer) — which rank's publication is awaited — so the
+  /// critical-path analyzer (obs/critpath.h) can follow the blocking edge,
+  /// a kWaitSite sample, and the spin delta into kFlagWaits/kFlagSpinIters.
+  void await(mach::Ctx& ctx, const mach::Flag& flag, std::uint64_t value,
+             const char* site, int level, int peer);
 
-   private:
-    obs::HistSet* h_;
-    mach::Ctx* ctx_;
-    obs::HistKind k_;
-    double t0_;
-  };
+  /// One pipeline chunk pulled from `owner`'s buffer: a "copy" chunk region
+  /// around the mechanism's per-op charge and the copy, then the bytes
+  /// booked against the mechanism that carried them — the owner's, after
+  /// any fault-driven degradation (XPMEM→CMA→CICO, DESIGN.md § Fault
+  /// injection & degradation). Owner -1 is a CICO segment.
+  void pull_chunk(mach::Ctx& ctx, std::byte* dst, const std::byte* src,
+                  std::size_t n, int level, int owner, const char* name);
 
-  /// Histogram sink; null unless an Observer is attached AND Tuning::hist
-  /// is set (see set_observer).
-  obs::HistSet* hist_sink() const noexcept { return hist_; }
-
-  /// Books one pipeline chunk against the per-level chunk counters.
-  void count_chunk(mach::Ctx& ctx, int level) const noexcept {
-    switch (level) {
-      case 0:
-        book(ctx, obs::Counter::kChunksLevel0, 1);
-        break;
-      case 1:
-        book(ctx, obs::Counter::kChunksLevel1, 1);
-        break;
-      case 2:
-        book(ctx, obs::Counter::kChunksLevel2, 1);
-        break;
-      default:
-        book(ctx, obs::Counter::kChunksDeeper, 1);
-    }
-  }
+  /// One reducer operand folded into `dst`: the per-op charge of reading
+  /// `owner`'s buffer (-1: a CICO segment), the reduce, kReduceBytes.
+  void fold(mach::Ctx& ctx, std::byte* dst, const std::byte* src,
+            std::size_t n_elems, mach::DType dtype, mach::ROp op, int owner);
 
   // --- fault injection (Tuning::faults; null injector when unconfigured) ---
   /// Straggler opportunity at a (rank, hierarchy-level) boundary: books the
@@ -210,10 +172,6 @@ class XhcComponent final : public coll::Component {
   void wait_acks(mach::Ctx& ctx, const CommView::Membership& m,
                  std::uint64_t s);
 
-  /// Counter a single-copy pull from `owner` belongs to, honoring any
-  /// fault-driven mechanism degradation (XPMEM→CMA→CICO).
-  obs::Counter pull_counter(const RankState& rs, int owner) const noexcept;
-
   // --- broadcast machinery (shared by bcast and the allreduce fan-out) -----
   /// Non-root side: pulls `bytes` from the member-level leader into the
   /// rank's destination, republishing to led groups chunk by chunk.
@@ -253,7 +211,6 @@ class XhcComponent final : public coll::Component {
   coll::Tuning tuning_;
   std::string name_;
   CommTree tree_;
-  obs::HistSet* hist_ = nullptr;  ///< see hist_sink()
   std::unique_ptr<fault::Injector> fault_;
   std::uint64_t shm_retries_ = 0;  ///< CICO pool allocation retries at setup
   std::vector<std::unique_ptr<RankState>> ranks_;

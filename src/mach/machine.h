@@ -216,13 +216,6 @@ class Machine {
   int wait_series_id_ = 0;
 };
 
-/// Typed convenience wrapper around Machine::alloc.
-template <typename T>
-T* alloc_array(Machine& m, int owner_rank, std::size_t count) {
-  return static_cast<T*>(
-      m.alloc(owner_rank, count * sizeof(T), alignof(T) > 64 ? alignof(T) : 64));
-}
-
 /// RAII owner for a machine allocation (C++ Core Guidelines R.1).
 class Buffer {
  public:

@@ -11,7 +11,6 @@
 
 #include "mach/host_alloc.h"
 #include "obs/timeseries.h"
-#include "topo/presets.h"
 #include "util/cacheline.h"
 #include "util/check.h"
 #include "util/prng.h"
@@ -359,10 +358,6 @@ RunResult RealMachine::run(const std::function<void(Ctx&)>& fn) {
     result.max_time = std::max(result.max_time, t);
   }
   return result;
-}
-
-std::unique_ptr<RealMachine> make_real_machine(int n_ranks) {
-  return std::make_unique<RealMachine>(topo::flat(n_ranks), n_ranks);
 }
 
 }  // namespace xhc::mach

@@ -13,8 +13,6 @@
 // also aborts its peers' waits, so one exception ends the whole run.
 #pragma once
 
-#include <memory>
-
 #include "mach/machine.h"
 
 namespace xhc::mach {
@@ -51,8 +49,5 @@ class RealMachine final : public Machine {
   AllocRegistry registry_;
   double wait_timeout_;
 };
-
-/// Convenience factory: flat `n`-core topology, one rank per core.
-std::unique_ptr<RealMachine> make_real_machine(int n_ranks);
 
 }  // namespace xhc::mach

@@ -151,7 +151,6 @@ class SchedState {
   const RankState& rank(int r) const {
     return ranks_[static_cast<std::size_t>(r)];
   }
-  int n_done() const noexcept { return n_done_; }
   const void* barrier_channel() const noexcept { return &barrier_gen_; }
 
   /// NotStarted -> Ready. Returns true once every rank has attached (the

@@ -35,9 +35,6 @@ class Endpoint {
                     std::size_t cache_capacity = RegCache::kDefaultCapacity);
 
   Mechanism mechanism() const noexcept { return mech_; }
-  bool single_copy() const noexcept { return mech_ != Mechanism::kCico; }
-  /// True when reductions may read the peer buffer in place (XPMEM only).
-  bool can_map() const noexcept { return costs_.mapping; }
 
   /// Mechanism actually in use for `owner`'s buffers, after any fault-driven
   /// degradation.

@@ -117,9 +117,6 @@ class Arbiter {
   void release_op() noexcept {
     ops_free_.fetch_add(1, std::memory_order_acq_rel);
   }
-  int ops_free() const noexcept {
-    return ops_free_.load(std::memory_order_relaxed);
-  }
 
   std::size_t segment_bytes_free() const;
   std::size_t regcache_entries_free() const;

@@ -146,7 +146,7 @@ Telemetry::Telemetry(mach::Machine& parent, TelemetryConfig cfg,
                      std::uint64_t n_requests)
     : parent_(&parent),
       cfg_(std::move(cfg)),
-      machine_hists_(parent.n_ranks()),
+      wait_hists_(parent.n_ranks()),
       parent_metrics_(parent.n_ranks()),
       svc_metrics_(1) {
   XHC_REQUIRE(cfg_.slo.empty() || cfg_.window_seconds > 0.0,
@@ -200,7 +200,7 @@ void Telemetry::attach(CommRegistry& reg) {
   if (series_ != nullptr) {
     parent_->set_wait_series(series_.get(), sid_flag_wait_);
   }
-  if (cfg_.machine_hist) parent_->set_wait_hist(&machine_hists_);
+  parent_->set_wait_hist(&wait_hists_);
   attached_ = true;
 }
 

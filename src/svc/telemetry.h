@@ -87,9 +87,6 @@ struct TelemetryConfig {
   /// request log and per-comm observers still work).
   double window_seconds = 0.0;
   int max_windows = 256;
-  /// Attach the parent machine's flag-wait histogram feed (the --hist
-  /// surface; independent of the windowed plane).
-  bool machine_hist = false;
   /// SLO spec (see parse_slo); requires window_seconds > 0.
   std::string slo;
 };
@@ -144,8 +141,9 @@ class Telemetry {
   const std::string& comm_label(int comm) const noexcept {
     return comms_[static_cast<std::size_t>(comm)].label;
   }
-  /// Parent-machine flag-wait histograms (the --hist feed).
-  obs::HistSet& machine_hists() noexcept { return machine_hists_; }
+  /// Parent-machine flag-wait histograms, fed from attach on (the --hist
+  /// output prints them).
+  obs::HistSet& wait_hists() noexcept { return wait_hists_; }
   /// Parent-rank registry for machine-level publishes (coh counters).
   obs::Metrics& parent_metrics() noexcept { return parent_metrics_; }
 
@@ -163,7 +161,6 @@ class Telemetry {
   std::uint64_t spans_recorded() const noexcept;
 
   // --- SLO monitor (populated by finalize when a spec was given) -----------
-  const std::vector<SloRule>& slo_rules() const noexcept { return rules_; }
   std::uint64_t slo_windows_checked() const noexcept { return slo_checked_; }
   std::uint64_t slo_violations() const noexcept { return slo_violations_; }
   /// Rule x {windows, checked, violations, worst} summary.
@@ -222,7 +219,7 @@ class Telemetry {
   int sid_flag_wait_ = 0;
   std::array<int, kNumOpClasses> sid_queued_{};
   std::array<int, kNumOpClasses> sid_exec_{};
-  obs::HistSet machine_hists_;
+  obs::HistSet wait_hists_;
   obs::Metrics parent_metrics_;
   obs::Metrics svc_metrics_;  ///< service-level counters (slo_*)
   std::vector<std::unique_ptr<obs::Observer>> observers_;

@@ -6,7 +6,6 @@
 #include <functional>
 #include <string_view>
 
-#include "util/cacheline.h"
 #include "util/check.h"
 
 namespace xhc::verify {
@@ -57,8 +56,6 @@ const char* to_string(Kind k) noexcept {
       return "rmw-on-single-writer";
     case Kind::kStalePublish:
       return "stale-publish";
-    case Kind::kSharedLine:
-      return "shared-line";
     case Kind::kCostlyLayout:
       return "costly-layout";
   }
@@ -99,7 +96,6 @@ std::string Violation::describe() const {
              time_str(publish_vtime);
       }
       break;
-    case Kind::kSharedLine:
     case Kind::kCostlyLayout:
       s += flag_name;  // lint pre-formats the description
       break;
@@ -260,51 +256,6 @@ void Ledger::forget_range(const void* base, std::size_t bytes) {
   const void* end = static_cast<const std::byte*>(base) + bytes;
   while (it != records_.end() && std::less<const void*>{}(it->first, end)) {
     it = records_.erase(it);
-  }
-}
-
-void Ledger::lint_group(const std::string& group,
-                        const std::vector<LintItem>& items) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::uintptr_t, std::vector<const LintItem*>> by_line;
-  for (const LintItem& item : items) {
-    by_line[util::line_of(item.addr)].push_back(&item);
-  }
-  for (const auto& [line, on_line] : by_line) {
-    (void)line;
-    if (on_line.size() < 2) continue;
-    // Report at most one finding per offending line (the Fig. 10 packed
-    // array would otherwise produce one per pair).
-    for (std::size_t i = 0; i < on_line.size(); ++i) {
-      bool done = false;
-      for (std::size_t j = i + 1; j < on_line.size(); ++j) {
-        const LintItem& a = *on_line[i];
-        const LintItem& b = *on_line[j];
-        const bool writer_clash = a.writer != kNone && b.writer != kNone &&
-                                  a.writer != b.writer;
-        const bool spinner_clash =
-            a.spinner >= 0 && b.spinner >= 0 && a.spinner != b.spinner;
-        if (!writer_clash && !spinner_clash) continue;
-        Violation v;
-        v.kind = Kind::kSharedLine;
-        v.flag = a.addr;
-        v.rank = a.writer;
-        v.other_rank = b.writer;
-        v.flag_name = group + ": '" + a.field + "' (" + addr_str(a.addr) +
-                      ") and '" + b.field + "' (" + addr_str(b.addr) +
-                      ") share a cache line but have distinct " +
-                      (writer_clash ? "writers" : "spinning readers") +
-                      " (false sharing, paper Fig. 10)";
-        if (a.expect_shared && b.expect_shared) {
-          expected_.push_back(std::move(v));
-        } else {
-          report(std::move(v));
-        }
-        done = true;
-        break;
-      }
-      if (done) break;
-    }
   }
 }
 

@@ -51,7 +51,6 @@ enum class Kind {
   kNonMonotonic,        ///< stored value decreased
   kRmwOnSingleWriter,   ///< fetch_add on a flag not whitelisted as kShared
   kStalePublish,        ///< reader observed a value before its publish time
-  kSharedLine,          ///< flags with distinct writers/spinners share a line
   kCostlyLayout,        ///< line-model replay predicts excess coherence cost
                         ///< versus a separated-layout baseline (Fig. 10)
 };
@@ -139,12 +138,6 @@ class Ledger {
   /// Drops every record in [base, base+bytes) — call on Machine::free so a
   /// reused address starts with a clean ledger.
   void forget_range(const void* base, std::size_t bytes);
-
-  /// Layout lint over one control block: flags with distinct writers (or
-  /// distinct spinning readers) must not share a cache line. Items marked
-  /// expect_shared (the Fig. 10 packed variant) are recorded as expected
-  /// findings instead of violations.
-  void lint_group(const std::string& group, const std::vector<LintItem>& items);
 
   /// Records a finding produced by the predictive layout lint
   /// (verify::register_group_ctl's line-model replay). `expected` findings

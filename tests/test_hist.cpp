@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -195,8 +197,8 @@ TEST(Hist, ZeroSampleExportIsHarmless) {
   EXPECT_NE(ts.str().find("empty"), std::string::npos);
 }
 
-// End-to-end on the simulator: with Tuning::hist on, the wait-hist machine
-// hook and the component sites fill every kind, deterministically.
+// End-to-end on the simulator: with an observer attached, the wait-hist
+// machine hook and the component sites fill every kind, deterministically.
 TEST(Hist, SimCollectiveFillsAllKindsDeterministically) {
   auto collect = [] {
     sim::SimMachine machine(topo::mini8(), 8);
@@ -204,7 +206,6 @@ TEST(Hist, SimCollectiveFillsAllKindsDeterministically) {
     machine.set_wait_hist(&observer.hists());
     coll::Tuning tuning;
     tuning.trace = true;
-    tuning.hist = true;
     auto comp = coll::make_component("xhc", machine, tuning);
     comp->set_observer(&observer);
 
@@ -230,27 +231,52 @@ TEST(Hist, SimCollectiveFillsAllKindsDeterministically) {
   EXPECT_EQ(a, collect());  // byte-for-byte deterministic
 }
 
-// With the hist knob off (default), collectives record nothing even when
-// an observer is attached for tracing.
-TEST(Hist, DisabledKnobRecordsNothing) {
-  sim::SimMachine machine(topo::mini8(), 8);
-  Observer observer(8);
+// kChunk times one chunk's data movement on every path: each chunk region
+// records one span and one sample over the same interval, so per rank the
+// samples match the chunk spans in count and summed duration. 64 KiB takes
+// the pipelined bcast and the reduce-then-bcast allreduce; 512 KiB the
+// striped bcast and reduce-scatter + allgather.
+TEST(Hist, ChunkSamplesMatchChunkSpans) {
+  constexpr int kRanks = 16;
+  sim::SimMachine machine(topo::mini16(), kRanks);
+  Observer observer(kRanks);
   coll::Tuning tuning;
-  tuning.trace = true;  // tracing on, histograms off
+  tuning.trace = true;
   auto comp = coll::make_component("xhc", machine, tuning);
   comp->set_observer(&observer);
 
-  constexpr std::size_t kBytes = 16u << 10;
-  std::vector<mach::Buffer> bufs;
-  for (int r = 0; r < 8; ++r) bufs.emplace_back(machine, r, kBytes);
-  machine.run([&](mach::Ctx& ctx) {
-    comp->bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(), kBytes,
-                0);
-  });
-  for (int k = 0; k < kNumHistKinds; ++k) {
-    EXPECT_EQ(observer.hists().merged(static_cast<HistKind>(k)).count(), 0u)
-        << to_string(static_cast<HistKind>(k));
+  for (const std::size_t bytes :
+       {std::size_t{64} << 10, std::size_t{512} << 10}) {
+    std::vector<mach::Buffer> bufs;
+    for (int r = 0; r < kRanks; ++r) bufs.emplace_back(machine, r, bytes);
+    machine.run([&](mach::Ctx& ctx) {
+      void* buf = bufs[static_cast<std::size_t>(ctx.rank())].get();
+      comp->bcast(ctx, buf, bytes, 0);
+      comp->allreduce(ctx, buf, buf, bytes / sizeof(float), mach::DType::kF32,
+                      mach::ROp::kSum);
+    });
   }
+  comp->set_observer(nullptr);
+  ASSERT_EQ(observer.trace().dropped(), 0u);
+
+  const std::set<std::string> chunk_spans{
+      "bcast.pull_chunk", "bcast.stripe_pull", "allreduce.reduce_chunk",
+      "allreduce.rs_chunk", "allreduce.ag_pull"};
+  std::set<std::string> seen;
+  for (int r = 0; r < kRanks; ++r) {
+    std::uint64_t n = 0;
+    double sum = 0.0;
+    for (const Span& sp : observer.trace().spans(r)) {
+      if (chunk_spans.count(sp.name) == 0) continue;
+      seen.insert(sp.name);
+      ++n;
+      sum += sp.t1 - sp.t0;
+    }
+    const Histogram& h = observer.hists().hist(r, HistKind::kChunk);
+    EXPECT_EQ(h.count(), n) << "rank " << r;
+    EXPECT_DOUBLE_EQ(h.sum(), sum) << "rank " << r;
+  }
+  EXPECT_EQ(seen, chunk_spans);  // every chunk path ran
 }
 
 }  // namespace

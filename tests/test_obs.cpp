@@ -424,6 +424,10 @@ TEST(ObsEndToEnd, DisabledTuningRecordsNothing) {
   for (int i = 0; i < static_cast<int>(Counter::kCount_); ++i) {
     EXPECT_EQ(observer.metrics().total(static_cast<Counter>(i)), 0u);
   }
+  for (int k = 0; k < kNumHistKinds; ++k) {
+    EXPECT_EQ(observer.hists().merged(static_cast<HistKind>(k)).count(), 0u)
+        << to_string(static_cast<HistKind>(k));
+  }
 }
 
 TEST(ObsEndToEnd, TunedBaselineTraces) {

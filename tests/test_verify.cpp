@@ -1,6 +1,6 @@
 // Protocol verifier tests (src/verify/): negative tests seed deliberate
 // violations through the direct ledger API — second writer, decreasing
-// sequence, packed layout — and assert each is reported with the offending
+// sequence, stale publish — and assert each is reported with the offending
 // rank and flag identity. The e2e section switches each machine's ledger on
 // and routes the same violations through real Machine flag traffic.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "mach/real_machine.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
-#include "util/cacheline.h"
 #include "util/check.h"
 #include "verify/layout.h"
 #include "verify/verify.h"
@@ -130,46 +129,6 @@ TEST(VerifyLedger, StalePublishCaughtByTimedCrossCheck) {
   EXPECT_EQ(ledger.violations().size(), 3u);
   ledger.on_wait_resume(&f, 1, 1, /*vtime=*/1.0);
   EXPECT_EQ(ledger.violations().size(), 3u);
-}
-
-TEST(VerifyLedger, PackedLayoutLintNamesBothFlags) {
-  verify::Ledger ledger;
-  ledger.set_abort_on_violation(false);
-  // Two flags with distinct writers deliberately packed into one line.
-  struct alignas(util::kCacheLine) Packed {
-    mach::Flag a;
-    mach::Flag b;
-  } packed;
-  static_assert(sizeof(mach::Flag) * 2 <= util::kCacheLine);
-  ledger.lint_group("packed", {{&packed.a, /*writer=*/0, verify::kAny, "ack_a",
-                                false},
-                               {&packed.b, /*writer=*/1, verify::kAny, "ack_b",
-                                false}});
-  const auto vs = ledger.violations();
-  ASSERT_EQ(vs.size(), 1u);
-  EXPECT_EQ(vs[0].kind, verify::Kind::kSharedLine);
-  const std::string d = vs[0].describe();
-  EXPECT_TRUE(contains(d, "ack_a")) << d;
-  EXPECT_TRUE(contains(d, "ack_b")) << d;
-  EXPECT_TRUE(contains(d, "share a cache line")) << d;
-}
-
-TEST(VerifyLedger, ExpectSharedBecomesFindingNotViolation) {
-  verify::Ledger ledger;  // abort mode on: an unexpected finding would throw
-  struct alignas(util::kCacheLine) Packed {
-    mach::Flag a;
-    mach::Flag b;
-  } packed;
-  // The Fig. 10 "shared" variant: distinct spinning readers on one line,
-  // flagged as deliberate.
-  ledger.lint_group("fig10",
-                    {{&packed.a, verify::kLeader, 0, "announce_shared", true},
-                     {&packed.b, verify::kLeader, 1, "announce_shared", true}});
-  EXPECT_TRUE(ledger.violations().empty());
-  const auto fs = ledger.expected_findings();
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].kind, verify::Kind::kSharedLine);
-  EXPECT_TRUE(contains(fs[0].describe(), "announce_shared"));
 }
 
 TEST(VerifyLedger, AbortModeThrowsWithDiagnostic) {
