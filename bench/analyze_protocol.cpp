@@ -61,7 +61,8 @@ const std::vector<OpSpec> kOps = {
 };
 
 /// One size per regime: CICO (< cico_threshold), pipelined latency
-/// (multi-chunk), and past the large-message thresholds (rs+ag / striping).
+/// (multi-chunk; allreduce already takes rs+ag above 8 KiB), and past the
+/// large-message thresholds (rs+ag / striping).
 const std::vector<std::size_t> kSizes = {512, 32768, 262144};
 
 }  // namespace

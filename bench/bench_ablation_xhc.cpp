@@ -5,7 +5,12 @@
 //     allreduce is sensitive to chunk configuration);
 //   * CICO threshold (paper §III-D: where the copy-in-copy-out path stops
 //     paying off);
-//   * registration cache on/off for the full XHC data path (§III-C).
+//   * registration cache on/off for the full XHC data path (§III-C);
+//   * allreduce size class: the latency path vs reduce-scatter + allgather
+//     vs the shipped default, 2 KiB-128 KiB on every paper system (where
+//     the rs_ag_threshold crossover lies; EXPERIMENTS.md).
+#include <optional>
+
 #include "bench/bench_common.h"
 #include "core/xhc_component.h"
 
@@ -134,6 +139,44 @@ static int run(int argc, char** argv) {
     }
     bench::emit(args, table,
                 "Ablation: XHC registration cache on/off, bcast (Epyc-2P)");
+  }
+
+  // --- allreduce size class (every paper system) ---------------------------
+  {
+    const std::vector<std::size_t> sizes =
+        args.quick ? std::vector<std::size_t>{4096, 8192, 16384, 65536}
+                   : std::vector<std::size_t>{2048, 3072, 4096, 6144, 8192,
+                                              16384, 32768, 65536, 131072};
+    for (const auto system : args.systems()) {
+      // rs_ag_threshold 0 pins the latency path, 1 sends every size through
+      // RS+AG, nullopt keeps the default (or --tune's value).
+      const auto sweep = [&](std::optional<std::size_t> rs_ag_threshold) {
+        auto machine = bench::make_system(system);
+        coll::Tuning tuning;
+        args.apply_tuning(tuning);
+        if (rs_ag_threshold) tuning.rs_ag_threshold = *rs_ag_threshold;
+        core::XhcComponent comp(*machine, tuning, "xhc-sizeclass");
+        osu::Config cfg;
+        cfg.warmup = 1;
+        cfg.iters = 2;
+        return osu::allreduce_sweep(*machine, comp, sizes, cfg);
+      };
+      const auto latency = sweep(0);
+      const auto rs_ag = sweep(1);
+      const auto dflt = sweep(std::nullopt);
+      util::Table table(
+          {"Size", "latency path", "RS+AG", "RS+AG/latency", "default"});
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        table.add_row({util::Table::fmt_bytes(sizes[i]),
+                       bench::us(latency[i].avg_us), bench::us(rs_ag[i].avg_us),
+                       util::Table::fmt_double(
+                           rs_ag[i].avg_us / latency[i].avg_us, 3),
+                       bench::us(dflt[i].avg_us)});
+      }
+      bench::emit(args, table,
+                  std::string("Ablation: allreduce size class (us), ") +
+                      std::string(system));
+    }
   }
   return 0;
 }

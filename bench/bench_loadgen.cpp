@@ -3,7 +3,7 @@
 // Drives the svc:: layer with the deterministic loadgen: N overlapping
 // communicators over one node, seed-driven open-loop arrivals of mixed
 // bcast/allreduce/reduce/barrier streams with sizes straddling the 128 KiB
-// large-path thresholds, admission control + backpressure against a shared
+// stripe threshold, admission control + backpressure against a shared
 // Arbiter budget, per-request payload integrity verification, and
 // p50/p99/p999 completion latency per op class.
 //

@@ -14,8 +14,9 @@
 #                               # large sizes)+fig10+fig4+svc vs
 #                               # BENCH_perf.json + gate self-test
 #   scripts/check.sh largemsg   # large-message path gate: bandwidth-engine
-#                               # tests, verified --large sweeps, quick-table
-#                               # bit-identity with the paths disabled,
+#                               # tests, verified --large sweeps, bit-identity
+#                               # of quick-table rows at or below the default
+#                               # thresholds with the paths disabled,
 #                               # seeded chaos over large sizes, TSan +
 #                               # threads-backend reruns
 #   scripts/check.sh coherence  # coherence observatory gate: scenario
@@ -126,9 +127,9 @@ case "$mode" in
     # Large-message path gate (DESIGN.md § Large-message paths): the
     # bandwidth-engine test groups, result-verified --large sweeps of the
     # allreduce and bcast benches, a bit-identity check that the quick
-    # (below-threshold) tables are unchanged when the large paths are force
-    # disabled, a seeded chaos sweep over large sizes, and the same test
-    # groups again under the threads backend and TSan.
+    # tables' rows at or below the default thresholds are unchanged when the
+    # large paths are force disabled, a seeded chaos sweep over large sizes,
+    # and the same test groups again under the threads backend and TSan.
     scripts/lint_flags.sh
     cmake -B build -S .
     cmake --build build -j
@@ -149,14 +150,28 @@ case "$mode" in
     build/bench/bench_fig8_bcast --quick --verify --preset=mini16 \
       --tune=xhc_stripe_threshold=4096 > /dev/null
     echo "verified sweeps: ok"
-    echo "== bit-identity: quick tables unchanged with large paths off =="
-    for fig in fig8_bcast fig11_allreduce; do
-      "build/bench/bench_$fig" --quick --csv --jobs=0 > "$tmp/$fig.on"
+    echo "== bit-identity: rows at or below the default thresholds unchanged with large paths off =="
+    # Keeps the header lines and the rows whose Size is at most $1 bytes.
+    rows_upto() {
+      awk -F, -v max="$1" '$1 ~ /^[0-9]+[KM]?$/ {
+        n = $1 + 0
+        if ($1 ~ /K$/) n *= 1024
+        if ($1 ~ /M$/) n *= 1048576
+        if (n > max) next
+      } { print }'
+    }
+    # The default stripe_threshold (128 KiB) lies above fig8's whole quick
+    # sweep; the default rs_ag_threshold (8 KiB) splits fig11's, so only its
+    # 4 B-4 KiB rows stay on the latency path.
+    for fig in fig8_bcast:131072 fig11_allreduce:8192; do
+      max="${fig#*:}" fig="${fig%:*}"
+      "build/bench/bench_$fig" --quick --csv --jobs=0 \
+        | rows_upto "$max" > "$tmp/$fig.on"
       "build/bench/bench_$fig" --quick --csv --jobs=0 \
         --tune=xhc_rs_ag_threshold=0 --tune=xhc_stripe_threshold=0 \
-        > "$tmp/$fig.off"
+        | rows_upto "$max" > "$tmp/$fig.off"
       diff "$tmp/$fig.on" "$tmp/$fig.off"
-      echo "$fig: below-threshold tables bit-identical"
+      echo "$fig: rows <= $max B bit-identical"
     done
     echo "== seeded chaos sweep over large sizes =="
     spec='attach,prob=0.2;regmiss,prob=0.3;straggler,prob=0.2,delay=2e-6;flagdelay,prob=0.1,delay=1e-6'

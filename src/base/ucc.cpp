@@ -12,6 +12,8 @@ UccComponent::UccComponent(mach::Machine& machine, coll::Tuning tuning) {
   tuning.chunk_bytes = {64 * 1024};
   tuning.flag_layout = coll::FlagLayout::kSingle;
   tuning.sync = coll::SyncMethod::kSingleWriter;
+  tuning.rs_ag_threshold = kLargeThreshold;
+  tuning.stripe_threshold = kLargeThreshold;
   inner_ = std::make_unique<core::XhcComponent>(machine, std::move(tuning),
                                                 "ucc-inner");
 }

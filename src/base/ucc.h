@@ -11,6 +11,13 @@
 // relative standing: strong at medium/large sizes (it is the closest
 // competitor to XHC between 128 KB and 1 MB, Fig. 11), weaker for small
 // messages and on the SLC-based ARM system.
+//
+// Size classes are UCC's own, not XHC's: above kLargeThreshold allreduce
+// takes the reduce-scatter + allgather path and bcast stripes, standing for
+// UCC's switch to its scatter-reduce-allgather algorithms (the point the
+// paper's Fig. 11 comparison was measured at). Both thresholds are fixed
+// here, so XHC's tuned thresholds and `--tune=xhc_*_threshold` leave the
+// ucc column alone.
 #pragma once
 
 #include <memory>
@@ -39,6 +46,8 @@ class UccComponent final : public coll::Component {
  private:
   /// Per-operation library dispatch cost (team lookup, task scheduling).
   static constexpr double kDispatchOverhead = 1.2e-6;
+  /// Payloads strictly above this take the bandwidth paths.
+  static constexpr std::size_t kLargeThreshold = 128 * 1024;
 
   std::unique_ptr<core::XhcComponent> inner_;
 };

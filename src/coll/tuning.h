@@ -103,7 +103,11 @@ struct Tuning {
   /// Everything at or below a threshold runs the unchanged latency path
   /// (paper §III-B pipeline), so below-threshold behavior is bit-identical
   /// to a build without the large paths. 0 disables a large path entirely.
-  std::size_t rs_ag_threshold = 128 * 1024;
+  /// RS+AG beats the latency path from 2–6 KiB up on every preset
+  /// (EXPERIMENTS.md § Allreduce size-class crossover); 8 KiB keeps a margin
+  /// above that crossover. Striping has no single crossover (it depends on
+  /// the tree), so it stays at 128 KiB.
+  std::size_t rs_ag_threshold = 8 * 1024;
   std::size_t stripe_threshold = 128 * 1024;
 
   /// Pipeline chunk size per hierarchy level for the large-message paths,

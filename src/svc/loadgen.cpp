@@ -15,7 +15,9 @@ namespace xhc::svc {
 
 namespace {
 
-/// Payload sizes straddle this edge: the default rs_ag/stripe thresholds.
+/// Payload sizes straddle this edge: the default stripe_threshold. It also
+/// shapes the size mix (log-uniform below, uniform above), so it stays put
+/// although allreduces already take rs+ag above the 8 KiB rs_ag_threshold.
 constexpr std::size_t kLargeEdge = 128u << 10;
 
 /// Verification sampling bound per request. Payloads at or below the bound
@@ -208,13 +210,14 @@ std::vector<Request> make_schedule(const LoadgenConfig& cfg,
       if (r.op != OpClass::kBarrier) {
         std::size_t bytes;
         if (can_large && rng.next_double() < cfg.large_fraction) {
-          // Uniform above the 128 KiB edge: exercises the rs+ag / striped
-          // paths and the size-class dispatch boundary.
+          // Uniform above the 128 KiB edge: exercises the striped bcast
+          // (and the rs+ag allreduce) and the stripe dispatch boundary.
           bytes = kLargeEdge + 1 +
                   static_cast<std::size_t>(rng.next_below(
                       static_cast<std::uint64_t>(cfg.max_bytes - kLargeEdge)));
         } else {
-          // Log-uniform below the edge: most requests are latency-path.
+          // Log-uniform below the edge: most requests are latency-path
+          // (allreduces above 8 KiB take rs+ag on uniform tenants).
           bytes = static_cast<std::size_t>(
               std::exp(log_lo + (log_hi - log_lo) * rng.next_double()));
         }

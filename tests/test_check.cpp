@@ -117,7 +117,8 @@ std::vector<Target> sweep_targets() {
 }
 
 /// The first-op cells: bcast and reduce at both end roots, allreduce, and
-/// barrier, at one size per regime (CICO, pipelined, large-message).
+/// barrier, at one size per regime (CICO, pipelined, large-message; the
+/// default tuning's allreduce takes rs+ag above 8 KiB).
 std::vector<OpCall> first_op_cells(int n) {
   std::vector<OpCall> cells;
   for (const std::size_t bytes : {512, 32768, 262144}) {
@@ -189,17 +190,24 @@ coll::Tuning variant_tuning(const std::string& name) {
 
 /// First-op cells only: the multi-flag layouts' rotating writers and atomic
 /// sync's partial counts are outside what the analyzer models across ops
-/// (DESIGN.md).
+/// (DESIGN.md). LargePathsOff also records the 32 KiB steady-state sequence:
+/// the default tuning sends that size through reduce-scatter + allgather, so
+/// this is where a pipelined latency-path allreduce meets k-op schedules.
 class CheckTunings : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CheckTunings, FirstOpCellsClean) {
   const coll::Tuning tuning = variant_tuning(GetParam());
   for (const Target& tg : sweep_targets()) {
     const int n = tg.topo().n_cores();
+    std::vector<std::vector<OpCall>> cells;
+    for (const OpCall& c : first_op_cells(n)) cells.push_back({c});
+    if (GetParam() == "LargePathsOff") {
+      cells.push_back(check::steady_state_ops(n, 32768));
+    }
     sim::SimMachine machine(tg.topo(), n);
-    for (const OpCall& c : first_op_cells(n)) {
+    for (const auto& ops : cells) {
       const check::AnalysisReport rep =
-          record_and_analyze(machine, tuning, {c});
+          record_and_analyze(machine, tuning, ops);
       EXPECT_TRUE(rep.clean()) << tg.name << "\n" << rep.text();
     }
   }
@@ -232,7 +240,8 @@ std::vector<MutSpec> mutation_specs() {
       {"bcast_stripe", [] { return topo::mini8(); },
        [](coll::Tuning& t) { t.stripe_threshold = 4096; },
        {Op::kBcast, 16384, 0}},
-      {"allreduce_lat", [] { return topo::mini8(); }, nullptr,
+      {"allreduce_lat", [] { return topo::mini8(); },
+       [](coll::Tuning& t) { t.rs_ag_threshold = 0; },
        {Op::kAllreduce, 40000, 0}},
       {"allreduce_rs_ag", [] { return topo::flat(8); },
        [](coll::Tuning& t) { t.rs_ag_threshold = 4096; },

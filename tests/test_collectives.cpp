@@ -4,6 +4,7 @@
 // depend on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -325,9 +326,18 @@ INSTANTIATE_TEST_SUITE_P(AllComponents, ComponentProps,
 // ---------------------------------------------------------------------------
 // Large-message paths (DESIGN.md § Large-message paths): XHC with lowered
 // dispatch thresholds, so the reduce-scatter + allgather allreduce and the
-// striped bcast run at test-sized payloads across presets and both machines.
+// striped bcast run at test-sized payloads across presets and both machines,
+// plus the allreduce straddling the shipped default threshold.
 
 using LargeParam = std::tuple<std::string, std::string>;  // preset, machine
+
+/// Both large-path thresholds at `threshold` (0 disables the paths).
+coll::Tuning tuning(std::size_t threshold) {
+  coll::Tuning t;
+  t.rs_ag_threshold = threshold;
+  t.stripe_threshold = threshold;
+  return t;
+}
 
 class LargeMsgPaths : public ::testing::TestWithParam<LargeParam> {
  protected:
@@ -336,51 +346,57 @@ class LargeMsgPaths : public ::testing::TestWithParam<LargeParam> {
     const int ranks = topo.n_cores();
     return make_machine(std::get<1>(p), topo, ranks);
   }
-  static coll::Tuning tuning(std::size_t threshold) {
-    coll::Tuning t;
-    t.rs_ag_threshold = threshold;
-    t.stripe_threshold = threshold;
-    return t;
+
+  /// i64-sum allreduce of each count on every rank; results must be exact.
+  static void expect_exact_sums(const coll::Tuning& t,
+                                std::initializer_list<std::size_t> counts) {
+    auto m = machine(GetParam());
+    const int n = m->n_ranks();
+    auto comp = coll::make_component("xhc", *m, t);
+    for (const std::size_t count : counts) {
+      const std::size_t bytes = count * sizeof(std::int64_t);
+      std::vector<mach::Buffer> sbufs;
+      std::vector<mach::Buffer> rbufs;
+      std::vector<std::int64_t> expect(count, 0);
+      for (int r = 0; r < n; ++r) {
+        sbufs.emplace_back(*m, r, bytes);
+        rbufs.emplace_back(*m, r, bytes);
+        auto* s = static_cast<std::int64_t*>(sbufs.back().get());
+        for (std::size_t i = 0; i < count; ++i) {
+          s[i] = static_cast<std::int64_t>((r + 3) * 7 + i * 13);
+          expect[i] += s[i];
+        }
+      }
+      m->run([&](mach::Ctx& ctx) {
+        const auto r = static_cast<std::size_t>(ctx.rank());
+        comp->allreduce(ctx, sbufs[r].get(), rbufs[r].get(), count,
+                        mach::DType::kI64, mach::ROp::kSum);
+      });
+      for (int r = 0; r < n; ++r) {
+        const auto* got = static_cast<const std::int64_t*>(
+            rbufs[static_cast<std::size_t>(r)].get());
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[i], expect[i])
+              << std::get<0>(GetParam()) << "/" << std::get<1>(GetParam())
+              << ", rank " << r << ", elem " << i << "/" << count;
+        }
+      }
+    }
   }
 };
 
 TEST_P(LargeMsgPaths, AllreduceSumExactAcrossThresholdStraddle) {
-  auto m = machine(GetParam());
-  const int n = m->n_ranks();
-  auto comp = coll::make_component("xhc", *m, tuning(4096));
   // 511 x 8 B sits just below the lowered threshold (latency path), 513
   // just above (RS+AG path); the larger counts cross chunk boundaries and
   // partition remainders.
-  for (const std::size_t count : {std::size_t{511}, std::size_t{513},
-                                  std::size_t{3000}, std::size_t{12289}}) {
-    const std::size_t bytes = count * sizeof(std::int64_t);
-    std::vector<mach::Buffer> sbufs;
-    std::vector<mach::Buffer> rbufs;
-    std::vector<std::int64_t> expect(count, 0);
-    for (int r = 0; r < n; ++r) {
-      sbufs.emplace_back(*m, r, bytes);
-      rbufs.emplace_back(*m, r, bytes);
-      auto* s = static_cast<std::int64_t*>(sbufs.back().get());
-      for (std::size_t i = 0; i < count; ++i) {
-        s[i] = static_cast<std::int64_t>((r + 3) * 7 + i * 13);
-        expect[i] += s[i];
-      }
-    }
-    m->run([&](mach::Ctx& ctx) {
-      const auto r = static_cast<std::size_t>(ctx.rank());
-      comp->allreduce(ctx, sbufs[r].get(), rbufs[r].get(), count,
-                      mach::DType::kI64, mach::ROp::kSum);
-    });
-    for (int r = 0; r < n; ++r) {
-      const auto* got = static_cast<const std::int64_t*>(
-          rbufs[static_cast<std::size_t>(r)].get());
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(got[i], expect[i])
-            << std::get<0>(GetParam()) << "/" << std::get<1>(GetParam())
-            << ", rank " << r << ", elem " << i << "/" << count;
-      }
-    }
-  }
+  expect_exact_sums(tuning(4096), {511, 513, 3000, 12289});
+}
+
+TEST_P(LargeMsgPaths, AllreduceSumExactAcrossDefaultThreshold) {
+  // The shipped default: 1024 x 8 B is exactly rs_ag_threshold (latency
+  // path), 1025 the first count above it (RS+AG), and 8193 leaves partition
+  // remainders at every rank count of the grid (160 ranks on armn1).
+  expect_exact_sums(coll::Tuning{}, {1024, 1025, 8193});
 }
 
 TEST_P(LargeMsgPaths, AllreduceEmptyShardEdge) {
@@ -640,50 +656,60 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(LargeParam{"mini8", "real"},
                       LargeParam{"mini16", "real"},
                       LargeParam{"mini16", "sim"},
-                      LargeParam{"epyc2p", "sim"}),
+                      LargeParam{"epyc1p", "sim"},
+                      LargeParam{"epyc2p", "sim"},
+                      LargeParam{"armn1", "sim"}),
     [](const auto& info) {
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
-class LargeMsgDispatch : public ::testing::Test {};
-
-TEST_F(LargeMsgDispatch, BelowThresholdVirtualTimeBitIdentical) {
-  // The dispatcher's contract: at or below the thresholds nothing about the
-  // latency path changes — simulated completion times of a 64 KiB op are
-  // bit-identical between a default build and one with the large paths
-  // disabled outright.
-  auto run_once = [](std::size_t rs_thr, std::size_t stripe_thr) {
+class LargeMsgDispatch : public ::testing::Test {
+ protected:
+  /// Per-rank virtual completion times of one bcast and one f64-sum
+  /// allreduce on a fresh mini16 simulator.
+  static std::vector<double> done_times(const std::string& component,
+                                        const coll::Tuning& t,
+                                        std::size_t bcast_bytes,
+                                        std::size_t allreduce_bytes) {
     sim::SimMachine m(topo::mini16(), 16);
-    coll::Tuning t;
-    t.rs_ag_threshold = rs_thr;
-    t.stripe_threshold = stripe_thr;
-    auto comp = coll::make_component("xhc", m, t);
-    constexpr std::size_t kBytes = 64 << 10;
-    constexpr std::size_t kCount = kBytes / sizeof(double);
+    auto comp = coll::make_component(component, m, t);
+    const std::size_t bytes = std::max(bcast_bytes, allreduce_bytes);
     std::vector<mach::Buffer> bufs;
     std::vector<mach::Buffer> rbufs;
     for (int r = 0; r < 16; ++r) {
-      bufs.emplace_back(m, r, kBytes);
-      rbufs.emplace_back(m, r, kBytes);
+      bufs.emplace_back(m, r, bytes);
+      rbufs.emplace_back(m, r, bytes);
     }
     std::vector<double> done(16, 0.0);
     m.run([&](mach::Ctx& ctx) {
       const auto r = static_cast<std::size_t>(ctx.rank());
-      comp->bcast(ctx, bufs[r].get(), kBytes, 0);
-      comp->allreduce(ctx, bufs[r].get(), rbufs[r].get(), kCount,
-                      mach::DType::kF64, mach::ROp::kSum);
+      comp->bcast(ctx, bufs[r].get(), bcast_bytes, 0);
+      comp->allreduce(ctx, bufs[r].get(), rbufs[r].get(),
+                      allreduce_bytes / sizeof(double), mach::DType::kF64,
+                      mach::ROp::kSum);
       done[r] = ctx.now();
     });
     return done;
-  };
-  // 64 KiB is below the default 128 KiB thresholds; 0 disables the paths.
-  const std::vector<double> with_paths = run_once(128 << 10, 128 << 10);
-  const std::vector<double> without_paths = run_once(0, 0);
-  for (int r = 0; r < 16; ++r) {
-    ASSERT_EQ(with_paths[static_cast<std::size_t>(r)],
-              without_paths[static_cast<std::size_t>(r)])
-        << "rank " << r;
   }
+};
+
+TEST_F(LargeMsgDispatch, BelowThresholdVirtualTimeBitIdentical) {
+  // The dispatcher's contract: at or below the thresholds nothing about the
+  // latency path changes — simulated completion times of an allreduce at
+  // exactly the default rs_ag_threshold (8 KiB) and a bcast below the
+  // default stripe_threshold (64 KiB) are bit-identical between the default
+  // tuning and one with the large paths disabled outright (0).
+  EXPECT_EQ(done_times("xhc", coll::Tuning{}, 64 << 10, 8 << 10),
+            done_times("xhc", tuning(0), 64 << 10, 8 << 10));
+}
+
+TEST_F(LargeMsgDispatch, UccKeepsItsOwnSizeClasses) {
+  // ucc models UCC's own switch to the bandwidth algorithms at 128 KiB, so
+  // XHC's thresholds, whatever their value, must not move a 64 KiB ucc op.
+  const std::vector<double> base =
+      done_times("ucc", coll::Tuning{}, 64 << 10, 64 << 10);
+  EXPECT_EQ(base, done_times("ucc", tuning(8192), 64 << 10, 64 << 10));
+  EXPECT_EQ(base, done_times("ucc", tuning(0), 64 << 10, 64 << 10));
 }
 
 TEST_F(LargeMsgDispatch, TuningParamsParseAndClamp) {

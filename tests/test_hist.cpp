@@ -233,9 +233,10 @@ TEST(Hist, SimCollectiveFillsAllKindsDeterministically) {
 
 // kChunk times one chunk's data movement on every path: each chunk region
 // records one span and one sample over the same interval, so per rank the
-// samples match the chunk spans in count and summed duration. 64 KiB takes
-// the pipelined bcast and the reduce-then-bcast allreduce; 512 KiB the
-// striped bcast and reduce-scatter + allgather.
+// samples match the chunk spans in count and summed duration. 8 KiB takes
+// the pipelined bcast and the reduce-then-bcast allreduce; 64 KiB the
+// pipelined bcast and reduce-scatter + allgather; 512 KiB the striped bcast
+// and reduce-scatter + allgather.
 TEST(Hist, ChunkSamplesMatchChunkSpans) {
   constexpr int kRanks = 16;
   sim::SimMachine machine(topo::mini16(), kRanks);
@@ -246,7 +247,7 @@ TEST(Hist, ChunkSamplesMatchChunkSpans) {
   comp->set_observer(&observer);
 
   for (const std::size_t bytes :
-       {std::size_t{64} << 10, std::size_t{512} << 10}) {
+       {std::size_t{8} << 10, std::size_t{64} << 10, std::size_t{512} << 10}) {
     std::vector<mach::Buffer> bufs;
     for (int r = 0; r < kRanks; ++r) bufs.emplace_back(machine, r, bytes);
     machine.run([&](mach::Ctx& ctx) {

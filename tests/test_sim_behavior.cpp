@@ -28,11 +28,11 @@ double bcast_us(std::string_view system, std::string_view comp_name,
 }
 
 double allreduce_us(std::string_view system, std::string_view comp_name,
-                    std::size_t bytes) {
+                    std::size_t bytes, coll::Tuning tuning = {}) {
   topo::Topology topo = topo::by_name(system);
   const int ranks = topo.n_cores();
   sim::SimMachine machine(std::move(topo), ranks);
-  auto comp = coll::make_component(comp_name, machine);
+  auto comp = coll::make_component(comp_name, machine, std::move(tuning));
   osu::Config cfg;
   cfg.warmup = 1;
   cfg.iters = 2;
@@ -248,6 +248,22 @@ TEST(PaperShapes, AllreduceTreeWinsLargeEverywhere) {
     for (const char* other : {"xhc-flat", "sm", "xbrc"}) {
       EXPECT_LT(tree, allreduce_us(system, other, 1 << 20))
           << system << " vs " << other;
+    }
+  }
+}
+
+TEST(PaperShapes, AllreduceRsAgWinsAboveDefaultThreshold) {
+  // Medium payloads above the default rs_ag_threshold (8 KiB): on every
+  // paper system the dispatched reduce-scatter + allgather beats the
+  // reduce-then-broadcast pipeline, so the crossover cannot drift above the
+  // shipped default unnoticed.
+  coll::Tuning latency;
+  latency.rs_ag_threshold = 0;
+  for (const auto system : topo::paper_systems()) {
+    for (const std::size_t bytes : {12 * 1024, 64 * 1024}) {
+      EXPECT_LT(allreduce_us(system, "xhc", bytes),
+                allreduce_us(system, "xhc", bytes, latency))
+          << system << " at " << bytes << " B";
     }
   }
 }
