@@ -145,7 +145,8 @@ static int run(int argc, char** argv) {
   {
     const std::vector<std::size_t> sizes =
         args.quick ? std::vector<std::size_t>{4096, 8192, 16384, 65536}
-                   : std::vector<std::size_t>{2048, 3072, 4096, 6144, 8192,
+                   : std::vector<std::size_t>{2048,  3072,  4096,  6144,
+                                              8192,  10240, 12288, 14336,
                                               16384, 32768, 65536, 131072};
     for (const auto system : args.systems()) {
       // rs_ag_threshold 0 pins the latency path, 1 sends every size through

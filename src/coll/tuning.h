@@ -64,10 +64,6 @@ struct Tuning {
   /// pt2pt layer (tuned baseline): eager/rendezvous switchover.
   std::size_t eager_threshold = 4096;
 
-  /// Allreduce: minimum number of bytes a member must take on before
-  /// another member joins the intra-group reduction (paper §IV-B, step 2a).
-  std::size_t min_reduce_bytes = 256;
-
   /// CICO shared-segment size per rank.
   std::size_t cico_segment_bytes = 256 * 1024;
 

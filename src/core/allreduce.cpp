@@ -1,12 +1,18 @@
 // XHC MPI_Allreduce (paper §IV-B): hierarchical reduce to an internal root,
 // overlapped (per chunk) with a broadcast of the result.
 //
-// Every member publishes its contribution buffer; non-leader members take on
-// chunk ranges and reduce all peers' data into the leader's result buffer,
-// bumping their reduce_done counter. Leaders scan completion in chunk order
-// and republish availability one level up through their reduce_ready slot;
-// when a chunk reaches the top it is immediately broadcast down the same
-// hierarchy via the pull machinery shared with MPI_Bcast.
+// Every member publishes its contribution buffer. A payload that fits one
+// pipeline chunk at every level folds through a binomial fan-in per group:
+// each member folds its children's partials into its own result buffer and
+// then signals its parent through its reduce_ready slot, so the group
+// partial reaches the leader's result buffer in log2(k) rounds. Larger
+// payloads split the group's work by chunk instead: non-leader members take
+// chunk ranges round-robin and reduce all peers' data into the leader's
+// result buffer, bumping their reduce_done counter, while leaders scan
+// completion in chunk order and republish availability one level up through
+// their reduce_ready slot. When the reduction reaches the top it is
+// broadcast down the same hierarchy via the pull machinery shared with
+// MPI_Bcast.
 #include <algorithm>
 
 #include "core/shard_schedule.h"
@@ -14,6 +20,27 @@
 #include "util/check.h"
 
 namespace xhc::core {
+
+namespace {
+
+// Binomial fan-in order of a group: the leader at position 0, the other
+// members after it in `members` (ascending) order.
+
+std::size_t fan_in_pos(const CommView::Membership& m, int rank) {
+  if (rank == m.leader) return 0;
+  const auto it = std::find(m.members.begin(), m.members.end(), rank);
+  XHC_CHECK(it != m.members.end(), "rank missing from its group");
+  const auto i = static_cast<std::size_t>(it - m.members.begin());
+  return rank < m.leader ? i + 1 : i;
+}
+
+int fan_in_rank(const CommView::Membership& m, std::size_t pos) {
+  if (pos == 0) return m.leader;
+  const int j = m.members[pos - 1];
+  return j < m.leader ? j : m.members[pos];
+}
+
+}  // namespace
 
 struct XhcComponent::ReducePlan {
   std::size_t bytes = 0;
@@ -52,8 +79,6 @@ void XhcComponent::pump_own(mach::Ctx& ctx, const CommView& view,
     for (const int j : m.members) {
       if (j != r) reducers.push_back(j);
     }
-    const std::size_t n_red = active_reducers(
-        plan.bytes, reducers.size(), tuning_.min_reduce_bytes);
 
     while (pos < target) {
       const std::size_t lo = pos;
@@ -66,7 +91,7 @@ void XhcComponent::pump_own(mach::Ctx& ctx, const CommView& view,
           ctx.copy(plan.result + lo, plan.contrib0 + lo, hi - lo);
         }
       } else {
-        const int red = reducers[ci % n_red];
+        const int red = reducers[ci % reducers.size()];
         await(ctx, *ctl.reduce_done[shape.slot_of(red)], base + hi,
               "reduce_done", m.level, red);
       }
@@ -146,6 +171,24 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
     return;
   }
 
+  // A payload that fits one pipeline chunk at every level folds through the
+  // binomial fan-in; longer ones keep the chunk-parallel reducers. Like the
+  // dispatch above, every rank derives this from size, tuning and topology.
+  bool fan_in_path = true;
+  for (int l = 0; l < tree_.n_levels(); ++l) {
+    fan_in_path = fan_in_path &&
+                  bytes <= aligned_chunk(tuning_.chunk_for_level(l), elem);
+  }
+  // A fan-in position folds a child iff it is even and not the last; the
+  // internal root always ends up holding the reduction.
+  const CommView::Membership& top = ms.back();
+  bool seeded = fan_in_path && top.is_leader;
+  for (const auto& m : ms) {
+    const std::size_t pos = fan_in_pos(m, r);
+    seeded = seeded ||
+             (fan_in_path && pos % 2 == 0 && pos + 1 < m.members.size());
+  }
+
   ReducePlan plan;
   plan.bytes = bytes;
   plan.elem = elem;
@@ -155,27 +198,39 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
   plan.s = s;
   plan.scanned.assign(ms.size(), 0);
   if (cico) {
-    // Copy-in (paper §IV-C): stage the contribution in the CICO segment.
+    // Copy-in (paper §IV-C): stage the contribution in the CICO segment —
+    // straight into the result half when this rank folds a fan-in there.
     XHC_TRACE(trace_sink(), ctx, "copy", "allreduce.cico_copy_in", bytes);
-    ctx.copy(my_seg.contrib, sbuf, bytes);
+    std::byte* stage = seeded ? my_seg.result : my_seg.contrib;
+    ctx.copy(stage, sbuf, bytes);
     book(ctx, obs::Counter::kCicoBytes, bytes);
-    plan.contrib0 = my_seg.contrib;
+    plan.contrib0 = stage;
     plan.result = my_seg.result;
   } else {
     plan.contrib0 = static_cast<const std::byte*>(sbuf);
     plan.result = static_cast<std::byte*>(rbuf);
     rs.endpoint->expose(ctx, sbuf, bytes);
     rs.endpoint->expose(ctx, rbuf, bytes);
+    if (seeded && !in_place) {
+      // Seed the fan-in accumulator with this rank's own contribution.
+      XHC_TRACE(trace_sink(), ctx, "copy", "allreduce.seed_copy", bytes);
+      ctx.copy(rbuf, sbuf, bytes);
+    }
   }
+  // Where this rank's fan-in partial lives: a rank that folds accumulates in
+  // its result buffer, any other hands over its contribution as is.
+  const std::byte* partial = seeded ? plan.result : plan.contrib0;
 
-  // Step 1 (preparation): publish addresses and leaf availability.
+  // Step 1 (preparation): publish addresses and leaf availability. Fan-in
+  // partials become available when their owner's rounds are done instead.
   for (const auto& m : ms) {
     GroupCtl& ctl = tree_.ctl(m.ctl_id);
     ctl.minfo[m.my_slot]->contrib =
-        (m.level == 0) ? static_cast<const void*>(plan.contrib0)
-                       : static_cast<const void*>(plan.result);
+        fan_in_path      ? static_cast<const void*>(partial)
+        : (m.level == 0) ? static_cast<const void*>(plan.contrib0)
+                         : static_cast<const void*>(plan.result);
     ctx.flag_store(*ctl.member_seq[m.my_slot], s);
-    if (m.level == 0) {
+    if (m.level == 0 && !fan_in_path) {
       ctx.flag_store(
           *ctl.reduce_ready[m.my_slot],
           rs.reduce_base[static_cast<std::size_t>(m.ctl_id)] + bytes);
@@ -186,11 +241,17 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
     }
   }
 
-  const CommView::Membership& top = ms.back();
-  if (top.is_leader) {
-    // Internal root: drive the completion scans; announce is published from
-    // inside pump_own as chunks reach the top.
+  // Step 2 (reduction). At the internal root the announce is published as
+  // data reaches the top.
+  if (fan_in_path) {
+    fan_in(ctx, view, plan);
+  } else if (top.is_leader) {
     pump_own(ctx, view, plan, bytes);
+  } else {
+    reduce_chunks(ctx, view, plan);
+  }
+
+  if (top.is_leader) {
     for (const auto& m : ms) {
       wait_acks(ctx, m, s);
     }
@@ -198,119 +259,180 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
       XHC_TRACE(trace_sink(), ctx, "copy", "allreduce.cico_copy_out", bytes);
       ctx.copy(rbuf, my_seg.result, bytes);
     }
+  } else if (deliver_all) {
+    // Step 3 (broadcast of the result), shared with MPI_Bcast.
+    pull_bcast(ctx, view, rbuf, bytes, cico, s);
   } else {
-    // Step 2a (intra-group reduction) at this rank's member level,
-    // interleaved with its leader duties below.
-    GroupCtl& ctl = tree_.ctl(top.ctl_id);
-    const GroupShape& shape = tree_.shape(top.ctl_id);
-    const std::uint64_t base =
-        rs.reduce_base[static_cast<std::size_t>(top.ctl_id)];
-    std::vector<int> reducers;
-    for (const int j : top.members) {
-      if (j != top.leader) reducers.push_back(j);
+    // Reduce: only a completion release flows down — wait for the root's
+    // announce, republish to led groups, then acknowledge upward.
+    announce_wait(ctx, top,
+                  rs.bcast_base[static_cast<std::size_t>(top.ctl_id)] + bytes);
+    for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
+      announce_publish(
+          ctx, ms[i],
+          rs.bcast_base[static_cast<std::size_t>(ms[i].ctl_id)] + bytes);
     }
-    const std::size_t n_red = active_reducers(
-        bytes, reducers.size(), tuning_.min_reduce_bytes);
-    std::size_t my_idx = reducers.size();
-    for (std::size_t i = 0; i < reducers.size(); ++i) {
-      if (reducers[i] == r) my_idx = i;
+    for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
+      wait_acks(ctx, ms[i], s);
     }
-    XHC_CHECK(my_idx < reducers.size(), "rank missing from reducer list");
-    const bool active = my_idx < n_red;
-
-    // Leader's result buffer (destination of the group partial).
-    await(ctx, *ctl.seq[top.leader_slot], s, "seq_wait", top.level,
-          top.leader);
-    std::byte* dst;
-    const std::byte* leader_contrib = nullptr;
-    if (cico) {
-      dst = cico_[static_cast<std::size_t>(top.leader)].result;
-    } else {
-      dst = static_cast<std::byte*>(rs.endpoint->attach_mut(
-          ctx, top.leader, const_cast<void*>(ctl.info[top.leader_slot]->buf),
-          bytes));
-    }
-    // Source operands: every non-leader member's contribution (including
-    // this rank's own), plus — at the leaf — the leader's contribution used
-    // to initialize the destination.
-    std::vector<const std::byte*> src(reducers.size(), nullptr);
-    if (active) {
-      for (std::size_t i = 0; i < reducers.size(); ++i) {
-        const int j = reducers[i];
-        const int slot = shape.slot_of(j);
-        await(ctx, *ctl.member_seq[slot], s, "member_seq_wait", top.level, j);
-        src[i] = static_cast<const std::byte*>(rs.endpoint->attach(
-            ctx, j, ctl.minfo[slot]->contrib, bytes));
-      }
-      if (top.level == 0) {
-        await(ctx, *ctl.member_seq[top.leader_slot], s, "member_seq_wait",
-              top.level, top.leader);
-        leader_contrib = static_cast<const std::byte*>(rs.endpoint->attach(
-            ctx, top.leader, ctl.minfo[top.leader_slot]->contrib, bytes));
-      }
-    }
-
-    const std::size_t chunk =
-        aligned_chunk(tuning_.chunk_for_level(top.level), elem);
-    for (std::size_t lo = 0; lo < bytes;) {
-      const std::size_t hi = std::min(bytes, lo + chunk);
-      const std::size_t ci = lo / chunk;
-      maybe_stall(ctx, top.level);
-      // Keep this rank's own subtree partial flowing for the whole range —
-      // peers reducing other chunks depend on it.
-      pump_own(ctx, view, plan, hi);
-      if (active && ci % n_red == my_idx) {
-        Timed chunk_region(*this, ctx, "reduce", "allreduce.reduce_chunk",
-                           obs::HistKind::kChunk, hi - lo, top.level);
-        if (top.level == 0) {
-          // In-place at the internal root: dst may alias the leader's own
-          // contribution, which is then already in place.
-          if (dst != leader_contrib) {
-            ctx.copy(dst + lo, leader_contrib + lo, hi - lo);
-          }
-        } else {
-          // The destination must already hold the leader's subtree partial.
-          await(ctx, *ctl.reduce_ready[top.leader_slot], base + hi,
-                "reduce_ready_wait", top.level, top.leader);
-        }
-        const std::size_t n_elems = (hi - lo) / elem;
-        for (std::size_t i = 0; i < reducers.size(); ++i) {
-          if (top.level > 0 && reducers[i] != r) {
-            await(ctx, *ctl.reduce_ready[shape.slot_of(reducers[i])], base + hi,
-                  "reduce_ready_wait", top.level, reducers[i]);
-          }
-          fold(ctx, dst + lo, src[i] + lo, n_elems, dtype, op,
-               cico ? -1 : reducers[i]);
-        }
-        ctx.flag_store(*ctl.reduce_done[top.my_slot], base + hi);
-        record_traffic(r, top.leader);
-      }
-      lo = hi;
-    }
-
-    if (deliver_all) {
-      // Step 3 (broadcast of the result), shared with MPI_Bcast.
-      pull_bcast(ctx, view, rbuf, bytes, cico, s);
-    } else {
-      // Reduce: only a completion release flows down — wait for the root's
-      // announce, republish to led groups, then acknowledge upward.
-      announce_wait(
-          ctx, top,
-          rs.bcast_base[static_cast<std::size_t>(top.ctl_id)] + bytes);
-      for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
-        announce_publish(
-            ctx, ms[i],
-            rs.bcast_base[static_cast<std::size_t>(ms[i].ctl_id)] + bytes);
-      }
-      for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
-        wait_acks(ctx, ms[i], s);
-      }
-      ack_publish(ctx, top, s);
-    }
+    ack_publish(ctx, top, s);
   }
 
   for (auto& b : rs.bcast_base) b += bytes;
   for (auto& b : rs.reduce_base) b += bytes;
+}
+
+void XhcComponent::fan_in(mach::Ctx& ctx, const CommView& view,
+                          const ReducePlan& plan) {
+  const int r = ctx.rank();
+  RankState& rs = state(r);
+  const auto& ms = view.memberships(r);
+  const std::size_t n_elems = plan.bytes / plan.elem;
+
+  // Innermost level first: the partial this rank carries into a group
+  // already holds everything below it. Position p folds p+1, p+2, p+4, ...
+  // while p is divisible by twice the step, then hands off to its parent.
+  for (const auto& m : ms) {
+    GroupCtl& ctl = tree_.ctl(m.ctl_id);
+    const GroupShape& shape = tree_.shape(m.ctl_id);
+    const std::uint64_t ready =
+        rs.reduce_base[static_cast<std::size_t>(m.ctl_id)] + plan.bytes;
+    const std::size_t pos = fan_in_pos(m, r);
+    const std::size_t k = m.members.size();
+    // Look up every child of this level first, so that each round below
+    // waits only for its child's partial. CICO segments stay mapped for the
+    // communicator's lifetime and need no attach.
+    std::vector<int> children;
+    std::vector<const std::byte*> src;
+    for (std::size_t step = 1; pos % (2 * step) == 0 && pos + step < k;
+         step *= 2) {
+      const int child = fan_in_rank(m, pos + step);
+      const int slot = shape.slot_of(child);
+      await(ctx, *ctl.member_seq[slot], plan.s, "member_seq_wait", m.level,
+            child);
+      const void* partial = ctl.minfo[slot]->contrib;
+      children.push_back(child);
+      src.push_back(static_cast<const std::byte*>(
+          plan.cico ? partial
+                    : rs.endpoint->attach(ctx, child, partial, plan.bytes)));
+    }
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      const int child = children[i];
+      maybe_stall(ctx, m.level);
+      await(ctx, *ctl.reduce_ready[shape.slot_of(child)], ready,
+            "reduce_ready_wait", m.level, child);
+      {
+        Timed chunk_region(*this, ctx, "reduce", "allreduce.reduce_chunk",
+                           obs::HistKind::kChunk, plan.bytes, m.level);
+        fold(ctx, plan.result, src[i], n_elems, plan.dtype, plan.op,
+             plan.cico ? -1 : child);
+      }
+      record_traffic(child, r);
+    }
+  }
+
+  const CommView::Membership& top = ms.back();
+  if (!top.is_leader) {
+    ctx.flag_store(
+        *tree_.ctl(top.ctl_id).reduce_ready[top.my_slot],
+        rs.reduce_base[static_cast<std::size_t>(top.ctl_id)] + plan.bytes);
+    return;
+  }
+  // Internal root: the payload is globally reduced — trigger the broadcast
+  // at every level the root leads (§IV-B step 3).
+  for (const auto& m : ms) {
+    announce_publish(
+        ctx, m, rs.bcast_base[static_cast<std::size_t>(m.ctl_id)] + plan.bytes);
+  }
+}
+
+void XhcComponent::reduce_chunks(mach::Ctx& ctx, const CommView& view,
+                                 ReducePlan& plan) {
+  // Step 2a (intra-group reduction) at this rank's member level,
+  // interleaved with its leader duties.
+  const int r = ctx.rank();
+  RankState& rs = state(r);
+  const CommView::Membership& top = view.memberships(r).back();
+  GroupCtl& ctl = tree_.ctl(top.ctl_id);
+  const GroupShape& shape = tree_.shape(top.ctl_id);
+  const std::size_t bytes = plan.bytes;
+  const std::uint64_t base =
+      rs.reduce_base[static_cast<std::size_t>(top.ctl_id)];
+  std::vector<int> reducers;
+  for (const int j : top.members) {
+    if (j != top.leader) reducers.push_back(j);
+  }
+  const auto my_it = std::find(reducers.begin(), reducers.end(), r);
+  XHC_CHECK(my_it != reducers.end(), "rank missing from reducer list");
+  const auto my_idx = static_cast<std::size_t>(my_it - reducers.begin());
+
+  // Leader's result buffer (destination of the group partial).
+  await(ctx, *ctl.seq[top.leader_slot], plan.s, "seq_wait", top.level,
+        top.leader);
+  std::byte* dst;
+  if (plan.cico) {
+    dst = cico_[static_cast<std::size_t>(top.leader)].result;
+  } else {
+    dst = static_cast<std::byte*>(rs.endpoint->attach_mut(
+        ctx, top.leader, const_cast<void*>(ctl.info[top.leader_slot]->buf),
+        bytes));
+  }
+  // Source operands: every non-leader member's contribution (including
+  // this rank's own), plus — at the leaf — the leader's contribution used
+  // to initialize the destination.
+  std::vector<const std::byte*> src(reducers.size(), nullptr);
+  for (std::size_t i = 0; i < reducers.size(); ++i) {
+    const int j = reducers[i];
+    const int slot = shape.slot_of(j);
+    await(ctx, *ctl.member_seq[slot], plan.s, "member_seq_wait", top.level, j);
+    src[i] = static_cast<const std::byte*>(
+        rs.endpoint->attach(ctx, j, ctl.minfo[slot]->contrib, bytes));
+  }
+  const std::byte* leader_contrib = nullptr;
+  if (top.level == 0) {
+    await(ctx, *ctl.member_seq[top.leader_slot], plan.s, "member_seq_wait",
+          top.level, top.leader);
+    leader_contrib = static_cast<const std::byte*>(rs.endpoint->attach(
+        ctx, top.leader, ctl.minfo[top.leader_slot]->contrib, bytes));
+  }
+
+  const std::size_t chunk =
+      aligned_chunk(tuning_.chunk_for_level(top.level), plan.elem);
+  for (std::size_t lo = 0; lo < bytes;) {
+    const std::size_t hi = std::min(bytes, lo + chunk);
+    const std::size_t ci = lo / chunk;
+    maybe_stall(ctx, top.level);
+    // Keep this rank's own subtree partial flowing for the whole range —
+    // peers reducing other chunks depend on it.
+    pump_own(ctx, view, plan, hi);
+    if (ci % reducers.size() == my_idx) {
+      Timed chunk_region(*this, ctx, "reduce", "allreduce.reduce_chunk",
+                         obs::HistKind::kChunk, hi - lo, top.level);
+      if (top.level == 0) {
+        // In-place at the internal root: dst may alias the leader's own
+        // contribution, which is then already in place.
+        if (dst != leader_contrib) {
+          ctx.copy(dst + lo, leader_contrib + lo, hi - lo);
+        }
+      } else {
+        // The destination must already hold the leader's subtree partial.
+        await(ctx, *ctl.reduce_ready[top.leader_slot], base + hi,
+              "reduce_ready_wait", top.level, top.leader);
+      }
+      const std::size_t n_elems = (hi - lo) / plan.elem;
+      for (std::size_t i = 0; i < reducers.size(); ++i) {
+        if (top.level > 0 && reducers[i] != r) {
+          await(ctx, *ctl.reduce_ready[shape.slot_of(reducers[i])], base + hi,
+                "reduce_ready_wait", top.level, reducers[i]);
+        }
+        fold(ctx, dst + lo, src[i] + lo, n_elems, plan.dtype, plan.op,
+             plan.cico ? -1 : reducers[i]);
+      }
+      ctx.flag_store(*ctl.reduce_done[top.my_slot], base + hi);
+      record_traffic(r, top.leader);
+    }
+    lo = hi;
+  }
 }
 
 void XhcComponent::allreduce_rs_ag(mach::Ctx& ctx, const CommView& view,

@@ -32,7 +32,8 @@ struct LeaderInfo {
 
 /// Member-published per-operation metadata; guarded by `member_seq`.
 struct MemberInfo {
-  const void* contrib = nullptr;  ///< member's contribution buffer
+  const void* contrib = nullptr;  ///< member's contribution buffer (on the
+                                  ///< allreduce fan-in: its partial's)
   const void* result = nullptr;   ///< member's result buffer (XBRC allgather)
 };
 

@@ -12,7 +12,6 @@
 //     paper's Fig. 10 and Fig. 4 experiments.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -39,8 +38,8 @@ class XhcComponent final : public coll::Component {
   /// Native MPI_Reduce (paper §VII, "ongoing work"): the allreduce's
   /// hierarchical reduction rooted at `root`, with the broadcast phase
   /// replaced by a flag-only completion release. `rbuf` must be valid on
-  /// every rank (leaders accumulate subtree partials in it on the
-  /// single-copy path).
+  /// every rank (on the single-copy path, ranks that fold a fan-in and
+  /// leaders of multi-chunk reductions accumulate partials in it).
   void reduce(mach::Ctx& ctx, const void* sbuf, void* rbuf,
               std::size_t count, mach::DType dtype, mach::ROp op,
               int root) override;
@@ -190,14 +189,23 @@ class XhcComponent final : public coll::Component {
 
   // --- allreduce machinery --------------------------------------------------
   struct ReducePlan;
-  /// Advances this rank's leader duties (completion scans of led groups) far
-  /// enough that its subtree partial covers [0, target_bytes).
-  void pump_own(mach::Ctx& ctx, const CommView& view, ReducePlan& plan,
-                std::size_t target_bytes);
   /// Shared implementation of allreduce (deliver_all) and reduce.
   void reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
                    std::size_t count, mach::DType dtype, mach::ROp op,
                    int root, bool deliver_all);
+  /// Single-chunk reduction (DESIGN.md § Allreduce fan-in): a binomial
+  /// fan-in per group, innermost level first. Ends by publishing this
+  /// rank's reduce_ready at its member level, or, at the internal root, the
+  /// announce of every level it leads.
+  void fan_in(mach::Ctx& ctx, const CommView& view, const ReducePlan& plan);
+  /// Multi-chunk reduction at a non-root rank's member level: every
+  /// non-leader member reduces its round-robin share of chunks into the
+  /// leader's result buffer, pumping its own leader duties as it goes.
+  void reduce_chunks(mach::Ctx& ctx, const CommView& view, ReducePlan& plan);
+  /// Advances this rank's leader duties (completion scans of led groups) far
+  /// enough that its subtree partial covers [0, target_bytes).
+  void pump_own(mach::Ctx& ctx, const CommView& view, ReducePlan& plan,
+                std::size_t target_bytes);
 
   /// Large-message allreduce (DESIGN.md § Large-message paths): nested
   /// reduce-scatter along the hierarchy (every rank ends up owning a fully
@@ -217,18 +225,6 @@ class XhcComponent final : public coll::Component {
   std::vector<mach::Buffer> cico_bufs_;
   std::vector<CicoSeg> cico_;
 };
-
-// The allreduce's reducer split.
-
-/// Number of members that actually reduce, honoring the per-member minimum
-/// workload (paper §IV-B step 2a: with little data only one member reduces).
-inline std::size_t active_reducers(std::size_t bytes, std::size_t n_nonleader,
-                                   std::size_t min_bytes) {
-  if (n_nonleader == 0) return 0;
-  if (min_bytes == 0) return n_nonleader;
-  const std::size_t by_min = (bytes + min_bytes - 1) / min_bytes;
-  return std::clamp<std::size_t>(by_min, 1, n_nonleader);
-}
 
 /// Chunk size aligned down to the element size (at least one element).
 inline std::size_t aligned_chunk(std::size_t chunk, std::size_t elem) {

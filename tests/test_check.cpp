@@ -246,8 +246,12 @@ std::vector<MutSpec> mutation_specs() {
       {"allreduce_rs_ag", [] { return topo::flat(8); },
        [](coll::Tuning& t) { t.rs_ag_threshold = 4096; },
        {Op::kAllreduce, 16384, 0}},
+      {"allreduce_tree", [] { return topo::mini8(); }, nullptr,
+       {Op::kAllreduce, 4096, 0}},
       {"reduce", [] { return topo::mini8(); }, nullptr,
        {Op::kReduce, 40000, 2}},
+      {"reduce_tree", [] { return topo::mini8(); }, nullptr,
+       {Op::kReduce, 512, 2}},
       {"barrier", [] { return topo::mini8(); }, nullptr, {Op::kBarrier, 0, 0}},
   };
 }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
+#include <tuple>
 
 #include "coll/registry.h"
 #include "coll/tuning.h"
@@ -259,6 +261,99 @@ TEST(Reduce, InPlaceAtRoot) {
     ASSERT_EQ(got[i], expect[i]);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Binomial fan-in (DESIGN.md § Allreduce fan-in): single-chunk XHC reductions
+// fold through a per-group binomial tree whose partner sets depend on the
+// group size and on which member leads. Flat trees of 1-9 and 20 ranks cover
+// every small non-power-of-two group, mini16 adds levels, and a reduce at
+// every root moves the leader through every position. Each rank's operand
+// carries its own bit, so a dropped or doubled partial changes the sum.
+
+using FanInParam = std::tuple<std::string, std::string>;  // shape, machine
+
+class FanInShapes : public ::testing::TestWithParam<FanInParam> {};
+
+TEST_P(FanInShapes, I64SumsExactAtEveryRoot) {
+  const auto& [shape, kind] = GetParam();
+  const topo::Topology topo = shape == "mini16"
+                                  ? topo::mini16()
+                                  : topo::flat(std::stoi(shape.substr(4)));
+  const int n = topo.n_cores();
+  std::unique_ptr<mach::Machine> machine;
+  if (kind == "real") {
+    machine = std::make_unique<mach::RealMachine>(topo, n);
+  } else {
+    machine = std::make_unique<sim::SimMachine>(topo, n);
+  }
+  auto comp = coll::make_component("xhc", *machine);
+  // One sequence per size and buffer mode: an allreduce (root -1), then a
+  // reduce at every root.
+  std::vector<int> roots{-1};
+  for (int root = 0; root < n; ++root) roots.push_back(root);
+  // 8 B, 1 KiB (CICO) and 4 KiB (single-copy).
+  for (const std::size_t count : {std::size_t{1}, std::size_t{128},
+                                  std::size_t{512}}) {
+    const std::size_t bytes = count * sizeof(std::int64_t);
+    for (const bool in_place : {false, true}) {
+      std::vector<std::vector<mach::Buffer>> sbufs(roots.size());
+      std::vector<std::vector<mach::Buffer>> rbufs(roots.size());
+      for (std::size_t o = 0; o < roots.size(); ++o) {
+        for (int r = 0; r < n; ++r) {
+          rbufs[o].emplace_back(*machine, r, bytes);
+          if (!in_place) sbufs[o].emplace_back(*machine, r, bytes);
+          auto* s = static_cast<std::int64_t*>(
+              (in_place ? rbufs[o] : sbufs[o]).back().get());
+          for (std::size_t i = 0; i < count; ++i) {
+            s[i] = (std::int64_t{1} << r) *
+                   static_cast<std::int64_t>(2 * i + 1 + o);
+          }
+        }
+      }
+      machine->run([&](mach::Ctx& ctx) {
+        const auto r = static_cast<std::size_t>(ctx.rank());
+        for (std::size_t o = 0; o < roots.size(); ++o) {
+          void* rbuf = rbufs[o][r].get();
+          const void* sbuf = in_place ? rbuf : sbufs[o][r].get();
+          if (roots[o] < 0) {
+            comp->allreduce(ctx, sbuf, rbuf, count, mach::DType::kI64,
+                            mach::ROp::kSum);
+          } else {
+            comp->reduce(ctx, sbuf, rbuf, count, mach::DType::kI64,
+                         mach::ROp::kSum, roots[o]);
+          }
+        }
+      });
+      const std::int64_t all_bits = (std::int64_t{1} << n) - 1;
+      for (std::size_t o = 0; o < roots.size(); ++o) {
+        for (int r = 0; r < n; ++r) {
+          if (roots[o] >= 0 && r != roots[o]) continue;
+          const auto* got = static_cast<const std::int64_t*>(
+              rbufs[o][static_cast<std::size_t>(r)].get());
+          for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(got[i],
+                      all_bits * static_cast<std::int64_t>(2 * i + 1 + o))
+                << shape << "/" << kind << " " << bytes << " B"
+                << (in_place ? " in place" : "") << ", "
+                << (roots[o] < 0 ? "allreduce"
+                                 : "reduce root " + std::to_string(roots[o]))
+                << ", rank " << r << ", elem " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, FanInShapes,
+    ::testing::Combine(::testing::Values("flat1", "flat2", "flat3", "flat4",
+                                         "flat5", "flat6", "flat7", "flat8",
+                                         "flat9", "flat20", "mini16"),
+                       ::testing::Values("real", "sim")),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    });
 
 }  // namespace
 }  // namespace xhc

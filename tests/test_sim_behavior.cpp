@@ -253,14 +253,23 @@ TEST(PaperShapes, AllreduceTreeWinsLargeEverywhere) {
 }
 
 TEST(PaperShapes, AllreduceRsAgWinsAboveDefaultThreshold) {
-  // Medium payloads above the default rs_ag_threshold (8 KiB): on every
-  // paper system the dispatched reduce-scatter + allgather beats the
-  // reduce-then-broadcast pipeline, so the crossover cannot drift above the
-  // shipped default unnoticed.
+  // The default rs_ag_threshold (8 KiB) brackets the crossover on every
+  // paper system: at 4 and 8 KiB the default (the binomial fan-in) beats
+  // forcing reduce-scatter + allgather, and above one pipeline chunk the
+  // dispatched RS+AG beats forcing the latency path (chunk-parallel
+  // reducers). In between, the better side differs by preset (EXPERIMENTS.md
+  // § Allreduce size-class crossover), so no size there is pinned.
+  coll::Tuning rs_ag;
+  rs_ag.rs_ag_threshold = 1;
   coll::Tuning latency;
   latency.rs_ag_threshold = 0;
   for (const auto system : topo::paper_systems()) {
-    for (const std::size_t bytes : {12 * 1024, 64 * 1024}) {
+    for (const std::size_t bytes : {4 * 1024, 8 * 1024}) {
+      EXPECT_LT(allreduce_us(system, "xhc", bytes),
+                allreduce_us(system, "xhc", bytes, rs_ag))
+          << system << " at " << bytes << " B";
+    }
+    for (const std::size_t bytes : {16388, 64 * 1024}) {
       EXPECT_LT(allreduce_us(system, "xhc", bytes),
                 allreduce_us(system, "xhc", bytes, latency))
           << system << " at " << bytes << " B";
