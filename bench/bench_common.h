@@ -44,10 +44,12 @@ struct BenchArgs {
   std::string preset;      ///< --preset=<name>: run only this paper system
   int jobs = 1;            ///< --jobs=<n>: host workers for the sim sweep
                            ///  (0 = one per host core)
-  /// --verify: re-check payload contents after each sweep. Off by default
-  /// in the latency benches — correctness is pinned by the test suite, and
-  /// the re-read of every rank's buffer costs more wall-clock than the
-  /// simulations themselves at large sizes.
+  /// --verify: move every payload byte and re-check payload contents after
+  /// each sweep. Off by default in the latency benches — correctness is
+  /// pinned by the test suite, and without it the OSU sweeps run on the
+  /// simulator's timing-only data plane (same tables, no payload bytes
+  /// moved; osu::Config::verify), which more than halves a large sweep's
+  /// wall-clock.
   bool verify = false;
   /// --fault=<spec>: fault-injection plan applied to every component built
   /// through apply_tuning() (same grammar as the xhc_fault tuning param).

@@ -3,7 +3,9 @@
 # baseline, a clean re-run must pass bench_compare and a seeded straggler
 # injection (every op on every rank delayed 50 us) must fail it. Then, on
 # hand-made stores, the svc count rows gate in their real direction: fewer
-# completions and a shed count rising from zero fail, more completions pass.
+# completions and a shed count rising from zero fail, more completions pass;
+# and the host wall-clock gate trips on a 3x slower fig11L, lets a 1.3x
+# slower one pass, and skips a run from a host with another core count.
 # Runs on the deterministic simulator, so the clean comparison is exact and
 # the test has no flake margin. Used by `scripts/check.sh bench` and the
 # BenchGate ctest.
@@ -55,5 +57,31 @@ for bad in fewer shed; do
 done
 scripts/bench_compare --store="$tmp/svc_base.json" \
   --candidate="$tmp/svc_more.json"
+# wall FILE SECONDS CORES: a one-run fig11L store with one unchanged point
+# and the given median host wall time and host core count.
+wall() {
+  cat > "$1" <<EOF
+{"version": 1, "runs": [{"commit": "selftest", "note": "",
+ "config": {"targets": ["fig11L"], "presets": "mini8", "quick": true,
+            "backend": "fiber", "fault": ""},
+ "points": {"fig11L/mini8/xhc/4": 1.0},
+ "wall_s": {"fig11L": $2}, "host_cores": $3}]}
+EOF
+}
+wall "$tmp/wall_base.json" 4.0 4
+wall "$tmp/wall_3x.json" 12.0 4
+wall "$tmp/wall_1.3x.json" 5.2 4
+wall "$tmp/wall_cores.json" 12.0 8
+if scripts/bench_compare --store="$tmp/wall_base.json" \
+    --candidate="$tmp/wall_3x.json"; then
+  echo "bench gate self-test: FAIL — 3x slower fig11L passed the gate" >&2
+  exit 1
+fi
+scripts/bench_compare --store="$tmp/wall_base.json" \
+  --candidate="$tmp/wall_1.3x.json"
+scripts/bench_compare --store="$tmp/wall_base.json" \
+  --candidate="$tmp/wall_cores.json" | tee "$tmp/cores.out"
+grep -q 'wall fig11L .* skipped' "$tmp/cores.out"
 echo "bench gate self-test: ok (clean passes, straggler fails," \
-  "svc count rows gate in their direction)"
+  "svc count rows gate in their direction, host wall gate trips at 3x" \
+  "and skips other core counts)"

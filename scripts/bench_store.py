@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark regression store: records figure sweeps into BENCH_perf.json.
 
-Runs the per-figure bench binaries in CSV mode once each, parses the
-section tables, and appends one run entry to a JSON store (or writes a
-standalone candidate file for bench_compare).
+Runs the per-figure bench binaries in CSV mode, parses the section tables,
+and appends one run entry to a JSON store (or writes a standalone candidate
+file for bench_compare).
 
     scripts/bench_store.py record [options]
 
@@ -26,16 +26,24 @@ The store is {"version": 1, "runs": [...]}; each run carries a config
 fingerprint (targets, presets, quick, sim backend) that bench_compare uses
 to pick a comparable baseline, plus the flat point map
 {"fig8L/<preset>/<component>/<size>": latency_us}. The sweeps execute on
-the deterministic simulator, so one pass is exact: every repetition would
-print the same tables, and points are cross-machine stable.
+the deterministic simulator, so points are exact and cross-machine stable.
+
+The host plane rides along: each target runs WALL_REPS times, every
+repetition must print the same tables (a free determinism check), and the
+run stores the median host wall-clock seconds per target ("wall_s") with
+the host's core count ("host_cores"). Both stay out of the fingerprint, so
+modeled baselines still match across hosts; bench_compare gates the wall
+times only between hosts with equal core counts.
 
 Stdlib only; no third-party imports.
 """
 
 import json
 import os
+import statistics
 import subprocess
 import sys
+import time
 from datetime import datetime, timezone
 
 TARGETS = {
@@ -45,6 +53,10 @@ TARGETS = {
     "fig11L": ("bench_fig11_allreduce", ["--large"]),
     "svc": ("bench_loadgen", []),
 }
+
+
+# Repetitions per target; the stored wall time is their median.
+WALL_REPS = 3
 
 
 def fail(msg):
@@ -123,6 +135,7 @@ def parse_csv_sections(text, fig):
 
 
 def run_target(fig, opts):
+    """Returns (points, median wall seconds) of WALL_REPS identical runs."""
     name, extra = TARGETS[fig]
     binary = os.path.join(opts["build"], "bench", name)
     if not os.path.exists(binary):
@@ -142,16 +155,30 @@ def run_target(fig, opts):
         for c in cmds:
             c.append("--fault=%s" % opts["fault"])
 
+    outputs = None
+    walls = []
+    for _ in range(WALL_REPS):
+        rep = []
+        t0 = time.monotonic()
+        for cmd in cmds:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                fail("%s exited %d:\n%s" % (" ".join(cmd), proc.returncode,
+                                            proc.stderr.strip()))
+            rep.append(proc.stdout)
+        walls.append(time.monotonic() - t0)
+        if outputs is not None and rep != outputs:
+            fail("%s printed different tables on a repeat run "
+                 "(nondeterministic sweep)" % fig)
+        outputs = rep
+
     points = {}
-    for cmd in cmds:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            fail("%s exited %d:\n%s" % (" ".join(cmd), proc.returncode,
-                                        proc.stderr.strip()))
-        points.update(parse_csv_sections(proc.stdout, fig))
+    for out in outputs:
+        points.update(parse_csv_sections(out, fig))
     if not points:
         fail("no CSV points parsed from %s" % " ".join(cmds[0]))
-    return {k: round(v, 4) for k, v in points.items()}
+    return ({k: round(v, 4) for k, v in points.items()},
+            round(statistics.median(walls), 3))
 
 
 def git_commit():
@@ -181,8 +208,10 @@ def main(argv):
             fail("unknown target %r (have: %s)" % (t, ",".join(TARGETS)))
 
     points = {}
+    wall_s = {}
     for t in targets:
-        points.update(run_target(t, opts))
+        target_points, wall_s[t] = run_target(t, opts)
+        points.update(target_points)
 
     run = {
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -196,6 +225,8 @@ def main(argv):
         },
         "note": opts["note"],
         "points": points,
+        "wall_s": wall_s,
+        "host_cores": os.cpu_count(),
     }
 
     path = opts["out"] if opts["out"] else opts["store"]
@@ -204,8 +235,9 @@ def main(argv):
     with open(path, "w") as f:
         json.dump(store, f, indent=1, sort_keys=True)
         f.write("\n")
-    print("bench_store: recorded %d points (%s) -> %s"
-          % (len(points), "+".join(targets), path))
+    print("bench_store: recorded %d points (%s; wall %s) -> %s"
+          % (len(points), "+".join(targets),
+             " ".join("%s=%.2fs" % kv for kv in wall_s.items()), path))
     return 0
 
 

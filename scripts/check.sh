@@ -47,6 +47,11 @@
 #                               # sweep over every preset x op x size class
 #                               # plus the steady-state cells
 #                               # (build/bench/analyze_protocol)
+#   scripts/check.sh timing     # timing-only data plane proof: every
+#                               # bench-store target that runs the OSU
+#                               # harness (fig8L, fig11L, fig10, fig4) on
+#                               # each paper preset prints byte-identical
+#                               # tables with and without --verify
 #
 # Extra arguments after the mode are forwarded to ctest, e.g.
 #   scripts/check.sh thread -R Obs
@@ -75,6 +80,36 @@ run_bench_gate() {
     echo "no BENCH_perf.json — recording a baseline (commit it)"
     scripts/bench_store.py record --build="$build_dir"
   fi
+}
+
+# Timing-only data plane proof (DESIGN.md § Host data plane): without
+# --verify the OSU sweeps move no payload bytes, with it they move and check
+# every byte, and the tables must not differ by one byte. That also asserts
+# the cost model never reads payload content. Arguments mirror
+# bench_store.py's TARGETS in its default --quick mode, one paper preset at
+# a time (fig10 and fig4 otherwise run a single default preset).
+run_timing_gate() {
+  local build_dir="$1" tmp target bin extra preset out
+  tmp="$(mktemp -d)"
+  # shellcheck disable=SC2064
+  trap "rm -rf '$tmp'" RETURN
+  for target in fig8L:bench_fig8_bcast:--large \
+      fig11L:bench_fig11_allreduce:--large \
+      fig10:bench_fig10_cacheline: fig4:bench_fig4_atomics:; do
+    IFS=: read -r target bin extra <<< "$target"
+    for preset in epyc1p epyc2p armn1; do
+      out="$tmp/$target.$preset"
+      # shellcheck disable=SC2086
+      "$build_dir/bench/$bin" --csv --jobs=0 --quick --preset="$preset" \
+        $extra > "$out.timing"
+      # shellcheck disable=SC2086
+      "$build_dir/bench/$bin" --csv --jobs=0 --quick --preset="$preset" \
+        $extra --verify > "$out.full"
+      grep -q '^== ' "$out.timing"  # a table was printed at all
+      diff "$out.timing" "$out.full"
+      echo "$target/$preset: timing-only and full-data tables identical"
+    done
+  done
 }
 
 case "$mode" in
@@ -383,6 +418,13 @@ case "$mode" in
     echo "lint gate: OK"
     exit 0
     ;;
+  timing)
+    cmake -B build -S .
+    cmake --build build -j
+    run_timing_gate build
+    echo "timing gate: OK"
+    exit 0
+    ;;
   analyze)
     # Schedule verification (DESIGN.md § Static analysis): build the
     # analyzer driver, record every preset x op x size class (and the
@@ -399,7 +441,7 @@ case "$mode" in
   *)
     echo "usage: $0" \
          "[thread|address|undefined|fault|bench|largemsg|coherence|" \
-         "service|lint|analyze] [ctest args...]" >&2
+         "service|lint|analyze|timing] [ctest args...]" >&2
     exit 2
     ;;
 esac
@@ -422,12 +464,15 @@ ctest --output-on-failure -j "$(nproc)" "$@"
 if [ "$mode" = "" ] || [ "$mode" = thread ]; then
   echo "== re-running sim tests under XHC_SIM_BACKEND=threads =="
   XHC_SIM_BACKEND=threads ctest --output-on-failure -j "$(nproc)" \
-    -R 'Sim|Backend|Sched|Collectives|Fault|Check|Svc' "$@"
+    -R 'Sim|Backend|Sched|Collectives|Fault|Check|Svc|TimingOnly' "$@"
 fi
 
-# The default full run also walks the quick sweeps through the perf gate.
+# The default full run also walks the quick sweeps through the perf gate
+# and the timing-only data plane proof.
 if [ "$mode" = "" ]; then
   cd ..
   echo "== bench regression gate =="
   run_bench_gate "$build_dir"
+  echo "== timing-only data plane: tables identical with --verify =="
+  run_timing_gate "$build_dir"
 fi

@@ -5,12 +5,14 @@
 # or reaches for seq_cst (the paper's protocol is release/acquire plus
 # whitelisted acq_rel RMW — a seq_cst access is always a smell here). It
 # also keeps src/ to one splitmix64 mixer, the one every payload byte and
-# every payload check derives from.
+# every payload check derives from, and keeps the components' payload
+# traffic on the mach::Ctx data operations.
 #
 #   scripts/lint_flags.sh             # grep passes + clang-tidy (if installed)
-#   scripts/lint_flags.sh --selftest  # prove rules 5 and 6 can fail: a
-#                                     # seeded unregistered wait and await
-#                                     # and a seeded mixer copy must be
+#   scripts/lint_flags.sh --selftest  # prove rules 5, 6 and 7 can fail: a
+#                                     # seeded unregistered wait and await,
+#                                     # a seeded mixer copy and a seeded
+#                                     # memcpy in a component must be
 #                                     # rejected
 #
 # Exits nonzero on any violation.
@@ -92,6 +94,34 @@ check_mixer_copies() {
   return 0
 }
 
+# --- rule 7 machinery -------------------------------------------------------
+#
+# Components move payload only through mach::Ctx (copy, reduce,
+# write_payload). The machine then sees every byte it prices, and the
+# simulator's timing-only data plane may skip the bytes themselves
+# (DESIGN.md § Host data plane): no component code reads or writes payload
+# behind the machine's back. A direct memcpy, memset, std::copy or host
+# fold/fill helper in a component breaks both. Comment lines are prose.
+check_payload_bypass() {
+  local root="$1"
+  local calls='\b(memcpy|memmove|memset|memcmp|std::copy|copy_payload'
+  calls+='|reduce_apply|fill_pattern|fill_operands)\b'
+  local dirs=() d hits
+  for d in core base p2p smsc coll; do
+    [ -d "$root/src/$d" ] && dirs+=("$root/src/$d")
+  done
+  hits=$(grep -RnE "$calls" "${dirs[@]}" 2> /dev/null \
+    | grep -vE ':[0-9]+: *(//|\*)' || true)
+  if [ -n "$hits" ]; then
+    echo "error: payload moved outside mach::Ctx in a component (use" >&2
+    echo "ctx.copy / ctx.reduce / ctx.write_payload so the machine prices" >&2
+    echo "the bytes and the timing-only data plane stays sound):" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+  return 0
+}
+
 if [ "${1:-}" = "--selftest" ]; then
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT
@@ -134,8 +164,23 @@ EOF
   fi
   mv "$tmp/src/svc/seeded.cpp" "$tmp/src/util/prng.h"
   check_mixer_copies "$tmp"
+  cat > "$tmp/src/core/seeded.cpp" << 'EOF'
+void seeded(void* dst, const void* src, std::size_t n) {
+  std::memcpy(dst, src, n);  // seeded violation: payload behind the machine
+}
+EOF
+  if check_payload_bypass "$tmp" > /dev/null 2>&1; then
+    echo "lint_flags --selftest: FAILED (seeded component memcpy passed)" >&2
+    exit 1
+  fi
+  cat > "$tmp/src/core/seeded.cpp" << 'EOF'
+void fine(xhc::mach::Ctx& ctx, void* dst, const void* src, std::size_t n) {
+  ctx.copy(dst, src, n);  // the machine prices (and moves) these bytes
+}
+EOF
+  check_payload_bypass "$tmp"
   echo "lint_flags --selftest: OK (seeded violations caught; registered" \
-       "waits and the mixer in prng.h pass)"
+       "waits, the mixer in prng.h and Ctx copies pass)"
   exit 0
 fi
 
@@ -215,7 +260,13 @@ if ! check_mixer_copies .; then
   fail=1
 fi
 
-# 7. clang-tidy (.clang-tidy: bugprone-*, concurrency-*, performance-*)
+# 7. Components move payload only through mach::Ctx (machinery above;
+#    self-testable via --selftest).
+if ! check_payload_bypass .; then
+  fail=1
+fi
+
+# 8. clang-tidy (.clang-tidy: bugprone-*, concurrency-*, performance-*)
 #    over the verifier and machine layers, when the tool and a compilation
 #    database are available. `scripts/check.sh lint` widens this to all of
 #    src/ via run-clang-tidy with -warnings-as-errors.

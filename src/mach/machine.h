@@ -9,8 +9,9 @@
 //   * SimMachine  — the same thread-per-rank execution, but under a
 //     deterministic virtual-time scheduler with a node cost model
 //     (topology-priced copies, cache-line service, congestion). Data
-//     operations still move real bytes, so correctness is checked in
-//     simulation too.
+//     operations move real bytes, so correctness is checked in simulation
+//     too — unless a caller that reads no payload switches the machine to
+//     its timing-only data plane (Machine::set_timing_only).
 //
 // See DESIGN.md §3.
 #pragma once
@@ -62,9 +63,9 @@ class Ctx {
   /// overrides it to sleep, so the loss is observable in wall time.
   virtual void stall(double seconds) { charge(seconds); }
 
-  /// Copies `n` bytes. Both machines move the bytes; the simulator also
-  /// prices the transfer from the buffers' homes, cache residency and
-  /// current congestion.
+  /// Copies `n` bytes. Both machines move the bytes (the simulator not in
+  /// its timing-only data plane); the simulator also prices the transfer
+  /// from the buffers' homes, cache residency and current congestion.
   virtual void copy(void* dst, const void* src, std::size_t n) = 0;
 
   /// dst[i] = op(dst[i], src[i]); priced like a read of src plus a
@@ -204,6 +205,18 @@ class Machine {
   /// sweep) and obs::Metrics::reset_counters compose without double
   /// counting.
   virtual void publish_coh_counters(obs::Metrics& /*m*/) {}
+
+  /// Timing-only data plane (DESIGN.md § Host data plane). While on, a
+  /// machine that honours the switch prices every write_payload, copy and
+  /// reduce exactly as before — same virtual time, cache and resource
+  /// bookings, access events — but moves no payload bytes, so buffer
+  /// contents are unspecified. Legal only while no host code reads payload:
+  /// the OSU sweeps turn it on when they do not verify. Returns whether the
+  /// machine honours the switch; the default (RealMachine, and every
+  /// decorator, which keeps the full data plane by not forwarding it)
+  /// returns false and moves bytes. Set only outside parallel regions.
+  virtual bool set_timing_only(bool /*on*/) { return false; }
+  virtual bool timing_only() const noexcept { return false; }
 
   Machine() = default;
   Machine(const Machine&) = delete;

@@ -115,6 +115,86 @@ struct SizeHist {
   std::unique_ptr<obs::HistSet> set;
 };
 
+/// The machine's timing-only data plane for one sweep: on when the sweep
+/// verifies nothing (then no host code reads its payload) and the machine
+/// honours the switch, off when it verifies; the previous state comes back
+/// on exit, exceptions included. Decorators keep the full data plane by
+/// not forwarding the switch (mach::Machine::set_timing_only).
+class DataPlane {
+ public:
+  DataPlane(mach::Machine& m, const Config& config)
+      : m_(m),
+        prev_(m.timing_only()),
+        on_(m.set_timing_only(!config.verify) && !config.verify) {}
+  ~DataPlane() { m_.set_timing_only(prev_); }
+  DataPlane(const DataPlane&) = delete;
+  DataPlane& operator=(const DataPlane&) = delete;
+
+  /// Whether payload bytes are skipped, so receive buffers need no
+  /// zero-fill: nothing reads them.
+  bool timing_only() const noexcept { return on_; }
+
+ private:
+  mach::Machine& m_;
+  const bool prev_;  // read before on_'s initializer sets the switch
+  const bool on_;
+};
+
+/// Mean, fastest and slowest rank of one size's timed iterations.
+SizeResult summarize(const std::vector<PaddedAcc>& acc, std::size_t bytes,
+                     int iters) {
+  SizeResult sr;
+  sr.bytes = bytes;
+  double sum = 0.0;
+  double mn = 1e300;
+  double mx = 0.0;
+  for (const PaddedAcc& a : acc) {
+    const double us = a.value / iters * 1e6;
+    sum += us;
+    mn = std::min(mn, us);
+    mx = std::max(mx, us);
+  }
+  sr.avg_us = sum / static_cast<double>(acc.size());
+  sr.min_us = mn;
+  sr.max_us = mx;
+  return sr;
+}
+
+/// Seed of rank r's contribution at iteration `it` of a reduction sweep.
+std::uint64_t operand_seed(std::uint64_t base, int it, int r) {
+  return base + static_cast<std::uint64_t>(it * 1000 + r);
+}
+
+/// Element-wise check of the float sums held by ranks [first, last] of
+/// `rbufs` against a double-precision reference of the operands every rank
+/// contributed at iteration `it`. The operands are exact multiples of 1/256
+/// in [-1, 1), so any summation order agrees with the reference to well
+/// under the tolerance; a mismatch means payload corruption, not
+/// reassociation.
+void check_sums(const coll::Component& comp, const char* op,
+                const std::vector<mach::Buffer>& rbufs, int first, int last,
+                std::uint64_t seed_base, int it, std::size_t count) {
+  std::vector<double> expect(count);
+  for (std::size_t r = 0; r < rbufs.size(); ++r) {
+    const std::uint64_t seed =
+        operand_seed(seed_base, it, static_cast<int>(r));
+    for (std::size_t i = 0; i < count; ++i) {
+      expect[i] += static_cast<double>(util::operand(seed, i));
+    }
+  }
+  for (int r = first; r <= last; ++r) {
+    const auto* got =
+        static_cast<const float*>(rbufs[static_cast<std::size_t>(r)].get());
+    for (std::size_t i = 0; i < count; ++i) {
+      const double tol = 1e-4 * std::max(1.0, std::abs(expect[i]));
+      XHC_CHECK(std::abs(static_cast<double>(got[i]) - expect[i]) <= tol,
+                comp.name(), ": ", op, " result mismatch at rank ", r,
+                " elem ", i, " size ", count * sizeof(float), " (got ",
+                static_cast<double>(got[i]), ", want ", expect[i], ")");
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<SizeResult> bcast_sweep(mach::Machine& machine,
@@ -123,6 +203,7 @@ std::vector<SizeResult> bcast_sweep(mach::Machine& machine,
                                     const Config& config) {
   const int n = machine.n_ranks();
   if (config.observer != nullptr) comp.set_observer(config.observer);
+  const DataPlane plane(machine, config);
   std::vector<SizeResult> results;
   results.reserve(sizes.size());
 
@@ -172,23 +253,8 @@ std::vector<SizeResult> bcast_sweep(mach::Machine& machine,
       }
     }
 
-    SizeResult sr;
-    sr.bytes = bytes;
-    double sum = 0.0;
-    double mn = 1e300;
-    double mx = 0.0;
-    for (int r = 0; r < n; ++r) {
-      const double us =
-          acc[static_cast<std::size_t>(r)].value / config.iters * 1e6;
-      sum += us;
-      mn = std::min(mn, us);
-      mx = std::max(mx, us);
-    }
-    sr.avg_us = sum / n;
-    sr.min_us = mn;
-    sr.max_us = mx;
-    results.push_back(sr);
-    hist.finish(config, sr.bytes);
+    results.push_back(summarize(acc, bytes, config.iters));
+    hist.finish(config, bytes);
   }
   publish_verify_summary(machine, config.observer);
   return results;
@@ -200,6 +266,7 @@ std::vector<SizeResult> allreduce_sweep(mach::Machine& machine,
                                         const Config& config) {
   const int n = machine.n_ranks();
   if (config.observer != nullptr) comp.set_observer(config.observer);
+  const DataPlane plane(machine, config);
   std::vector<SizeResult> results;
   results.reserve(sizes.size());
 
@@ -210,14 +277,19 @@ std::vector<SizeResult> allreduce_sweep(mach::Machine& machine,
     std::vector<mach::Buffer> rbufs;
     for (int r = 0; r < n; ++r) {
       // Send operands are fully rewritten before iteration 0; receive
-      // operands may be read-modify-written by components, so stay zeroed.
+      // operands may be read-modify-written by components, so stay zeroed
+      // while bytes move.
       sbufs.emplace_back(machine, r, real_bytes, /*zero=*/false);
-      rbufs.emplace_back(machine, r, real_bytes);
+      rbufs.emplace_back(machine, r, real_bytes, !plane.timing_only());
     }
     std::vector<PaddedAcc> acc(static_cast<std::size_t>(n));
     SizeHist hist(config, n);
 
     const int total = config.warmup + config.iters;
+    // Mind this closure's captures (here and in the other sweeps): their
+    // count sizes its std::function heap block, and modeled latency
+    // depends on heap placement through the registration cache (DESIGN.md
+    // § Host data plane).
     machine.run([&](mach::Ctx& ctx) {
       const int r = ctx.rank();
       void* sbuf = sbufs[static_cast<std::size_t>(r)].get();
@@ -226,8 +298,7 @@ std::vector<SizeResult> allreduce_sweep(mach::Machine& machine,
         if (config.modify_buffer || it == 0) {
           // Every rank refreshes its contribution (the payload actually
           // changes between calls in real applications, §V-A).
-          const std::uint64_t seed =
-              0xA000u + static_cast<std::uint64_t>(it * 1000 + r);
+          const std::uint64_t seed = operand_seed(0xA000u, it, r);
           ctx.write_payload(sbuf, real_bytes, seed);
           if (config.verify) {
             // Swap the timed garbage bytes for verifiable operands. The
@@ -249,51 +320,11 @@ std::vector<SizeResult> allreduce_sweep(mach::Machine& machine,
     });
 
     if (config.verify) {
-      // Element-wise check of every rank's result against a double-precision
-      // reference of the last iteration's operands. The operands are exact
-      // multiples of 1/256 in [-1, 1), so any summation order agrees with
-      // the reference to well under the tolerance; a mismatch means payload
-      // corruption, not reassociation.
-      const int last_it = config.modify_buffer ? total - 1 : 0;
-      std::vector<double> expect(count);
-      for (int r = 0; r < n; ++r) {
-        const std::uint64_t seed =
-            0xA000u + static_cast<std::uint64_t>(last_it * 1000 + r);
-        for (std::size_t i = 0; i < count; ++i) {
-          expect[i] += static_cast<double>(util::operand(seed, i));
-        }
-      }
-      for (int r = 0; r < n; ++r) {
-        const auto* got =
-            static_cast<const float*>(rbufs[static_cast<std::size_t>(r)].get());
-        for (std::size_t i = 0; i < count; ++i) {
-          const double tol =
-              1e-4 * std::max(1.0, std::abs(expect[i]));
-          XHC_CHECK(std::abs(static_cast<double>(got[i]) - expect[i]) <= tol,
-                    comp.name(), ": allreduce result mismatch at rank ", r,
-                    " elem ", i, " size ", real_bytes, " (got ",
-                    static_cast<double>(got[i]), ", want ", expect[i], ")");
-        }
-      }
+      check_sums(comp, "allreduce", rbufs, 0, n - 1, 0xA000u,
+                 config.modify_buffer ? total - 1 : 0, count);
     }
-
-    SizeResult sr;
-    sr.bytes = real_bytes;
-    double sum = 0.0;
-    double mn = 1e300;
-    double mx = 0.0;
-    for (int r = 0; r < n; ++r) {
-      const double us =
-          acc[static_cast<std::size_t>(r)].value / config.iters * 1e6;
-      sum += us;
-      mn = std::min(mn, us);
-      mx = std::max(mx, us);
-    }
-    sr.avg_us = sum / n;
-    sr.min_us = mn;
-    sr.max_us = mx;
-    results.push_back(sr);
-    hist.finish(config, sr.bytes);
+    results.push_back(summarize(acc, real_bytes, config.iters));
+    hist.finish(config, real_bytes);
   }
   publish_verify_summary(machine, config.observer);
   return results;
@@ -305,6 +336,7 @@ std::vector<SizeResult> reduce_sweep(mach::Machine& machine,
                                      const Config& config) {
   const int n = machine.n_ranks();
   if (config.observer != nullptr) comp.set_observer(config.observer);
+  const DataPlane plane(machine, config);
   std::vector<SizeResult> results;
   results.reserve(sizes.size());
 
@@ -314,10 +346,9 @@ std::vector<SizeResult> reduce_sweep(mach::Machine& machine,
     std::vector<mach::Buffer> sbufs;
     std::vector<mach::Buffer> rbufs;
     for (int r = 0; r < n; ++r) {
-      // Send operands are fully rewritten before iteration 0; receive
-      // operands may be read-modify-written by components, so stay zeroed.
+      // As in allreduce_sweep.
       sbufs.emplace_back(machine, r, real_bytes, /*zero=*/false);
-      rbufs.emplace_back(machine, r, real_bytes);
+      rbufs.emplace_back(machine, r, real_bytes, !plane.timing_only());
     }
     std::vector<PaddedAcc> acc(static_cast<std::size_t>(n));
     SizeHist hist(config, n);
@@ -329,9 +360,11 @@ std::vector<SizeResult> reduce_sweep(mach::Machine& machine,
       void* rbuf = rbufs[static_cast<std::size_t>(r)].get();
       for (int it = 0; it < total; ++it) {
         if (config.modify_buffer || it == 0) {
-          ctx.write_payload(sbuf, real_bytes,
-                            0xC000u + static_cast<std::uint64_t>(
-                                          it * 1000 + r));
+          const std::uint64_t seed = operand_seed(0xC000u, it, r);
+          ctx.write_payload(sbuf, real_bytes, seed);
+          if (config.verify) {
+            util::fill_operands(static_cast<float*>(sbuf), count, seed);
+          }
         }
         ctx.barrier();
         const double t0 = ctx.now();
@@ -345,23 +378,12 @@ std::vector<SizeResult> reduce_sweep(mach::Machine& machine,
       }
     });
 
-    SizeResult sr;
-    sr.bytes = real_bytes;
-    double sum = 0.0;
-    double mn = 1e300;
-    double mx = 0.0;
-    for (int r = 0; r < n; ++r) {
-      const double us =
-          acc[static_cast<std::size_t>(r)].value / config.iters * 1e6;
-      sum += us;
-      mn = std::min(mn, us);
-      mx = std::max(mx, us);
+    if (config.verify) {
+      check_sums(comp, "reduce", rbufs, config.root, config.root, 0xC000u,
+                 config.modify_buffer ? total - 1 : 0, count);
     }
-    sr.avg_us = sum / n;
-    sr.min_us = mn;
-    sr.max_us = mx;
-    results.push_back(sr);
-    hist.finish(config, sr.bytes);
+    results.push_back(summarize(acc, real_bytes, config.iters));
+    hist.finish(config, real_bytes);
   }
   publish_verify_summary(machine, config.observer);
   return results;

@@ -23,11 +23,16 @@ struct Config {
   bool modify_buffer = true;  ///< the `_mb` variant (default in §V)
   int root = 0;
   /// Payload verification after each size's sweep. Bcast compares the raw
-  /// pattern bytes; allreduce additionally swaps the timed garbage operands
-  /// for bounded deterministic floats (exact multiples of 1/256, so the
-  /// double-precision reference sum bounds the rounding error tightly) and
-  /// checks every rank's result element-wise. The operand swap is host-side
+  /// pattern bytes; allreduce and reduce additionally swap the timed
+  /// garbage operands for bounded deterministic floats (exact multiples of
+  /// 1/256, so the double-precision reference sum bounds the rounding error
+  /// tightly) and check the result element-wise, on every rank for
+  /// allreduce and on the root for reduce. The operand swap is host-side
   /// and unmodeled, so virtual timings are identical with verify on or off.
+  /// It also selects the data plane: verifying sweeps move every payload
+  /// byte, while sweeps without verification run on the machine's
+  /// timing-only data plane when it has one (mach::Machine::
+  /// set_timing_only) — same virtual times, no payload bytes moved.
   bool verify = true;
   /// When non-null, attached to the component before the sweep (the
   /// component's Tuning::trace must also be set for collection to engage).

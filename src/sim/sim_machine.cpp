@@ -90,7 +90,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
     const auto* src_block = m_->registry_.find(src);
     const auto* dst_block = m_->registry_.find(dst);
     const double d = m_->price_read(src_block, core_, n, t, 1.0);
-    util::copy_payload(dst, src, n);
+    if (!m_->timing_only_) util::copy_payload(dst, src, n);
     if (dst_block != nullptr) m_->cache_.on_write(dst_block->id, core_);
     if (m_->access_ != nullptr) {
       m_->access_->on_data(rank_, src, n, /*write=*/false);
@@ -110,7 +110,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
     const double d1 = m_->price_read(src_block, core_, n, t,
                                      m_->params_.reduce_bw_factor);
     const double d2 = m_->price_read(dst_block, core_, n, t + d1, 1.0);
-    mach::reduce_apply(dst, src, count, dtype, op);
+    if (!m_->timing_only_) mach::reduce_apply(dst, src, count, dtype, op);
     if (dst_block != nullptr) m_->cache_.on_write(dst_block->id, core_);
     if (m_->access_ != nullptr) {
       m_->access_->on_data(rank_, src, n, /*write=*/false);
@@ -120,7 +120,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
   }
 
   void write_payload(void* dst, std::size_t n, std::uint64_t seed) override {
-    util::fill_pattern(dst, n, seed);
+    if (!m_->timing_only_) util::fill_pattern(dst, n, seed);
     const auto* block = m_->registry_.find(dst);
     if (block != nullptr) m_->cache_.on_write(block->id, core_);
     if (m_->access_ != nullptr) {

@@ -1,8 +1,9 @@
 // SimMachine — deterministic virtual-time execution over a modeled node.
 //
 // Runs the same rank functions as RealMachine (data operations move real
-// bytes), but each operation also advances a virtual clock priced by the
-// node model: topology-dependent copy costs with congestion (Fig. 1),
+// bytes outside the timing-only data plane), but each operation also
+// advances a virtual clock priced by the node model: topology-dependent
+// copy costs with congestion (Fig. 1),
 // cache residency (Fig. 7), cache-line service for flags (Fig. 4, Fig. 10),
 // and explicit charges for mechanism overheads (XPMEM attach, syscalls —
 // charged by the smsc layer). The virtual clock is continuous across run()
@@ -64,6 +65,17 @@ class SimMachine final : public mach::Machine {
   bool coh_report(obs::CohReport* out) const override;
   void publish_coh_counters(obs::Metrics& m) override;
 
+  /// Timing-only data plane (mach::Machine hook): write_payload, copy and
+  /// reduce skip the byte work and nothing else — pricing, cache model,
+  /// resource ledger, access sink and scheduler advance are unchanged, so
+  /// virtual timestamps are identical either way. Honoured; set between
+  /// runs only.
+  bool set_timing_only(bool on) override {
+    timing_only_ = on;
+    return true;
+  }
+  bool timing_only() const noexcept override { return timing_only_; }
+
   /// Exploration hooks (src/check/). The pick hook perturbs the scheduler's
   /// run order; the access sink observes every flag/data operation. Both
   /// default to null (zero behavioral change) and are installed on the
@@ -124,6 +136,9 @@ class SimMachine final : public mach::Machine {
   VirtualScheduler::PickHook pick_hook_;     // exploration; usually null
   AccessSink* access_ = nullptr;             // exploration; usually null
   SimBackend backend_ = backend_from_env();
+  // Fills the padding after backend_: sizeof(SimMachine) is unchanged, so
+  // host heap placement (and the regcache hits keyed on it) is too.
+  bool timing_only_ = false;
   double epoch_ = 0.0;
 };
 

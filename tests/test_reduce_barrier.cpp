@@ -15,6 +15,7 @@
 #include "osu/harness.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
+#include "util/check.h"
 
 namespace xhc {
 namespace {
@@ -235,6 +236,49 @@ TEST(Reduce, NativeXhcSkipsTheBroadcast) {
   const double rs_ag =
       osu::allreduce_sweep(m3, *c3, {1u << 20}, cfg).front().avg_us;
   EXPECT_LT(rs_ag, all);
+}
+
+/// Forwards to a real component; after every reduce the root flips the top
+/// exponent bit of its result's first element (a low-order flip can hide
+/// inside the verification tolerance).
+class FlipRootResult final : public coll::Component {
+ public:
+  explicit FlipRootResult(coll::Component& in) : in_(in) {}
+  std::string_view name() const noexcept override { return in_.name(); }
+  void bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
+             int root) override {
+    in_.bcast(ctx, buf, bytes, root);
+  }
+  void allreduce(mach::Ctx& ctx, const void* sbuf, void* rbuf,
+                 std::size_t count, mach::DType dtype,
+                 mach::ROp op) override {
+    in_.allreduce(ctx, sbuf, rbuf, count, dtype, op);
+  }
+  void reduce(mach::Ctx& ctx, const void* sbuf, void* rbuf, std::size_t count,
+              mach::DType dtype, mach::ROp op, int root) override {
+    in_.reduce(ctx, sbuf, rbuf, count, dtype, op, root);
+    if (ctx.rank() == root) static_cast<unsigned char*>(rbuf)[3] ^= 0x40;
+  }
+
+ private:
+  coll::Component& in_;
+};
+
+TEST(Reduce, SweepVerifiesTheRootResult) {
+  // Config::verify (the default) checks the root's result element-wise, so
+  // a corrupted result must fail the sweep — on every root.
+  for (const char* name : {"xhc", "tuned", "ucc"}) {
+    for (const int root : {0, 5}) {
+      SCOPED_TRACE(std::string(name) + " root " + std::to_string(root));
+      osu::Config cfg;
+      cfg.root = root;
+      sim::SimMachine m(topo::mini8(), 8);
+      auto comp = coll::make_component(name, m);
+      EXPECT_NO_THROW(osu::reduce_sweep(m, *comp, {64, 4096}, cfg));
+      FlipRootResult flip(*comp);
+      EXPECT_THROW(osu::reduce_sweep(m, flip, {64, 4096}, cfg), util::Error);
+    }
+  }
 }
 
 TEST(Reduce, InPlaceAtRoot) {

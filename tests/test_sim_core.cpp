@@ -1,18 +1,23 @@
 // Unit tests for the simulator building blocks: the congestion ledger, the
-// buffer cache model, the cache-line model, and the virtual-time scheduler.
+// buffer cache model, the cache-line model, the virtual-time scheduler, and
+// the machine's timing-only data plane.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <tuple>
 
 #include "sim/cache_model.h"
 #include "sim/line_model.h"
 #include "sim/params.h"
 #include "sim/resources.h"
 #include "sim/scheduler.h"
+#include "sim/sim_machine.h"
 #include "topo/presets.h"
 #include "util/check.h"
 
@@ -407,6 +412,117 @@ TEST(SchedulerBackend, EnvSelection) {
   setenv("XHC_SIM_BACKEND", "bogus", 1);
   EXPECT_THROW(backend_from_env(), util::Error);
   unsetenv("XHC_SIM_BACKEND");
+}
+
+// ---------------------------------------------------------------------------
+// SimMachine timing-only data plane
+
+/// Records every payload access as (rank, buffer index, bytes, write), so
+/// the streams of two machines with different heap addresses compare equal.
+class DataRecorder final : public AccessSink {
+ public:
+  explicit DataRecorder(std::vector<void*> bufs) : bufs_(std::move(bufs)) {}
+  void on_flag(int, const mach::Flag*, FlagOp, std::uint64_t) override {}
+  void on_data(int rank, const void* p, std::size_t n, bool write) override {
+    const auto at = std::find(bufs_.begin(), bufs_.end(), p) - bufs_.begin();
+    events.emplace_back(rank, at, n, write);
+  }
+  std::vector<std::tuple<int, std::ptrdiff_t, std::size_t, bool>> events;
+
+ private:
+  std::vector<void*> bufs_;
+};
+
+/// What one machine observed of a fixed payload program: virtual time after
+/// every operation, the cache model's view of every buffer afterwards, the
+/// access stream, and which buffers still hold their sentinel bytes.
+struct PlaneTrace {
+  std::vector<std::vector<double>> now;  // per rank
+  std::vector<std::uint64_t> versions;   // per buffer
+  std::vector<bool> resident;            // per buffer x LLC group
+  std::vector<std::tuple<int, std::ptrdiff_t, std::size_t, bool>> events;
+  std::vector<bool> sentinel;            // per buffer
+  double epoch = 0.0;
+};
+
+PlaneTrace run_payload_program(bool timing_only) {
+  SimMachine m(topo::mini16(), 16);
+  EXPECT_TRUE(m.set_timing_only(timing_only));
+  EXPECT_EQ(m.timing_only(), timing_only);
+  // 64 KiB takes the vector fill and the non-temporal copy; 256 B the
+  // scalar fill and memcpy. Destinations sit on both sockets.
+  // Each buffer starts with its own sentinel byte, so a copy or fold
+  // that moves even sentinel bytes shows.
+  constexpr std::size_t kBytes = 64 << 10;
+  constexpr std::size_t kSmall = 256;
+  constexpr unsigned char kSentinel[] = {0x5A, 0xA5, 0xC3, 0x3C};
+  std::vector<void*> bufs;
+  for (const int owner : {0, 1, 9, 9}) {
+    bufs.push_back(m.alloc(owner, kBytes));
+    std::memset(bufs.back(), kSentinel[bufs.size() - 1], kBytes);
+  }
+  void* src = bufs[0];
+  void* near = bufs[1];
+  void* far = bufs[2];
+  void* acc = bufs[3];
+  DataRecorder rec(bufs);
+  m.set_access_sink(&rec);
+  PlaneTrace t;
+  t.now.resize(16);
+  m.run([&](mach::Ctx& ctx) {
+    auto& now = t.now[static_cast<std::size_t>(ctx.rank())];
+    for (const std::size_t n : {kSmall, kBytes}) {
+      if (ctx.rank() == 0) {
+        ctx.write_payload(src, n, 0x5eed + n);
+        now.push_back(ctx.now());
+      }
+      ctx.barrier();
+      if (ctx.rank() == 1) {
+        ctx.copy(near, src, n);
+        now.push_back(ctx.now());
+      }
+      if (ctx.rank() == 9) {
+        ctx.copy(far, src, n);
+        now.push_back(ctx.now());
+        ctx.reduce(acc, far, n / sizeof(float), mach::DType::kF32,
+                   mach::ROp::kSum);
+        now.push_back(ctx.now());
+      }
+      ctx.barrier();
+    }
+  });
+  m.set_access_sink(nullptr);
+  t.events = rec.events;
+  t.epoch = m.epoch();
+  for (std::size_t i = 0; i < bufs.size(); ++i) {
+    const std::uint64_t id = m.registry().find(bufs[i])->id;
+    t.versions.push_back(m.cache_model().version(id));
+    for (int l = 0; l < m.topology().n_llc(); ++l) {
+      t.resident.push_back(m.cache_model().resident_in_llc(id, l));
+    }
+    const auto* b = static_cast<const unsigned char*>(bufs[i]);
+    t.sentinel.push_back(std::all_of(b, b + kBytes, [&](unsigned char c) {
+      return c == kSentinel[i];
+    }));
+    m.free(bufs[i]);
+  }
+  return t;
+}
+
+TEST(TimingOnly, SimMachineMovesNoBytesAtEqualCost) {
+  const PlaneTrace full = run_payload_program(false);
+  const PlaneTrace timing = run_payload_program(true);
+  // The full data plane rewrote every buffer; the timing-only one none.
+  EXPECT_EQ(full.sentinel, std::vector<bool>(4, false));
+  EXPECT_EQ(timing.sentinel, std::vector<bool>(4, true));
+  // Everything the cost model sees is the same.
+  EXPECT_EQ(timing.now, full.now);
+  EXPECT_EQ(timing.epoch, full.epoch);
+  EXPECT_EQ(timing.versions, full.versions);
+  EXPECT_EQ(timing.resident, full.resident);
+  EXPECT_EQ(timing.events, full.events);
+  EXPECT_EQ(full.events.size(), 2u * (1 + 2 + 2 + 2));
+  EXPECT_EQ(full.now[9].size(), 4u);
 }
 
 }  // namespace
