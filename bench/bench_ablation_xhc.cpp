@@ -8,7 +8,12 @@
 //   * registration cache on/off for the full XHC data path (§III-C);
 //   * allreduce size class: the latency path vs reduce-scatter + allgather
 //     vs the shipped default, 2 KiB-128 KiB on every paper system (where
-//     the rs_ag_threshold crossover lies; EXPERIMENTS.md).
+//     the rs_ag_threshold crossover lies; EXPERIMENTS.md);
+//   * large-message paths: the LLC-deep shard nest on/off x bcast striping
+//     on/off, allreduce and bcast 16 KiB-4 MiB on every paper system, mean
+//     and slowest rank (why llc_shards is on and xhc stripes nothing by
+//     default; DESIGN.md § Large-message paths).
+#include <array>
 #include <optional>
 
 #include "bench/bench_common.h"
@@ -177,6 +182,70 @@ static int run(int argc, char** argv) {
       bench::emit(args, table,
                   std::string("Ablation: allreduce size class (us), ") +
                       std::string(system));
+    }
+  }
+
+  // --- large-message paths (every paper system) ---------------------------
+  {
+    const std::vector<std::size_t> sizes =
+        args.quick ? std::vector<std::size_t>{16384, 1 << 20}
+                   : std::vector<std::size_t>{16384, 65536, 262144, 1 << 20,
+                                              4 << 20};
+    struct Variant {
+      const char* label;
+      bool llc_shards;
+      std::size_t stripe_threshold;
+    };
+    // The default first; ucc's and xhc-flat's 128 KiB stripe threshold.
+    constexpr std::array<Variant, 4> kVariants{{{"llc/pipe", true, 0},
+                                                {"llc/stripe", true, 128 << 10},
+                                                {"tree/pipe", false, 0},
+                                                {"tree/stripe", false,
+                                                 128 << 10}}};
+    const auto systems = args.systems();
+    // One point per (system, variant, op), each on a private machine, so
+    // --jobs runs them in any order and the tables stay byte-identical.
+    const std::size_t per_system = 2 * kVariants.size();
+    std::vector<std::vector<osu::SizeResult>> res(systems.size() * per_system);
+    osu::run_points(res.size(), args.effective_jobs(), [&](std::size_t i) {
+      const Variant& v = kVariants[i % per_system / 2];
+      auto machine = bench::make_system(systems[i / per_system]);
+      coll::Tuning tuning;
+      args.apply_tuning(tuning);
+      tuning.llc_shards = v.llc_shards;
+      tuning.stripe_threshold = v.stripe_threshold;
+      core::XhcComponent comp(*machine, tuning, "xhc-large");
+      osu::Config cfg;
+      cfg.warmup = 1;
+      cfg.iters = args.quick ? 1 : 2;
+      cfg.verify = args.verify;
+      res[i] = i % 2 == 0 ? osu::allreduce_sweep(*machine, comp, sizes, cfg)
+                          : osu::bcast_sweep(*machine, comp, sizes, cfg);
+    });
+    for (std::size_t si = 0; si < systems.size(); ++si) {
+      std::vector<std::string> header{"Op", "Size"};
+      for (const Variant& v : kVariants) {
+        header.push_back(std::string(v.label) + " avg");
+        header.push_back(std::string(v.label) + " max");
+      }
+      util::Table table(std::move(header));
+      for (const int op : {0, 1}) {
+        for (std::size_t k = 0; k < sizes.size(); ++k) {
+          std::vector<std::string> row{op == 0 ? "allreduce" : "bcast",
+                                       util::Table::fmt_bytes(sizes[k])};
+          for (std::size_t vi = 0; vi < kVariants.size(); ++vi) {
+            const osu::SizeResult& r =
+                res[si * per_system + 2 * vi + static_cast<std::size_t>(op)][k];
+            row.push_back(bench::us(r.avg_us));
+            row.push_back(bench::us(r.max_us));
+          }
+          table.add_row(std::move(row));
+        }
+      }
+      bench::emit(args, table,
+                  "Ablation: large-message paths (us; shard nest llc|tree x "
+                  "bcast pipe|stripe), " +
+                      std::string(systems[si]));
     }
   }
   return 0;

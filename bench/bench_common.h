@@ -57,8 +57,9 @@ struct BenchArgs {
   std::uint64_t fault_seed = 1;  ///< --fault-seed=<n>
   /// --large: extend the size sweep with the large-message points (256 KB,
   /// 1 MB, 4 MB). Mainly useful with --quick, whose sweep otherwise stops
-  /// at 64 KB below the stripe threshold (allreduce takes RS+AG from 16 KB
-  /// on); the full sweep already contains these sizes.
+  /// at 64 KB, below ucc's and xhc-flat's 128 KiB stripe threshold
+  /// (allreduce takes RS+AG from 16 KB on); the full sweep already contains
+  /// these sizes.
   bool large = false;
   /// --tune=key=value (repeatable): MCA-style parameter assignments applied
   /// to every component built through apply_tuning(), after the dedicated

@@ -2,8 +2,8 @@
 //
 // Drives the svc:: layer with the deterministic loadgen: N overlapping
 // communicators over one node, seed-driven open-loop arrivals of mixed
-// bcast/allreduce/reduce/barrier streams with sizes straddling the 128 KiB
-// stripe threshold, admission control + backpressure against a shared
+// bcast/allreduce/reduce/barrier streams with sizes straddling a 128 KiB
+// edge, admission control + backpressure against a shared
 // Arbiter budget, per-request payload integrity verification, and
 // p50/p99/p999 completion latency per op class.
 //

@@ -168,7 +168,7 @@ case "$mode" in
     scripts/lint_flags.sh
     cmake -B build -S .
     cmake --build build -j
-    largemsg_tests='LargeMsg|Collectives|ReduceKernels|ShardPlan|Partition|ShardSchedule|Reduce\.'
+    largemsg_tests='LargeMsg|LlcShardNest|Collectives|ReduceKernels|ShardPlan|Partition|ShardSchedule|Reduce\.'
     (cd build && ctest --output-on-failure -j "$(nproc)" \
       -R "$largemsg_tests" "$@")
     tmp="$(mktemp -d)"
@@ -176,16 +176,22 @@ case "$mode" in
     echo "== result-verified large sweeps =="
     build/bench/bench_fig11_allreduce --quick --large --verify \
       --preset=epyc2p > /dev/null
+    # xhc pipelines every bcast by default (xhc-flat and ucc stripe above
+    # their pinned 128 KiB), so the second run stripes xhc's tree as well.
     build/bench/bench_fig8_bcast --quick --large --verify \
       --preset=epyc2p > /dev/null
+    build/bench/bench_fig8_bcast --quick --large --verify \
+      --preset=epyc2p --tune=xhc_stripe_threshold=131072 > /dev/null
     # Tiny grids with the thresholds pulled down: the nested schedule and
-    # striping run on every size of the quick sweep under verification.
+    # xhc's striping run on every size of the quick sweep under
+    # verification (xhc-flat keeps its pinned 128 KiB here; its striping at
+    # small sizes is LargeMsgPaths.BcastStripedPayloadIntegrity's).
     build/bench/bench_fig11_allreduce --quick --verify --preset=mini8 \
       --tune=xhc_rs_ag_threshold=4096 > /dev/null
     build/bench/bench_fig8_bcast --quick --verify --preset=mini16 \
       --tune=xhc_stripe_threshold=4096 > /dev/null
     echo "verified sweeps: ok"
-    echo "== bit-identity: rows at or below the default thresholds unchanged with large paths off =="
+    echo "== bit-identity: rows at or below the thresholds unchanged with large paths off =="
     # Keeps the header lines and the rows whose Size is at most $1 bytes.
     rows_upto() {
       awk -F, -v max="$1" '$1 ~ /^[0-9]+[KM]?$/ {
@@ -195,12 +201,14 @@ case "$mode" in
         if (n > max) next
       } { print }'
     }
-    # The default stripe_threshold (128 KiB) lies above fig8's whole quick
-    # sweep; the default rs_ag_threshold (8 KiB) splits fig11's, so only its
-    # 4 B-4 KiB rows stay on the latency path.
+    # The "on" side enables xhc's striping at 128 KiB (its default stripes
+    # nothing; xhc-flat and ucc pin 128 KiB and ignore the key), which lies
+    # above fig8's whole quick sweep; the default rs_ag_threshold (8 KiB)
+    # splits fig11's, so only its 4 B-4 KiB rows stay on the latency path.
     for fig in fig8_bcast:131072 fig11_allreduce:8192; do
       max="${fig#*:}" fig="${fig%:*}"
       "build/bench/bench_$fig" --quick --csv --jobs=0 \
+        --tune=xhc_stripe_threshold=131072 \
         | rows_upto "$max" > "$tmp/$fig.on"
       "build/bench/bench_$fig" --quick --csv --jobs=0 \
         --tune=xhc_rs_ag_threshold=0 --tune=xhc_stripe_threshold=0 \

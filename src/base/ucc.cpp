@@ -3,7 +3,8 @@
 namespace xhc::base {
 
 UccComponent::UccComponent(mach::Machine& machine, coll::Tuning tuning) {
-  // Static socket-level schedule, coarse chunks, no finer topology levels.
+  // Static socket-level schedule, coarse chunks, no finer topology levels —
+  // also none in the reduce-scatter shard plan.
   // Multi-socket: static socket-level trees. Single socket: UCC still
   // builds one-level trees (knomial teams), modeled as a NUMA-level
   // hierarchy rather than a flat fan-out.
@@ -14,6 +15,7 @@ UccComponent::UccComponent(mach::Machine& machine, coll::Tuning tuning) {
   tuning.sync = coll::SyncMethod::kSingleWriter;
   tuning.rs_ag_threshold = kLargeThreshold;
   tuning.stripe_threshold = kLargeThreshold;
+  tuning.llc_shards = false;
   inner_ = std::make_unique<core::XhcComponent>(machine, std::move(tuning),
                                                 "ucc-inner");
 }

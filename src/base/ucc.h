@@ -17,7 +17,9 @@
 // UCC's switch to its scatter-reduce-allgather algorithms (the point the
 // paper's Fig. 11 comparison was measured at). Both thresholds are fixed
 // here, so XHC's tuned thresholds and `--tune=xhc_*_threshold` leave the
-// ucc column alone. Below them, the inner component folds every allreduce
+// ucc column alone. Its reduce-scatter shards follow the same socket-level
+// tree (Tuning::llc_shards off), not XHC's LLC-deep shard nest. Below the
+// thresholds, the inner component folds every allreduce
 // that fits its 64 KiB chunk through XHC's binomial fan-in per group
 // (DESIGN.md § Allreduce fan-in), standing for UCC's knomial reduce; this
 // is a modeling choice, not a side effect.

@@ -17,7 +17,10 @@ std::unique_ptr<Component> make_component(std::string_view name,
                                                 "xhc");
   }
   if (name == "xhc-flat") {
+    // Striping pays off for a flat tree's one wide group at large sizes
+    // (EXPERIMENTS.md), so xhc-flat keeps it, at ucc's 128 KiB.
     tuning.sensitivity = "flat";
+    tuning.stripe_threshold = 128 * 1024;
     return std::make_unique<core::XhcComponent>(machine, std::move(tuning),
                                                 "xhc-flat");
   }

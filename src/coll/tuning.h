@@ -99,12 +99,21 @@ struct Tuning {
   /// Everything at or below a threshold runs the unchanged latency path
   /// (paper §III-B pipeline), so below-threshold behavior is bit-identical
   /// to a build without the large paths. 0 disables a large path entirely.
-  /// RS+AG beats the latency path from 2–6 KiB up on every preset
-  /// (EXPERIMENTS.md § Allreduce size-class crossover); 8 KiB keeps a margin
-  /// above that crossover. Striping has no single crossover (it depends on
-  /// the tree), so it stays at 128 KiB.
+  /// RS+AG beats the binomial fan-in from about 7–8 KiB on the Epycs but
+  /// only above 16 KiB on ARM-N1 (EXPERIMENTS.md § Allreduce size-class
+  /// crossover); 8 KiB keeps ARM-N1 and the 4 KiB points on the fan-in.
+  /// Striping stays off by default: under xhc's tree the hierarchical
+  /// pipeline beats it at every size. ucc and xhc-flat, whose wide top
+  /// groups it pays off for, pin 128 KiB themselves.
   std::size_t rs_ag_threshold = 8 * 1024;
-  std::size_t stripe_threshold = 128 * 1024;
+  std::size_t stripe_threshold = 0;
+
+  /// Nests the reduce-scatter + allgather shard plan down to the LLC level
+  /// (core::shard_domains): the sensitivity with an innermost L3 level, so
+  /// full-payload reads stay inside a shared cache. Only the shard plan
+  /// gains the level; the flag tree keeps the plain sensitivity. No `--tune`
+  /// key: ucc turns it off to keep its topology-blind plan.
+  bool llc_shards = true;
 
   /// Pipeline chunk size per hierarchy level for the large-message paths,
   /// innermost first, last entry repeating — the large paths move far more

@@ -162,12 +162,12 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
   // above the threshold take the bandwidth path. The decision depends only
   // on state every rank shares (size, tuning, topology), so all ranks agree.
   if (deliver_all && !cico && tuning_.rs_ag_threshold > 0 &&
-      bytes > tuning_.rs_ag_threshold && tree_.shard_plan().uniform()) {
+      bytes > tuning_.rs_ag_threshold && shard_plan_.uniform()) {
     allreduce_rs_ag(ctx, view, sbuf, rbuf, count, dtype, op, in_place, s);
     for (auto& b : rs.bcast_base) b += bytes;
     for (auto& b : rs.reduce_base) b += bytes;
     rs.shard_base +=
-        2 * static_cast<std::uint64_t>(tree_.shard_plan().n_stages()) * bytes;
+        2 * static_cast<std::uint64_t>(shard_plan_.n_stages()) * bytes;
     return;
   }
 
@@ -445,7 +445,7 @@ void XhcComponent::allreduce_rs_ag(mach::Ctx& ctx, const CommView& view,
   const int r = ctx.rank();
   RankState& rs = state(r);
   ShardCtl& sc = tree_.shard_ctl();
-  const ShardSchedule sched = tree_.shard_plan().schedule(r, count, elem);
+  const ShardSchedule sched = shard_plan_.schedule(r, count, elem);
   const int n_stages = sched.n_stages();
   const std::uint64_t base = rs.shard_base;
   std::byte* dst = static_cast<std::byte*>(rbuf);

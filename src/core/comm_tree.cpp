@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/shard_schedule.h"
 #include "util/check.h"
 
 namespace xhc::core {
@@ -22,52 +21,20 @@ CommTree::CommTree(mach::Machine& machine,
   build_shapes();
   shard_ctl_ =
       arena_.add_shard_plane(*machine_, machine_->n_ranks(), scope_);
-  shard_plan_ = std::make_unique<ShardPlan>(*this);
 }
 
-CommTree::~CommTree() = default;
-
 void CommTree::build_shapes() {
-  // The partition is root-independent; build it from the root-0 hierarchy.
-  const topo::Hierarchy hier(machine_->topology(), machine_->map(),
-                             sensitivity_, 0);
-  n_levels_ = hier.n_levels();
-
-  // domain_ranks are computed bottom-up: a level-l group can be joined by
-  // any rank of any child group (whoever gets elected leader below).
-  std::vector<std::vector<std::vector<int>>> domain(
-      static_cast<std::size_t>(n_levels_));
+  const topo::DomainNest nest =
+      topo::domain_nest(machine_->topology(), machine_->map(), sensitivity_);
+  n_levels_ = static_cast<int>(nest.size());
   for (int l = 0; l < n_levels_; ++l) {
-    const auto& groups = hier.level(l);
-    domain[static_cast<std::size_t>(l)].resize(groups.size());
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      std::vector<int>& ranks = domain[static_cast<std::size_t>(l)][gi];
-      if (l == 0) {
-        ranks = groups[gi].ranks;
-      } else {
-        for (const auto& child : hier.level(l - 1)) {
-          // A child group feeds this group if its leader is a member here.
-          if (std::binary_search(groups[gi].ranks.begin(),
-                                 groups[gi].ranks.end(), child.leader)) {
-            const auto& child_ranks =
-                domain[static_cast<std::size_t>(l - 1)]
-                      [static_cast<std::size_t>(child.id)];
-            ranks.insert(ranks.end(), child_ranks.begin(), child_ranks.end());
-          }
-        }
-        std::sort(ranks.begin(), ranks.end());
-      }
-    }
-  }
-
-  for (int l = 0; l < n_levels_; ++l) {
-    const auto& groups = hier.level(l);
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const auto& domains = nest[static_cast<std::size_t>(l)];
+    for (std::size_t gi = 0; gi < domains.size(); ++gi) {
       GroupShape shape;
       shape.level = l;
       shape.index_in_level = static_cast<int>(gi);
       shape.ctl_id = static_cast<int>(shapes_.size());
-      shape.domain_ranks = domain[static_cast<std::size_t>(l)][gi];
+      shape.domain_ranks = domains[gi];
       shape.home_rank = shape.domain_ranks.front();
       ctls_.push_back(arena_.add_group(
           *machine_, shape.home_rank,

@@ -18,8 +18,6 @@
 
 namespace xhc::core {
 
-class ShardPlan;
-
 /// Root-independent description of one group.
 struct GroupShape {
   int level = 0;
@@ -71,7 +69,6 @@ class CommTree {
   /// keeps the historical single-communicator names.
   CommTree(mach::Machine& machine, std::vector<topo::Domain> sensitivity,
            std::string scope = {});
-  ~CommTree();  // out-of-line: ShardPlan is incomplete here
 
   int n_ranks() const noexcept { return machine_->n_ranks(); }
   int n_levels() const noexcept { return n_levels_; }
@@ -86,10 +83,8 @@ class CommTree {
   const CommView& view(int root);
 
   /// Large-message shard/stripe plane: one slot per global rank, written
-  /// only by that rank regardless of root.
+  /// only by that rank regardless of root, so it serves any shard nest.
   ShardCtl& shard_ctl() noexcept { return shard_ctl_; }
-  /// Root-independent nested shard schedule factory (large-message path).
-  const ShardPlan& shard_plan() const noexcept { return *shard_plan_; }
 
   /// Arena accounting (observability gauges).
   const CtlArena& arena() const noexcept { return arena_; }
@@ -105,7 +100,6 @@ class CommTree {
   std::vector<GroupShape> shapes_;
   std::vector<GroupCtl> ctls_;
   ShardCtl shard_ctl_;
-  std::unique_ptr<ShardPlan> shard_plan_;
   CtlArena arena_;
 
   std::mutex views_mu_;

@@ -16,17 +16,22 @@ ElemRange partition(ElemRange parent, std::size_t n, std::size_t i) {
   return r;
 }
 
-ShardPlan::ShardPlan(const CommTree& tree) {
-  const int n_ranks = tree.n_ranks();
-  const int n_levels = tree.n_levels();
-
-  // Group the shapes by level, in ctl-id order (level-major build order, so
-  // within a level they are ascending by first domain rank).
-  std::vector<std::vector<int>> level_shapes(
-      static_cast<std::size_t>(n_levels));
-  for (int id = 0; id < tree.n_groups(); ++id) {
-    level_shapes[static_cast<std::size_t>(tree.shape(id).level)].push_back(id);
+std::vector<topo::Domain> shard_domains(std::vector<topo::Domain> sensitivity,
+                                        bool llc) {
+  if (llc && !sensitivity.empty() &&
+      std::find(sensitivity.begin(), sensitivity.end(), topo::Domain::kLlc) ==
+          sensitivity.end()) {
+    sensitivity.insert(sensitivity.begin(), topo::Domain::kLlc);
   }
+  return sensitivity;
+}
+
+ShardPlan::ShardPlan(const mach::Machine& machine,
+                     const std::vector<topo::Domain>& domains) {
+  const topo::DomainNest nest =
+      topo::domain_nest(machine.topology(), machine.map(), domains);
+  const int n_ranks = machine.n_ranks();
+  const int n_levels = static_cast<int>(nest.size());
 
   children_.resize(static_cast<std::size_t>(n_levels));
   group_of_.assign(static_cast<std::size_t>(n_levels),
@@ -35,45 +40,39 @@ ShardPlan::ShardPlan(const CommTree& tree) {
                     std::vector<int>(static_cast<std::size_t>(n_ranks), -1));
 
   for (int l = 0; l < n_levels; ++l) {
-    const auto& ids = level_shapes[static_cast<std::size_t>(l)];
-    children_[static_cast<std::size_t>(l)].resize(ids.size());
-    for (std::size_t gi = 0; gi < ids.size(); ++gi) {
-      const GroupShape& shape = tree.shape(ids[gi]);
-      for (const int r : shape.domain_ranks) {
-        group_of_[static_cast<std::size_t>(l)][static_cast<std::size_t>(r)] =
-            static_cast<int>(gi);
+    const auto& groups = nest[static_cast<std::size_t>(l)];
+    auto& kids = children_[static_cast<std::size_t>(l)];
+    auto& group_of = group_of_[static_cast<std::size_t>(l)];
+    auto& child_pos = child_pos_[static_cast<std::size_t>(l)];
+    kids.resize(groups.size());
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+      for (const int r : groups[gi]) {
+        group_of[static_cast<std::size_t>(r)] = static_cast<int>(gi);
       }
-      if (l == 0) {
-        children_[0][gi] = shape.domain_ranks;
-        for (std::size_t j = 0; j < shape.domain_ranks.size(); ++j) {
-          child_pos_[0][static_cast<std::size_t>(shape.domain_ranks[j])] =
+    }
+    if (l == 0) {
+      for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        kids[gi] = groups[gi];
+        for (std::size_t j = 0; j < groups[gi].size(); ++j) {
+          child_pos[static_cast<std::size_t>(groups[gi][j])] =
               static_cast<int>(j);
         }
       }
+      continue;
     }
-    if (l > 0) {
-      // A level-(l-1) group is a child of the level-l group whose domain
-      // contains it; domains at one level partition the ranks, so the first
-      // domain rank identifies the parent.
-      const auto& lower = level_shapes[static_cast<std::size_t>(l - 1)];
-      for (std::size_t ci = 0; ci < lower.size(); ++ci) {
-        const int r0 = tree.shape(lower[ci]).domain_ranks.front();
-        const int gi =
-            group_of_[static_cast<std::size_t>(l)][static_cast<std::size_t>(
-                r0)];
-        if (gi < 0) continue;
-        children_[static_cast<std::size_t>(l)][static_cast<std::size_t>(gi)]
-            .push_back(static_cast<int>(ci));
-      }
-      for (std::size_t gi = 0; gi < ids.size(); ++gi) {
-        for (std::size_t j = 0;
-             j < children_[static_cast<std::size_t>(l)][gi].size(); ++j) {
-          const int ci = children_[static_cast<std::size_t>(l)][gi][j];
-          for (const int r :
-               tree.shape(lower[static_cast<std::size_t>(ci)]).domain_ranks) {
-            child_pos_[static_cast<std::size_t>(l)]
-                      [static_cast<std::size_t>(r)] = static_cast<int>(j);
-          }
+    // A level-(l-1) domain is a child of the level-l domain that contains
+    // it; domains at one level partition the ranks, so the first rank
+    // identifies the parent.
+    const auto& lower = nest[static_cast<std::size_t>(l - 1)];
+    for (std::size_t ci = 0; ci < lower.size(); ++ci) {
+      const int gi = group_of[static_cast<std::size_t>(lower[ci].front())];
+      if (gi < 0) continue;
+      kids[static_cast<std::size_t>(gi)].push_back(static_cast<int>(ci));
+    }
+    for (const auto& group : kids) {
+      for (std::size_t j = 0; j < group.size(); ++j) {
+        for (const int r : lower[static_cast<std::size_t>(group[j])]) {
+          child_pos[static_cast<std::size_t>(r)] = static_cast<int>(j);
         }
       }
     }

@@ -4,11 +4,15 @@
 // The latency path concentrates every byte of reduction and fan-out on one
 // leader per level; a flat Rabenseifner reduce-scatter spreads the work but
 // floods the shared cross-socket link (every shard crosses it once per
-// reader). This schedule does the paper-faithful middle: at each hierarchy
-// level, the payload range a rank owns is sub-sharded among that level's
-// *domains*, so every read stays inside the smallest domain that contains
-// both ends — full-payload traffic never leaves a NUMA node, and only
-// 1/(socket width) of the payload crosses the socket link, once.
+// reader). This schedule does the paper-faithful middle: at each level of
+// the machine's domain nest, the payload range a rank owns is sub-sharded
+// among that level's *domains*, so every read stays inside the smallest
+// domain that contains both ends. The nest is the component's sensitivity
+// with the LLC level added innermost (shard_domains), so full-payload reads
+// stay inside an LLC group, 1/(LLC width) of the payload crosses a NUMA
+// node, and only 1/(socket width) crosses the socket link, once. The flag
+// tree keeps no L3 level: a shared LLC already fans flags out (paper
+// Fig. 10), and an extra flag level costs the latency path a hop.
 //
 // Stage k of rank r reduces `range_k = partition(range_{k-1}, m_k, c_k(r))`,
 // reading the same range from one peer per sibling child-domain of its
@@ -23,7 +27,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/comm_tree.h"
+#include "mach/machine.h"
+#include "topo/hierarchy.h"
 
 namespace xhc::core {
 
@@ -75,11 +80,21 @@ struct ShardSchedule {
   }
 };
 
-/// Root-independent schedule factory for one communicator tree. Built once;
-/// `schedule()` is then a cheap per-op computation.
+/// The domains a component's shard plan nests over: its flag-tree
+/// `sensitivity` with topo::Domain::kLlc added innermost when `llc` is set,
+/// unless the sensitivity is flat or already has that level. The hierarchy
+/// drops an LLC level that adds nothing (no shared LLC, or one LLC per NUMA
+/// node), so the plan is unchanged on such machines.
+std::vector<topo::Domain> shard_domains(std::vector<topo::Domain> sensitivity,
+                                        bool llc);
+
+/// Root-independent schedule factory over `machine`'s domain nest under
+/// `domains` (topo::domain_nest). Built once per component; `schedule()` is
+/// then a cheap per-op computation.
 class ShardPlan {
  public:
-  explicit ShardPlan(const CommTree& tree);
+  ShardPlan(const mach::Machine& machine,
+            const std::vector<topo::Domain>& domains);
 
   /// True when every level's domains are pairwise isomorphic (equal child
   /// counts level by level), which the nested partition requires to align

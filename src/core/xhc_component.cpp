@@ -14,7 +14,10 @@ XhcComponent::XhcComponent(mach::Machine& machine, coll::Tuning tuning,
       tuning_(std::move(tuning)),
       name_(std::move(name)),
       tree_(machine, topo::parse_sensitivity(tuning_.sensitivity),
-            tuning_.comm_name) {
+            tuning_.comm_name),
+      shard_plan_(machine,
+                  shard_domains(topo::parse_sensitivity(tuning_.sensitivity),
+                                tuning_.llc_shards)) {
   const int n = machine.n_ranks();
   fault_ = fault::make_injector(tuning_.faults, tuning_.fault_seed, n,
                                 tuning_.comm_id);

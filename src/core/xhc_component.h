@@ -17,6 +17,7 @@
 
 #include "coll/component.h"
 #include "core/comm_tree.h"
+#include "core/shard_schedule.h"
 #include "fault/fault.h"
 #include "smsc/endpoint.h"
 
@@ -59,6 +60,9 @@ class XhcComponent final : public coll::Component {
 
   const coll::Tuning& tuning() const noexcept { return tuning_; }
   CommTree& tree() noexcept { return tree_; }
+  /// The reduce-scatter + allgather shard plan, built once over the
+  /// machine's domain nest (shard_domains of the sensitivity).
+  const ShardPlan& shard_plan() const noexcept { return shard_plan_; }
 
  private:
   /// Per-rank private state; one line-padded entry per rank.
@@ -219,6 +223,7 @@ class XhcComponent final : public coll::Component {
   coll::Tuning tuning_;
   std::string name_;
   CommTree tree_;
+  ShardPlan shard_plan_;
   std::unique_ptr<fault::Injector> fault_;
   std::uint64_t shm_retries_ = 0;  ///< CICO pool allocation retries at setup
   std::vector<std::unique_ptr<RankState>> ranks_;

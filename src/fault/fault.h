@@ -48,7 +48,9 @@ struct Clause {
   Kind kind = Kind::kStraggler;
   int rank = -1;    ///< only this rank (-1: any)
   int owner = -1;   ///< attach/regmiss: only this peer's buffers (-1: any)
-  int level = -1;   ///< straggler: only this hierarchy level (-1: any)
+  int level = -1;   ///< straggler: only this hierarchy level (-1: any);
+                    ///< shard stage inside the RS+AG allreduce, flag-tree
+                    ///< level elsewhere (DESIGN.md § Large-message paths)
   int comm = -1;    ///< only the communicator with this id (-1: any) —
                     ///< matched against the injector's comm id so chaos
                     ///< runs can target one tenant (Tuning::comm_id)

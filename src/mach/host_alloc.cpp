@@ -36,7 +36,8 @@ void hint_huge_pages(void* p, std::size_t bytes) noexcept {
 
 }  // namespace
 
-HostBlock host_alloc(std::size_t bytes, std::size_t align, bool zero) {
+HostBlock host_alloc(std::size_t bytes, std::size_t align, bool zero,
+                     bool hint) {
   if (align < 64) align = 64;
   XHC_REQUIRE(bytes <= SIZE_MAX - (align - 1), "allocation of bytes=", bytes,
               " rounded up to align=", align, " overflows size_t");
@@ -45,7 +46,7 @@ HostBlock host_alloc(std::size_t bytes, std::size_t align, bool zero) {
   b.bytes = rounded ? rounded : align;
   b.p = std::aligned_alloc(align, b.bytes);
   XHC_CHECK(b.p != nullptr, "allocation of ", bytes, " bytes failed");
-  if (b.bytes >= kHugePageHintMin) hint_huge_pages(b.p, b.bytes);
+  if (hint && b.bytes >= kHugePageHintMin) hint_huge_pages(b.p, b.bytes);
   if (zero) std::memset(b.p, 0, b.bytes);
   return b;
 }

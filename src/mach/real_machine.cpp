@@ -299,7 +299,7 @@ void* RealMachine::alloc(int owner_rank, std::size_t bytes, std::size_t align,
                          bool zero) {
   XHC_REQUIRE(owner_rank >= 0 && owner_rank < n_ranks(), "owner rank ",
               owner_rank, " out of range");
-  const HostBlock b = host_alloc(bytes, align, zero);
+  const HostBlock b = host_alloc(bytes, align, zero, /*hint=*/true);
   registry_.insert(b.p, b.bytes, owner_rank);
   return b.p;
 }

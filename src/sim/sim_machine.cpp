@@ -286,7 +286,9 @@ void* SimMachine::alloc(int owner_rank, std::size_t bytes, std::size_t align,
                         bool zero) {
   XHC_REQUIRE(owner_rank >= 0 && owner_rank < n_ranks(), "owner rank ",
               owner_rank, " out of range");
-  const mach::HostBlock b = mach::host_alloc(bytes, align, zero);
+  // Timing-only blocks carry no payload, so they get no huge-page hint.
+  const mach::HostBlock b =
+      mach::host_alloc(bytes, align, zero, /*hint=*/!timing_only_);
   const std::uint64_t id = registry_.insert(b.p, b.bytes, owner_rank);
   const int home_numa = topo_.core(map_.core_of(owner_rank)).numa;
   cache_.add_block(id, b.bytes, home_numa);

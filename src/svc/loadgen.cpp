@@ -15,9 +15,10 @@ namespace xhc::svc {
 
 namespace {
 
-/// Payload sizes straddle this edge: the default stripe_threshold. It also
-/// shapes the size mix (log-uniform below, uniform above), so it stays put
-/// although allreduces already take rs+ag above the 8 KiB rs_ag_threshold.
+/// Payload sizes straddle this edge, once the default stripe_threshold (ucc
+/// and xhc-flat still stripe above it; xhc pipelines). It shapes the size
+/// mix (log-uniform below, uniform above), so it stays put although
+/// allreduces take rs+ag above the 8 KiB rs_ag_threshold.
 constexpr std::size_t kLargeEdge = 128u << 10;
 
 /// Verification sampling bound per request. Payloads at or below the bound
@@ -210,8 +211,8 @@ std::vector<Request> make_schedule(const LoadgenConfig& cfg,
       if (r.op != OpClass::kBarrier) {
         std::size_t bytes;
         if (can_large && rng.next_double() < cfg.large_fraction) {
-          // Uniform above the 128 KiB edge: exercises the striped bcast
-          // (and the rs+ag allreduce) and the stripe dispatch boundary.
+          // Uniform above the 128 KiB edge: the large bcasts and rs+ag
+          // allreduces.
           bytes = kLargeEdge + 1 +
                   static_cast<std::size_t>(rng.next_below(
                       static_cast<std::uint64_t>(cfg.max_bytes - kLargeEdge)));

@@ -3,8 +3,8 @@
 //
 // Seed-driven open-loop arrivals (SplitMix64 per communicator, like
 // fault::), mixed bcast/allreduce/reduce/barrier streams with irregular
-// sizes straddling the 128 KiB stripe threshold (and, below it, the 8 KiB
-// rs+ag one), per-request payload integrity verification (splitmix-generated
+// sizes straddling a 128 KiB edge (and, below it, the 8 KiB rs+ag
+// threshold), per-request payload integrity verification (splitmix-generated
 // operands checked at completion), and p50/p99/p999 latency per op class
 // through the hist layer.
 //
@@ -55,8 +55,8 @@ struct LoadgenConfig {
   bool integrity = true;  ///< verify payloads at completion
   std::size_t min_bytes = 8;
   std::size_t max_bytes = 512u << 10;
-  /// Fraction of payload sizes drawn above the 128 KiB stripe threshold
-  /// (the rest are log-uniform below).
+  /// Fraction of payload sizes drawn above the 128 KiB edge (the rest are
+  /// log-uniform below).
   double large_fraction = 0.05;
   /// Fault spec applied to every communicator's component (supports comm=
   /// filters to target one tenant); fault_seed is decorrelated per comm.

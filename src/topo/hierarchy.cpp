@@ -166,6 +166,36 @@ const Group* Hierarchy::group_of(int l, int rank) const {
   return &levels_[static_cast<std::size_t>(l)][static_cast<std::size_t>(gi)];
 }
 
+DomainNest domain_nest(const Topology& topo, const RankMap& map,
+                       const std::vector<Domain>& sensitivity) {
+  // The partition is root-independent; build it from the root-0 hierarchy,
+  // bottom-up: a child group feeds a group if its leader is a member there.
+  const Hierarchy hier(topo, map, sensitivity, 0);
+  DomainNest nest(static_cast<std::size_t>(hier.n_levels()));
+  for (int l = 0; l < hier.n_levels(); ++l) {
+    const auto& groups = hier.level(l);
+    auto& domains = nest[static_cast<std::size_t>(l)];
+    domains.resize(groups.size());
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+      std::vector<int>& ranks = domains[gi];
+      if (l == 0) {
+        ranks = groups[gi].ranks;
+        continue;
+      }
+      for (const auto& child : hier.level(l - 1)) {
+        if (std::binary_search(groups[gi].ranks.begin(),
+                               groups[gi].ranks.end(), child.leader)) {
+          const auto& child_ranks = nest[static_cast<std::size_t>(l - 1)]
+                                        [static_cast<std::size_t>(child.id)];
+          ranks.insert(ranks.end(), child_ranks.begin(), child_ranks.end());
+        }
+      }
+      std::sort(ranks.begin(), ranks.end());
+    }
+  }
+  return nest;
+}
+
 bool Hierarchy::is_leader(int l, int rank) const {
   const Group* g = group_of(l, rank);
   return g != nullptr && g->leader == rank;

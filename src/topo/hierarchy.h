@@ -75,4 +75,14 @@ class Hierarchy {
   int root_ = 0;
 };
 
+/// Root-independent domain partition of a hierarchy: `[l][g]` holds, sorted,
+/// every rank that can reach level-l group g through leader elections below
+/// it (the ranks of the level's domain). Levels innermost first, groups in
+/// Hierarchy order; the domains of one level partition the ranks.
+using DomainNest = std::vector<std::vector<std::vector<int>>>;
+
+/// The DomainNest of the hierarchy `sensitivity` builds over `map`.
+DomainNest domain_nest(const Topology& topo, const RankMap& map,
+                       const std::vector<Domain>& sensitivity);
+
 }  // namespace xhc::topo

@@ -286,6 +286,20 @@ TEST_P(TimingOnlySweep, MatchesFullDataPlaneBitForBit) {
       }
     }
   }
+  // Large sizes on mini16, whose xhc shard nest is four stages deep: RS+AG
+  // over many large chunks, and bcast pipelined (xhc) or striped (xhc-flat,
+  // ucc) past 128 KiB.
+  for (const std::string& op : ops) {
+    for (const std::size_t bytes : {262148, 1 << 20}) {
+      SCOPED_TRACE("mini16 " + op + " " + std::to_string(bytes) + " B");
+      const auto timing =
+          unverified_point(topo::mini16(), name, op, bytes, false);
+      const auto full = unverified_point(topo::mini16(), name, op, bytes, true);
+      EXPECT_EQ(timing.avg_us, full.avg_us);
+      EXPECT_EQ(timing.min_us, full.min_us);
+      EXPECT_EQ(timing.max_us, full.max_us);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllComponents, TimingOnlySweep,

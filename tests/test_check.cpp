@@ -166,6 +166,28 @@ TEST(CheckAnalyzer, SweepAllPresetsClean) {
   }
 }
 
+/// Nine-op steady-state sequences over the four-stage shard nests (LLC,
+/// NUMA, socket, top) of epyc2p and mini16, at the first RS+AG size past the
+/// default threshold and at a size with partition remainders at every stage.
+TEST(CheckAnalyzer, RsAgFourStageNestsSteadyStateClean) {
+  for (const char* name : {"epyc2p", "mini16"}) {
+    const topo::Topology topo = topo::by_name(name);
+    const int n = topo.n_cores();
+    sim::SimMachine machine(topo, n);
+    ASSERT_EQ(core::XhcComponent(machine, coll::Tuning{}, "nest")
+                  .shard_plan()
+                  .n_stages(),
+              4)
+        << name;
+    for (const std::size_t bytes : {8200, 100008}) {
+      const check::AnalysisReport rep = record_and_analyze(
+          machine, coll::Tuning{}, check::steady_state_ops(n, bytes));
+      EXPECT_TRUE(rep.clean()) << name << " " << bytes << " B\n"
+                               << rep.text();
+    }
+  }
+}
+
 /// Every other tuning whose flag protocol differs, by name.
 coll::Tuning variant_tuning(const std::string& name) {
   coll::Tuning t;
@@ -193,6 +215,8 @@ coll::Tuning variant_tuning(const std::string& name) {
 /// (DESIGN.md). LargePathsOff also records the 32 KiB steady-state sequence:
 /// the default tuning sends that size through reduce-scatter + allgather, so
 /// this is where a pipelined latency-path allreduce meets k-op schedules.
+/// Stripe4K records it too: xhc stripes no bcast by default, so this is
+/// where the striped bcast meets k-op schedules.
 class CheckTunings : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CheckTunings, FirstOpCellsClean) {
@@ -201,7 +225,7 @@ TEST_P(CheckTunings, FirstOpCellsClean) {
     const int n = tg.topo().n_cores();
     std::vector<std::vector<OpCall>> cells;
     for (const OpCall& c : first_op_cells(n)) cells.push_back({c});
-    if (GetParam() == "LargePathsOff") {
+    if (GetParam() == "LargePathsOff" || GetParam() == "Stripe4K") {
       cells.push_back(check::steady_state_ops(n, 32768));
     }
     sim::SimMachine machine(tg.topo(), n);

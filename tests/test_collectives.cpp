@@ -72,8 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
                           "smhc-flat", "xbrc"),
         ::testing::Values("real", "sim"),
         // 1 B, the CICO threshold edge (1 KB +/- 1), a pipeline chunk
-        // boundary, several chunks, an odd large size, and a size past the
-        // default 128 KiB stripe threshold (the striped bcast path).
+        // boundary, several chunks, an odd large size, and a size past
+        // xhc-flat's and ucc's 128 KiB stripe threshold (their striped bcast
+        // path; xhc pipelines it).
         ::testing::Values(std::size_t{1}, std::size_t{1023},
                           std::size_t{1024}, std::size_t{1025},
                           std::size_t{16384}, std::size_t{100000},
@@ -513,29 +514,37 @@ TEST_P(LargeMsgPaths, AllreduceInPlaceAndNonSumOps) {
 TEST_P(LargeMsgPaths, BcastStripedPayloadIntegrity) {
   auto m = machine(GetParam());
   const int n = m->n_ranks();
-  auto comp = coll::make_component("xhc", *m, tuning(4096));
-  // Straddle the lowered threshold (4096 stays on the latency path, 4097
-  // stripes) plus an odd many-chunk size; roots at both hierarchy extremes.
-  for (const std::size_t bytes : {std::size_t{4096}, std::size_t{4097},
-                                  std::size_t{100003}}) {
-    for (const int root : {0, n - 1}) {
-      std::vector<mach::Buffer> bufs;
-      for (int r = 0; r < n; ++r) bufs.emplace_back(*m, r, bytes);
-      util::fill_pattern(bufs[static_cast<std::size_t>(root)].get(), bytes,
-                         0x51 + static_cast<std::uint64_t>(root));
-      m->run([&](mach::Ctx& ctx) {
-        comp->bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
-                    bytes, root);
-      });
-      std::vector<std::byte> expect(bytes);
-      util::fill_pattern(expect.data(), bytes,
-                         0x51 + static_cast<std::uint64_t>(root));
-      for (int r = 0; r < n; ++r) {
-        ASSERT_EQ(std::memcmp(bufs[static_cast<std::size_t>(r)].get(),
-                              expect.data(), bytes),
-                  0)
-            << std::get<0>(GetParam()) << ", root " << root << ", rank " << r
-            << ", " << bytes << " B";
+  // xhc's tree and xhc-flat's one wide group. The registry pins xhc-flat's
+  // stripe threshold at 128 KiB, so its configuration is built through
+  // "xhc" with the flat sensitivity to lower the threshold.
+  coll::Tuning flat = tuning(4096);
+  flat.sensitivity = "flat";
+  for (const coll::Tuning& t : {tuning(4096), flat}) {
+    auto comp = coll::make_component("xhc", *m, t);
+    // Straddle the lowered threshold (4096 stays on the latency path, 4097
+    // stripes) plus an odd many-chunk size; roots at both hierarchy
+    // extremes.
+    for (const std::size_t bytes : {std::size_t{4096}, std::size_t{4097},
+                                    std::size_t{100003}}) {
+      for (const int root : {0, n - 1}) {
+        std::vector<mach::Buffer> bufs;
+        for (int r = 0; r < n; ++r) bufs.emplace_back(*m, r, bytes);
+        util::fill_pattern(bufs[static_cast<std::size_t>(root)].get(), bytes,
+                           0x51 + static_cast<std::uint64_t>(root));
+        m->run([&](mach::Ctx& ctx) {
+          comp->bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
+                      bytes, root);
+        });
+        std::vector<std::byte> expect(bytes);
+        util::fill_pattern(expect.data(), bytes,
+                           0x51 + static_cast<std::uint64_t>(root));
+        for (int r = 0; r < n; ++r) {
+          ASSERT_EQ(std::memcmp(bufs[static_cast<std::size_t>(r)].get(),
+                                expect.data(), bytes),
+                    0)
+              << std::get<0>(GetParam()) << " " << t.sensitivity << ", root "
+              << root << ", rank " << r << ", " << bytes << " B";
+        }
       }
     }
   }
@@ -663,6 +672,52 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
+// The LLC-deep shard nest (DESIGN.md § Large-message paths): on the presets
+// whose shard plan gains an LLC stage, the default tuning's allreduce stays
+// bit-exact on both sides of the dispatch threshold and from one large
+// chunk to many.
+
+class LlcShardNest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LlcShardNest, AllreduceSumBitExact) {
+  topo::Topology topo = topo::by_name(GetParam());
+  const int n = topo.n_cores();
+  sim::SimMachine m(std::move(topo), n);
+  auto comp = coll::make_component("xhc", m);
+  // i32 elements: 8 KiB - 4 B (fan-in), 8 KiB + 4 B (the first RS+AG size),
+  // 16 KiB, 64 KiB and 1 MiB.
+  for (const std::size_t count : {2047, 2049, 4096, 16384, 262144}) {
+    const std::size_t bytes = count * sizeof(std::int32_t);
+    std::vector<mach::Buffer> sbufs;
+    std::vector<mach::Buffer> rbufs;
+    std::vector<std::int32_t> expect(count, 0);
+    for (int r = 0; r < n; ++r) {
+      sbufs.emplace_back(m, r, bytes);
+      rbufs.emplace_back(m, r, bytes);
+      auto* s = static_cast<std::int32_t*>(sbufs.back().get());
+      for (std::size_t i = 0; i < count; ++i) {
+        s[i] = static_cast<std::int32_t>((r + 3) * 7 + i % 1000 * 13);
+        expect[i] += s[i];
+      }
+    }
+    m.run([&](mach::Ctx& ctx) {
+      const auto r = static_cast<std::size_t>(ctx.rank());
+      comp->allreduce(ctx, sbufs[r].get(), rbufs[r].get(), count,
+                      mach::DType::kI32, mach::ROp::kSum);
+    });
+    for (int r = 0; r < n; ++r) {
+      ASSERT_EQ(std::memcmp(rbufs[static_cast<std::size_t>(r)].get(),
+                            expect.data(), bytes),
+                0)
+          << GetParam() << ", rank " << r << ", " << bytes << " B";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, LlcShardNest,
+                         ::testing::Values("epyc1p", "epyc2p", "mini16"),
+                         [](const auto& info) { return info.param; });
+
 class LargeMsgDispatch : public ::testing::Test {
  protected:
   /// Per-rank virtual completion times of one bcast and one f64-sum
@@ -696,10 +751,12 @@ class LargeMsgDispatch : public ::testing::Test {
 TEST_F(LargeMsgDispatch, BelowThresholdVirtualTimeBitIdentical) {
   // The dispatcher's contract: at or below the thresholds nothing about the
   // latency path changes — simulated completion times of an allreduce at
-  // exactly the default rs_ag_threshold (8 KiB) and a bcast below the
-  // default stripe_threshold (64 KiB) are bit-identical between the default
-  // tuning and one with the large paths disabled outright (0).
-  EXPECT_EQ(done_times("xhc", coll::Tuning{}, 64 << 10, 8 << 10),
+  // exactly the default rs_ag_threshold (8 KiB) and a bcast at exactly an
+  // enabled stripe_threshold (64 KiB; xhc's default stripes none) are
+  // bit-identical to a tuning with the large paths disabled outright (0).
+  coll::Tuning on;
+  on.stripe_threshold = 64 << 10;
+  EXPECT_EQ(done_times("xhc", on, 64 << 10, 8 << 10),
             done_times("xhc", tuning(0), 64 << 10, 8 << 10));
 }
 
@@ -710,6 +767,17 @@ TEST_F(LargeMsgDispatch, UccKeepsItsOwnSizeClasses) {
       done_times("ucc", coll::Tuning{}, 64 << 10, 64 << 10);
   EXPECT_EQ(base, done_times("ucc", tuning(8192), 64 << 10, 64 << 10));
   EXPECT_EQ(base, done_times("ucc", tuning(0), 64 << 10, 64 << 10));
+}
+
+TEST_F(LargeMsgDispatch, UccIgnoresLlcShards) {
+  // ucc's shard plan follows its own socket tree, so llc_shards must not
+  // move a 256 KiB ucc allreduce (RS+AG in ucc) — while it does move xhc's.
+  coll::Tuning no_llc;
+  no_llc.llc_shards = false;
+  EXPECT_EQ(done_times("ucc", coll::Tuning{}, 256 << 10, 256 << 10),
+            done_times("ucc", no_llc, 256 << 10, 256 << 10));
+  EXPECT_NE(done_times("xhc", coll::Tuning{}, 256 << 10, 256 << 10),
+            done_times("xhc", no_llc, 256 << 10, 256 << 10));
 }
 
 TEST_F(LargeMsgDispatch, TuningParamsParseAndClamp) {

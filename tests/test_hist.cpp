@@ -243,6 +243,9 @@ TEST(Hist, ChunkSamplesMatchChunkSpans) {
   Observer observer(kRanks);
   coll::Tuning tuning;
   tuning.trace = true;
+  // xhc stripes no bcast by default; switch it on so the 512 KiB bcast
+  // covers bcast.stripe_pull.
+  tuning.stripe_threshold = 128 << 10;
   auto comp = coll::make_component("xhc", machine, tuning);
   comp->set_observer(&observer);
 

@@ -365,6 +365,31 @@ TEST(SimMachineAlloc, LargeBlockInteriorIsHintedHugePage) {
   EXPECT_NE((*flags + " ").find(" hg "), std::string::npos) << *flags;
 }
 
+TEST(SimMachineAlloc, TimingOnlyBlockIsNotHinted) {
+  // A timing-only block holds no payload, so the hint would only outlive it
+  // and make the allocator's later chunk headers fault whole huge pages.
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string thp_mode;
+  if (!std::getline(thp, thp_mode) ||
+      thp_mode.find("[never]") != std::string::npos ||
+      !std::ifstream("/proc/self/smaps")) {
+    GTEST_SKIP() << "huge page hints not observable here";
+  }
+  sim::SimMachine m(topo::mini8(), 2);
+  ASSERT_TRUE(m.set_timing_only(true));
+  // Above glibc's largest dynamic mmap threshold (32 MiB), so the block is
+  // a fresh mapping that no earlier hint in this process can have marked.
+  constexpr std::size_t kBytes = std::size_t{40} << 20;
+  mach::Buffer buf(m, 0, kBytes, /*zero=*/false);
+  const auto base = reinterpret_cast<std::uintptr_t>(buf.get());
+  const std::uintptr_t lo =
+      (base + mach::kHugePage - 1) & ~(mach::kHugePage - 1);
+  const std::uintptr_t hi = (base + kBytes) & ~(mach::kHugePage - 1);
+  const auto flags = vm_flags_over(lo, hi);
+  ASSERT_TRUE(flags.has_value()) << "no single mapping covers the interior";
+  EXPECT_EQ((*flags + " ").find(" hg "), std::string::npos) << *flags;
+}
+
 // ---------------------------------------------------------------------------
 // Sim-specific free: a reused address does not inherit its flag history
 

@@ -1,13 +1,19 @@
 // White-box tests of the nested shard schedule behind the large-message
 // allreduce (core/shard_schedule.h): partition arithmetic, peer symmetry,
-// uniformity detection across the topology presets, and the progress-flag
-// slot timeline.
+// uniformity detection across the topology presets, the stage shapes of
+// each component's domain nest, and the progress-flag slot timeline.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
+#include "coll/registry.h"
+#include "core/comm_tree.h"
 #include "core/shard_schedule.h"
+#include "core/xhc_component.h"
 #include "mach/real_machine.h"
+#include "sim/sim_machine.h"
 #include "topo/presets.h"
 
 namespace xhc::core {
@@ -50,33 +56,21 @@ TEST(Partition, NestedSubrange) {
   EXPECT_LE(inner.hi, outer.hi);
 }
 
-TEST(ShardPlan, UniformOnAllPresets) {
-  // Every preset grid is isomorphic level by level, so the nested schedule
-  // must engage on all of them.
-  for (const char* name : {"mini8", "mini16", "epyc1p", "epyc2p", "armn1"}) {
-    topo::Topology topo = topo::by_name(name);
-    const int ranks = topo.n_cores();
-    mach::RealMachine m(std::move(topo), ranks);
-    CommTree tree(m, topo::parse_sensitivity("numa+socket"));
-    EXPECT_TRUE(tree.shard_plan().uniform()) << name;
-    EXPECT_EQ(tree.shard_plan().n_stages(), tree.n_levels()) << name;
-  }
-}
-
-TEST(ShardPlan, PeersAreSymmetricAndSelfResolving) {
-  mach::RealMachine m(topo::epyc2p(), 64);
-  CommTree tree(m, topo::parse_sensitivity("numa+socket"));
-  const ShardPlan& plan = tree.shard_plan();
-  ASSERT_TRUE(plan.uniform());
+/// Every stage partitions what the previous one produced, and every peer of
+/// a stage lists the same peer set with itself at its own index — the
+/// property that lets any rank compute exact wait thresholds for any other.
+void expect_symmetric_and_self_resolving(const ShardPlan& plan, int ranks,
+                                         const std::string& name) {
+  ASSERT_TRUE(plan.uniform()) << name;
   constexpr std::size_t kCount = 4096;
-  for (int r = 0; r < 64; ++r) {
+  for (int r = 0; r < ranks; ++r) {
     const ShardSchedule sched = plan.schedule(r, kCount, 4);
-    ASSERT_EQ(sched.n_stages(), tree.n_levels());
+    ASSERT_EQ(sched.n_stages(), plan.n_stages());
     ElemRange prev{0, kCount};
     for (int k = 0; k < sched.n_stages(); ++k) {
       const ShardStage& st = sched.stages[static_cast<std::size_t>(k)];
-      // The stage partitions what the previous stage produced.
-      EXPECT_EQ(st.parent.lo, prev.lo) << "rank " << r << " stage " << k;
+      EXPECT_EQ(st.parent.lo, prev.lo) << name << " rank " << r << " stage "
+                                       << k;
       EXPECT_EQ(st.parent.hi, prev.hi);
       ASSERT_GE(st.peers.size(), 1u);
       ASSERT_LT(static_cast<std::size_t>(st.my_idx), st.peers.size());
@@ -86,14 +80,11 @@ TEST(ShardPlan, PeersAreSymmetricAndSelfResolving) {
                     static_cast<std::size_t>(st.my_idx));
       EXPECT_EQ(st.range.lo, want.lo);
       EXPECT_EQ(st.range.hi, want.hi);
-      // Symmetry: every peer lists the same peer set at this stage, with
-      // itself at its own index — the property that lets any rank compute
-      // exact wait thresholds for any other.
       for (std::size_t i = 0; i < st.peers.size(); ++i) {
-        const ShardSchedule ps =
-            plan.schedule(st.peers[i], kCount, 4);
+        const ShardSchedule ps = plan.schedule(st.peers[i], kCount, 4);
         const ShardStage& pst = ps.stages[static_cast<std::size_t>(k)];
-        EXPECT_EQ(pst.peers, st.peers) << "rank " << r << " stage " << k;
+        EXPECT_EQ(pst.peers, st.peers) << name << " rank " << r << " stage "
+                                       << k;
         EXPECT_EQ(pst.my_idx, static_cast<int>(i));
         EXPECT_EQ(pst.parent.lo, st.parent.lo);
         EXPECT_EQ(pst.parent.hi, st.parent.hi);
@@ -103,27 +94,108 @@ TEST(ShardPlan, PeersAreSymmetricAndSelfResolving) {
   }
 }
 
-TEST(ShardPlan, FinalShardsTileThePayload) {
-  // After the last RS stage, the 64 ranks' shards partition [0, count).
-  mach::RealMachine m(topo::epyc2p(), 64);
-  CommTree tree(m, topo::parse_sensitivity("numa+socket"));
-  constexpr std::size_t kCount = 100003;  // odd: exercises remainders
-  std::set<std::size_t> edges;
-  std::size_t covered = 0;
-  for (int r = 0; r < 64; ++r) {
-    const ShardSchedule sched = tree.shard_plan().schedule(r, kCount, 4);
-    const ElemRange own = sched.stages.back().range;
-    covered += own.size();
-    edges.insert(own.lo);
+/// The flag tree's nest (the default sensitivity) and the shard nest xhc
+/// builds over it (shard_domains with the LLC level).
+std::vector<topo::Domain> flag_nest() {
+  return topo::parse_sensitivity(coll::Tuning{}.sensitivity);
+}
+std::vector<topo::Domain> llc_nest() { return shard_domains(flag_nest(), true); }
+
+/// Stage shapes of `plan` as "groups x domain ranks", innermost first: a
+/// stage-k domain holds the product of the peer counts of stages 0..k.
+std::vector<std::string> stage_shapes(const ShardPlan& plan, int n_ranks) {
+  const ShardSchedule sched = plan.schedule(0, 64, 4);
+  std::vector<std::string> shapes;
+  std::size_t width = 1;
+  for (const ShardStage& st : sched.stages) {
+    width *= st.peers.size();
+    shapes.push_back(std::to_string(static_cast<std::size_t>(n_ranks) / width) +
+                     "x" + std::to_string(width));
   }
-  EXPECT_EQ(covered, kCount);          // no overlap, no gap (with the edge
-  EXPECT_EQ(edges.size(), 64u);        // starts pairwise distinct)
+  return shapes;
+}
+
+TEST(ShardPlan, UniformOnAllPresets) {
+  // Every preset grid is isomorphic level by level, so the nested schedule
+  // must engage on all of them, over the flag tree's nest and the LLC nest.
+  for (const char* name : {"mini8", "mini16", "epyc1p", "epyc2p", "armn1"}) {
+    topo::Topology topo = topo::by_name(name);
+    const int ranks = topo.n_cores();
+    mach::RealMachine m(std::move(topo), ranks);
+    const ShardPlan plan(m, flag_nest());
+    EXPECT_TRUE(plan.uniform()) << name;
+    EXPECT_EQ(plan.n_stages(), CommTree(m, flag_nest()).n_levels()) << name;
+    EXPECT_TRUE(ShardPlan(m, llc_nest()).uniform()) << name;
+  }
+}
+
+TEST(ShardPlan, XhcStagesFollowTheCacheHierarchy) {
+  // The LLC stage is innermost on the Epycs and mini16; armn1 has no shared
+  // LLC and mini8's LLC group is its NUMA node, so their plans keep the
+  // flag tree's shape.
+  const std::vector<std::pair<const char*, std::vector<std::string>>> want = {
+      {"epyc1p", {"8x4", "4x8", "1x32"}},
+      {"epyc2p", {"16x4", "8x8", "2x32", "1x64"}},
+      {"mini16", {"8x2", "4x4", "2x8", "1x16"}},
+      {"armn1", {"8x20", "2x80", "1x160"}},
+      {"mini8", {"4x2", "2x4", "1x8"}},
+  };
+  for (const auto& [name, shapes] : want) {
+    topo::Topology topo = topo::by_name(name);
+    const int ranks = topo.n_cores();
+    sim::SimMachine m(std::move(topo), ranks);
+    XhcComponent xhc(m, coll::Tuning{});
+    EXPECT_EQ(stage_shapes(xhc.shard_plan(), ranks), shapes) << name;
+  }
+}
+
+TEST(ShardPlan, XhcFlatKeepsOneStage) {
+  // xhc-flat's flat sensitivity gains no LLC level: one stage over every
+  // rank. (ucc's plan is LargeMsgDispatch.UccIgnoresLlcShards'.)
+  sim::SimMachine m(topo::epyc2p(), 64);
+  const auto flat = coll::make_component("xhc-flat", m);
+  EXPECT_EQ(stage_shapes(
+                static_cast<const XhcComponent&>(*flat).shard_plan(), 64),
+            (std::vector<std::string>{"1x64"}));
+}
+
+TEST(ShardPlan, PeersAreSymmetricAndSelfResolving) {
+  for (const char* name : {"epyc2p", "epyc1p", "mini16"}) {
+    for (const auto& nest : {flag_nest(), llc_nest()}) {
+      topo::Topology topo = topo::by_name(name);
+      const int ranks = topo.n_cores();
+      mach::RealMachine m(std::move(topo), ranks);
+      expect_symmetric_and_self_resolving(ShardPlan(m, nest), ranks, name);
+    }
+  }
+}
+
+TEST(ShardPlan, FinalShardsTileThePayload) {
+  // After the last RS stage, the ranks' shards partition [0, count).
+  for (const char* name : {"epyc2p", "epyc1p", "mini16"}) {
+    for (const auto& nest : {flag_nest(), llc_nest()}) {
+      topo::Topology topo = topo::by_name(name);
+      const int ranks = topo.n_cores();
+      mach::RealMachine m(std::move(topo), ranks);
+      const ShardPlan plan(m, nest);
+      constexpr std::size_t kCount = 100003;  // odd: exercises remainders
+      std::set<std::size_t> edges;
+      std::size_t covered = 0;
+      for (int r = 0; r < ranks; ++r) {
+        const ElemRange own = plan.schedule(r, kCount, 4).stages.back().range;
+        covered += own.size();
+        edges.insert(own.lo);
+      }
+      // No overlap, no gap (with the edge starts pairwise distinct).
+      EXPECT_EQ(covered, kCount) << name;
+      EXPECT_EQ(edges.size(), static_cast<std::size_t>(ranks)) << name;
+    }
+  }
 }
 
 TEST(ShardSchedule, SlotTimeline) {
   mach::RealMachine m(topo::epyc2p(), 64);
-  CommTree tree(m, topo::parse_sensitivity("numa+socket"));
-  const ShardSchedule sched = tree.shard_plan().schedule(0, 1024, 4);
+  const ShardSchedule sched = ShardPlan(m, flag_nest()).schedule(0, 1024, 4);
   const std::size_t bytes = 1024 * 4;
   EXPECT_EQ(sched.bytes, bytes);
   ASSERT_EQ(sched.n_stages(), 3);
@@ -140,9 +212,9 @@ TEST(ShardSchedule, SlotTimeline) {
 
 TEST(ShardPlan, FlatHierarchyIsSingleStage) {
   mach::RealMachine m(topo::mini8(), 8);
-  CommTree tree(m, {});  // flat: one level holding all ranks
-  ASSERT_TRUE(tree.shard_plan().uniform());
-  const ShardSchedule sched = tree.shard_plan().schedule(3, 80, 4);
+  const ShardPlan plan(m, {});  // flat: one level holding all ranks
+  ASSERT_TRUE(plan.uniform());
+  const ShardSchedule sched = plan.schedule(3, 80, 4);
   ASSERT_EQ(sched.n_stages(), 1);
   EXPECT_EQ(sched.stages[0].peers.size(), 8u);
   EXPECT_EQ(sched.stages[0].peers[3], 3);
