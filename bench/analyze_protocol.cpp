@@ -11,15 +11,20 @@
 // Each first-op cell runs one op (at --root, default 0) on a freshly built
 // component. Each steady-state cell runs check::steady_state_ops — nine
 // back-to-back ops of every class with rotating roots — on one component;
-// those cells mix op classes, so --op skips them. Every cell runs every
+// on epyc2p, mini16 and grid12 the threshold-straddling cells run the same
+// sequence with sizes alternating across a size class
+// (check::straddling_ops), so consecutive bcasts switch between the cache
+// tree and the flag tree. These cells mix op classes, so --op skips them. Every cell runs every
 // analyzer check (single-writer, monotonicity, threshold reachability,
 // acyclicity, payload races). Output is byte-deterministic; the exit status
 // is the total finding count clamped to 1, so CI can gate on it directly.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/analyzer.h"
@@ -64,6 +69,14 @@ const std::vector<OpSpec> kOps = {
 /// (multi-chunk; allreduce already takes rs+ag above 8 KiB), and past the
 /// large-message thresholds (rs+ag / striping).
 const std::vector<std::size_t> kSizes = {512, 32768, 262144};
+
+/// Size pairs of the threshold-straddling cells: a CICO one-chunk size
+/// against a multi-chunk one, and exactly one chunk against one chunk plus
+/// an element.
+const std::vector<std::pair<std::size_t, std::size_t>> kStraddles = {
+    {512, 32768}, {16384, 16392}};
+const std::vector<std::string> kStraddleTargets = {"epyc2p", "mini16",
+                                                   "grid12"};
 
 }  // namespace
 
@@ -119,6 +132,13 @@ int main(int argc, char** argv) {
     if (only_op.empty()) {
       for (const std::size_t bytes : sizes) {
         analyze(check::steady_state_ops(ranks, bytes));
+      }
+      if (only_size < 0 &&
+          std::find(kStraddleTargets.begin(), kStraddleTargets.end(),
+                    target) != kStraddleTargets.end()) {
+        for (const auto& [bytes, alt] : kStraddles) {
+          analyze(check::straddling_ops(ranks, bytes, alt));
+        }
       }
     }
   }

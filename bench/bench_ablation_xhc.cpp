@@ -1,6 +1,11 @@
 // Ablations over XHC's design choices (DESIGN.md §4, "extra"):
 //   * hierarchy sensitivity: flat / numa / socket / numa+socket /
-//     l3+numa+socket (paper §III-A: which levels pay off where);
+//     l3+numa+socket (paper §III-A: which levels pay off where), every
+//     column on its flag tree (the LLC switch off);
+//   * one-chunk bcast: the flag tree, the flat tree and the cache tree,
+//     4 B-16 KiB on every paper system, mean and root completion (why
+//     Tuning::llc_aware sends one-chunk bcasts over the cache tree;
+//     DESIGN.md § Cache tree);
 //   * pipeline chunk size (paper §III-B and §V-D2's note that 128K–1M
 //     allreduce is sensitive to chunk configuration);
 //   * CICO threshold (paper §III-D: where the copy-in-copy-out path stops
@@ -11,7 +16,7 @@
 //     the rs_ag_threshold crossover lies; EXPERIMENTS.md);
 //   * large-message paths: the LLC-deep shard nest on/off x bcast striping
 //     on/off, allreduce and bcast 16 KiB-4 MiB on every paper system, mean
-//     and slowest rank (why llc_shards is on and xhc stripes nothing by
+//     and slowest rank (why llc_aware is on and xhc stripes nothing by
 //     default; DESIGN.md § Large-message paths).
 #include <array>
 #include <optional>
@@ -41,6 +46,9 @@ static int run(int argc, char** argv) {
         coll::Tuning tuning;
         args.apply_tuning(tuning);
         tuning.sensitivity = sens;
+        // Otherwise every column with a multi-level tree sends its one-chunk
+        // sizes over the same cache tree.
+        tuning.llc_aware = false;
         core::XhcComponent comp(*machine, tuning, "xhc-ablate");
         osu::Config cfg;
         cfg.warmup = 1;
@@ -54,6 +62,56 @@ static int run(int argc, char** argv) {
       bench::emit(args, table,
                   std::string("Ablation: hierarchy sensitivity, bcast (us), ") +
                       system);
+    }
+  }
+
+  // --- one-chunk bcast: flag tree vs flat vs cache tree (every system) ----
+  {
+    const std::vector<std::size_t> sizes =
+        args.quick ? std::vector<std::size_t>{4, 4096, 16384}
+                   : std::vector<std::size_t>{4, 64, 512, 1024, 4096, 16384};
+    // The cache tree is xhc's default; the flag tree is xhc with the LLC
+    // switch off, the flat tree xhc-flat. The root returns last (it waits
+    // for every ack), so the slowest rank's time is its completion.
+    constexpr std::array<const char*, 3> kTrees{"flag tree", "flat",
+                                                "cache tree"};
+    const auto systems = args.systems();
+    std::vector<std::vector<osu::SizeResult>> res(systems.size() *
+                                                  kTrees.size());
+    osu::run_points(res.size(), args.effective_jobs(), [&](std::size_t i) {
+      const std::size_t ti = i % kTrees.size();
+      auto machine = bench::make_system(systems[i / kTrees.size()]);
+      coll::Tuning tuning;
+      args.apply_tuning(tuning);
+      tuning.llc_aware = ti != 0;
+      auto comp =
+          coll::make_component(ti == 1 ? "xhc-flat" : "xhc", *machine, tuning);
+      osu::Config cfg;
+      cfg.warmup = 1;
+      cfg.iters = args.quick ? 2 : 4;
+      cfg.verify = args.verify;
+      res[i] = osu::bcast_sweep(*machine, *comp, sizes, cfg);
+    });
+    for (std::size_t si = 0; si < systems.size(); ++si) {
+      std::vector<std::string> header{"Size"};
+      for (const char* tree : kTrees) {
+        header.push_back(std::string(tree) + " avg");
+        header.push_back(std::string(tree) + " root");
+      }
+      util::Table table(std::move(header));
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        std::vector<std::string> row{util::Table::fmt_bytes(sizes[k])};
+        for (std::size_t ti = 0; ti < kTrees.size(); ++ti) {
+          const osu::SizeResult& r = res[si * kTrees.size() + ti][k];
+          row.push_back(bench::us(r.avg_us));
+          row.push_back(bench::us(r.max_us));
+        }
+        table.add_row(std::move(row));
+      }
+      bench::emit(args, table,
+                  "Ablation: one-chunk bcast (us; flag tree | flat | cache "
+                  "tree), " +
+                      std::string(systems[si]));
     }
   }
 
@@ -193,7 +251,7 @@ static int run(int argc, char** argv) {
                                               4 << 20};
     struct Variant {
       const char* label;
-      bool llc_shards;
+      bool llc_aware;
       std::size_t stripe_threshold;
     };
     // The default first; ucc's and xhc-flat's 128 KiB stripe threshold.
@@ -212,7 +270,7 @@ static int run(int argc, char** argv) {
       auto machine = bench::make_system(systems[i / per_system]);
       coll::Tuning tuning;
       args.apply_tuning(tuning);
-      tuning.llc_shards = v.llc_shards;
+      tuning.llc_aware = v.llc_aware;
       tuning.stripe_threshold = v.stripe_threshold;
       core::XhcComponent comp(*machine, tuning, "xhc-large");
       osu::Config cfg;

@@ -168,7 +168,7 @@ case "$mode" in
     scripts/lint_flags.sh
     cmake -B build -S .
     cmake --build build -j
-    largemsg_tests='LargeMsg|LlcShardNest|Collectives|ReduceKernels|ShardPlan|Partition|ShardSchedule|Reduce\.'
+    largemsg_tests='LargeMsg|LlcShardNest|CacheTree|Collectives|ReduceKernels|ShardPlan|Partition|ShardSchedule|Reduce\.'
     (cd build && ctest --output-on-failure -j "$(nproc)" \
       -R "$largemsg_tests" "$@")
     tmp="$(mktemp -d)"
@@ -472,7 +472,7 @@ ctest --output-on-failure -j "$(nproc)" "$@"
 if [ "$mode" = "" ] || [ "$mode" = thread ]; then
   echo "== re-running sim tests under XHC_SIM_BACKEND=threads =="
   XHC_SIM_BACKEND=threads ctest --output-on-failure -j "$(nproc)" \
-    -R 'Sim|Backend|Sched|Collectives|Fault|Check|Svc|TimingOnly' "$@"
+    -R 'Sim|Backend|Sched|Collectives|Fault|Check|Svc|TimingOnly|CacheTree' "$@"
 fi
 
 # The default full run also walks the quick sweeps through the perf gate

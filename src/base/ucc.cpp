@@ -4,7 +4,7 @@ namespace xhc::base {
 
 UccComponent::UccComponent(mach::Machine& machine, coll::Tuning tuning) {
   // Static socket-level schedule, coarse chunks, no finer topology levels —
-  // also none in the reduce-scatter shard plan.
+  // also none in the reduce-scatter shard plan, and no cache tree.
   // Multi-socket: static socket-level trees. Single socket: UCC still
   // builds one-level trees (knomial teams), modeled as a NUMA-level
   // hierarchy rather than a flat fan-out.
@@ -15,7 +15,7 @@ UccComponent::UccComponent(mach::Machine& machine, coll::Tuning tuning) {
   tuning.sync = coll::SyncMethod::kSingleWriter;
   tuning.rs_ag_threshold = kLargeThreshold;
   tuning.stripe_threshold = kLargeThreshold;
-  tuning.llc_shards = false;
+  tuning.llc_aware = false;
   inner_ = std::make_unique<core::XhcComponent>(machine, std::move(tuning),
                                                 "ucc-inner");
 }

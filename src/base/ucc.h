@@ -18,7 +18,8 @@
 // paper's Fig. 11 comparison was measured at). Both thresholds are fixed
 // here, so XHC's tuned thresholds and `--tune=xhc_*_threshold` leave the
 // ucc column alone. Its reduce-scatter shards follow the same socket-level
-// tree (Tuning::llc_shards off), not XHC's LLC-deep shard nest. Below the
+// tree, not XHC's LLC-deep shard nest, and its one-chunk bcasts keep that
+// tree instead of XHC's cache tree (Tuning::llc_aware off). Below the
 // thresholds, the inner component folds every allreduce
 // that fits its 64 KiB chunk through XHC's binomial fan-in per group
 // (DESIGN.md § Allreduce fan-in), standing for UCC's knomial reduce; this

@@ -44,6 +44,18 @@ std::vector<OpCall> steady_state_ops(int n_ranks, std::size_t bytes) {
   };
 }
 
+std::vector<OpCall> straddling_ops(int n_ranks, std::size_t bytes,
+                                   std::size_t alt_bytes) {
+  std::vector<OpCall> ops = steady_state_ops(n_ranks, bytes);
+  bool alt = false;
+  for (OpCall& call : ops) {
+    if (call.op == Op::kBarrier) continue;
+    if (alt) call.bytes = alt_bytes;
+    alt = !alt;
+  }
+  return ops;
+}
+
 namespace {
 
 /// Appends every access to its rank's stream. Sink calls run under the

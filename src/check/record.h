@@ -96,4 +96,11 @@ Schedule record_schedule(sim::SimMachine& machine, coll::Component& comp,
 /// n/2, barrier, bcast 1, allreduce, reduce 0, bcast n/2).
 std::vector<OpCall> steady_state_ops(int n_ranks, std::size_t bytes);
 
+/// The steady-state sequence with sizes alternating between `bytes` and
+/// `alt_bytes` from one op to the next (the barrier aside), so consecutive
+/// ops — the four bcasts included — straddle a size-class threshold and
+/// switch protocols between them.
+std::vector<OpCall> straddling_ops(int n_ranks, std::size_t bytes,
+                                   std::size_t alt_bytes);
+
 }  // namespace xhc::check

@@ -108,12 +108,15 @@ struct Tuning {
   std::size_t rs_ag_threshold = 8 * 1024;
   std::size_t stripe_threshold = 0;
 
-  /// Nests the reduce-scatter + allgather shard plan down to the LLC level
-  /// (core::shard_domains): the sensitivity with an innermost L3 level, so
-  /// full-payload reads stay inside a shared cache. Only the shard plan
-  /// gains the level; the flag tree keeps the plain sensitivity. No `--tune`
-  /// key: ucc turns it off to keep its topology-blind plan.
-  bool llc_shards = true;
+  /// The one LLC switch (DESIGN.md § Cache tree, § Large-message paths).
+  /// It nests the reduce-scatter + allgather shard plan down to the LLC
+  /// level (core::shard_domains), so full-payload reads stay inside a
+  /// shared cache, and on nodes whose cores share an LLC it sends bcasts
+  /// that fit one pipeline chunk at every level over the cache tree: a flat
+  /// fan-out from the root, acks through the LLC groups. The flag tree
+  /// keeps the plain sensitivity. No `--tune` key: ucc turns it off to keep
+  /// its topology-blind plan and its tree.
+  bool llc_aware = true;
 
   /// Pipeline chunk size per hierarchy level for the large-message paths,
   /// innermost first, last entry repeating — the large paths move far more

@@ -174,11 +174,7 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
   // A payload that fits one pipeline chunk at every level folds through the
   // binomial fan-in; longer ones keep the chunk-parallel reducers. Like the
   // dispatch above, every rank derives this from size, tuning and topology.
-  bool fan_in_path = true;
-  for (int l = 0; l < tree_.n_levels(); ++l) {
-    fan_in_path = fan_in_path &&
-                  bytes <= aligned_chunk(tuning_.chunk_for_level(l), elem);
-  }
+  const bool fan_in_path = one_chunk(bytes, elem);
   // A fan-in position folds a child iff it is even and not the last; the
   // internal root always ends up holding the reduction.
   const CommView::Membership& top = ms.back();
@@ -261,7 +257,7 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
     }
   } else if (deliver_all) {
     // Step 3 (broadcast of the result), shared with MPI_Bcast.
-    pull_bcast(ctx, view, rbuf, bytes, cico, s);
+    pull_bcast(ctx, top, ms, rbuf, bytes, cico, s, /*relay=*/true);
   } else {
     // Reduce: only a completion release flows down — wait for the root's
     // announce, republish to led groups, then acknowledge upward.

@@ -6,7 +6,9 @@
 // XPMEM, or via the leader's CICO result area for small messages), and —
 // when it leads lower groups — republishes each chunk to its children.
 // A hierarchical acknowledgement closes the operation so buffers and flags
-// can be reused.
+// can be reused. On a shared-LLC node a one-chunk bcast skips the
+// republishing: every rank pulls from the root through the cache tree, and
+// only the acknowledgement climbs through the LLC groups.
 #include "core/xhc_component.h"
 
 #include <algorithm>
@@ -16,69 +18,75 @@
 
 namespace xhc::core {
 
-void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView& view,
+bool XhcComponent::one_chunk(std::size_t bytes, std::size_t elem) const {
+  for (int l = 0; l < tree_.n_levels(); ++l) {
+    if (bytes > aligned_chunk(tuning_.chunk_for_level(l), elem)) return false;
+  }
+  return true;
+}
+
+void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
+                              const std::vector<CommView::Membership>& acks,
                               void* user_buf, std::size_t bytes, bool cico,
-                              std::uint64_t s) {
+                              std::uint64_t s, bool relay) {
   const int r = ctx.rank();
-  const auto& ms = view.memberships(r);
-  const CommView::Membership& top = ms.back();
-  XHC_CHECK(!top.is_leader, "pull_bcast called on the root");
+  XHC_CHECK(from.leader != r, "pull_bcast called on the root");
   RankState& rs = state(r);
-  GroupCtl& top_ctl = tree_.ctl(top.ctl_id);
+  GroupCtl& from_ctl = tree_.ctl(from.ctl_id);
 
   // Wait for the leader to join this op and publish its buffer. The wait is
   // exact: seq/info are indexed by the leader's slot, so a later op under a
   // different leader can never satisfy it or clobber the pointer (GroupCtl).
-  await(ctx, *top_ctl.seq[top.leader_slot], s, "seq_wait", top.level,
-        top.leader);
+  await(ctx, *from_ctl.seq[from.leader_slot], s, "seq_wait", from.level,
+        from.leader);
   const void* src;
   if (cico) {
-    src = cico_[static_cast<std::size_t>(top.leader)].result;
+    src = cico_[static_cast<std::size_t>(from.leader)].result;
   } else {
-    const void* leader_buf = top_ctl.info[top.leader_slot]->buf;
-    src = rs.endpoint->attach(ctx, top.leader, leader_buf, bytes);
+    const void* leader_buf = from_ctl.info[from.leader_slot]->buf;
+    src = rs.endpoint->attach(ctx, from.leader, leader_buf, bytes);
   }
 
-  // Destination this rank copies into: leaders stage into their own CICO
-  // result area (their children read it); everyone else receives in place.
-  const bool leads_any = ms.size() > 1;
-  std::byte* dst =
-      (cico && leads_any)
-          ? cico_[static_cast<std::size_t>(r)].result
-          : static_cast<std::byte*>(user_buf);
+  // Destination this rank copies into: relaying leaders stage into their own
+  // CICO result area (their children read it); everyone else receives in
+  // place.
+  const std::size_t n_led = relay ? acks.size() - 1 : 0;
+  std::byte* dst = (cico && n_led > 0)
+                       ? cico_[static_cast<std::size_t>(r)].result
+                       : static_cast<std::byte*>(user_buf);
 
   const std::size_t chunk = std::max<std::size_t>(
-      tuning_.chunk_for_level(top.level), 1);
+      tuning_.chunk_for_level(from.level), 1);
   const std::uint64_t base = rs.bcast_base[static_cast<std::size_t>(
-      top.ctl_id)];
+      from.ctl_id)];
 
   for (std::size_t lo = 0; lo < bytes;) {
     const std::size_t hi = std::min(bytes, lo + chunk);
-    maybe_stall(ctx, top.level);
-    announce_wait(ctx, top, base + hi);
+    maybe_stall(ctx, from.level);
+    announce_wait(ctx, from, base + hi);
     pull_chunk(ctx, dst + lo, static_cast<const std::byte*>(src) + lo, hi - lo,
-               top.level, cico ? -1 : top.leader, "bcast.pull_chunk");
+               from.level, cico ? -1 : from.leader, "bcast.pull_chunk");
     // Republish to led groups (pipelining across levels, §III-B).
-    for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
+    for (std::size_t i = 0; i < n_led; ++i) {
       const std::uint64_t led_base =
-          rs.bcast_base[static_cast<std::size_t>(ms[i].ctl_id)];
-      announce_publish(ctx, ms[i], led_base + hi);
+          rs.bcast_base[static_cast<std::size_t>(acks[i].ctl_id)];
+      announce_publish(ctx, acks[i], led_base + hi);
     }
     lo = hi;
   }
-  record_traffic(top.leader, r);
+  record_traffic(from.leader, r);
 
-  if (cico && leads_any) {
+  if (cico && n_led > 0) {
     // Copy-out from the staged result into the user buffer.
     XHC_TRACE(trace_sink(), ctx, "copy", "bcast.cico_copy_out", bytes);
     ctx.copy(user_buf, dst, bytes);
   }
 
   // Hierarchical acknowledgement: collect children's acks, then ack upward.
-  for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
-    wait_acks(ctx, ms[i], s);
+  for (std::size_t i = 0; i + 1 < acks.size(); ++i) {
+    wait_acks(ctx, acks[i], s);
   }
-  ack_publish(ctx, top, s);
+  ack_publish(ctx, acks.back(), s);
 }
 
 void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
@@ -92,11 +100,9 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
   const int r = ctx.rank();
   RankState& rs = state(r);
   const std::uint64_t s = ++rs.op_seq;
-  const CommView& view = tree_.view(root);
   const bool cico = bytes <= tuning_.cico_threshold;
   XHC_REQUIRE(!cico || bytes <= cico_[0].half_bytes,
               "CICO threshold exceeds segment half");
-  const auto& ms = view.memberships(r);
 
   // Size-class dispatch (DESIGN.md § Large-message paths): top-level group
   // members stripe payloads strictly above the threshold across the whole
@@ -104,16 +110,28 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
   // pipeline against the announces the striping leaders relay. Gated on
   // kSingleWriter: the root publishes an extra ack in the striped barrier,
   // which the fetch-add variant's (members-1)*s arithmetic cannot absorb.
-  const CommView::Membership& outer = ms.back();
-  if (!cico && tuning_.stripe_threshold > 0 &&
-      bytes > tuning_.stripe_threshold &&
-      tuning_.sync == coll::SyncMethod::kSingleWriter &&
-      outer.level == tree_.n_levels() - 1 && outer.members.size() >= 2) {
-    bcast_striped(ctx, view, buf, bytes, root, s);
+  const CommView& flag_view = tree_.view(root);
+  const bool stripe = !cico && tuning_.stripe_threshold > 0 &&
+                      bytes > tuning_.stripe_threshold &&
+                      tuning_.sync == coll::SyncMethod::kSingleWriter;
+  const CommView::Membership& outer = flag_view.memberships(r).back();
+  if (stripe && outer.level == tree_.n_levels() - 1 &&
+      outer.members.size() >= 2) {
+    bcast_striped(ctx, flag_view, buf, bytes, root, s);
     for (auto& b : rs.bcast_base) b += bytes;
     rs.stripe_base += bytes;
     return;
   }
+
+  // One-chunk dispatch (DESIGN.md § Cache tree): a payload that fits one
+  // chunk at every level has nothing to pipeline, so on a shared-LLC node
+  // every rank pulls straight from the root's slot of the cache tree's top
+  // group and acks climb through the LLC groups. Striping is tested first,
+  // so a stripe threshold below one chunk keeps striping. Every rank
+  // derives both from size, tuning and topology.
+  const bool cache = !stripe && tree_.has_cache_tree() && one_chunk(bytes, 1);
+  const CommView& view = cache ? tree_.cache_view(root) : flag_view;
+  const auto& ms = view.memberships(r);
 
   if (r == root) {
     const void* src = buf;
@@ -128,7 +146,10 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
     }
     // The root's data is fully available up front: join every led group and
     // publish the complete range at once (children still pull chunk-wise).
-    for (const auto& m : ms) {
+    // On the cache tree only the top group carries data; the LLC groups
+    // just gather acks.
+    for (std::size_t i = cache ? ms.size() - 1 : 0; i < ms.size(); ++i) {
+      const CommView::Membership& m = ms[i];
       GroupCtl& ctl = tree_.ctl(m.ctl_id);
       ctl.info[m.my_slot]->buf = src;
       ctx.flag_store(*ctl.seq[m.my_slot], s);
@@ -139,6 +160,10 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
     for (const auto& m : ms) {
       wait_acks(ctx, m, s);
     }
+  } else if (cache) {
+    // Nobody reads a non-root's buffer here: no expose, no join, no relay.
+    pull_bcast(ctx, view.memberships(root).back(), ms, buf, bytes, cico, s,
+               /*relay=*/false);
   } else {
     // Join led groups first so children can start as soon as data flows.
     const void* my_pub =
@@ -153,11 +178,12 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
       ctl.info[ms[i].my_slot]->buf = my_pub;
       ctx.flag_store(*ctl.seq[ms[i].my_slot], s);
     }
-    pull_bcast(ctx, view, buf, bytes, cico, s);
+    pull_bcast(ctx, ms.back(), ms, buf, bytes, cico, s, /*relay=*/true);
   }
 
   // Advance the per-group cumulative byte bases (kept mirrored by every
-  // rank; all ranks execute every collective, so the mirrors agree).
+  // rank; all ranks execute every collective, so the mirrors agree). They
+  // cover both trees and advance on every op, whichever tree carried it.
   // stripe_base advances on every bcast — striped or not — because the set
   // of striping ranks changes with the root, while the counter mirrors must
   // agree across any future top group.

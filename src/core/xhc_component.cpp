@@ -13,11 +13,16 @@ XhcComponent::XhcComponent(mach::Machine& machine, coll::Tuning tuning,
     : machine_(&machine),
       tuning_(std::move(tuning)),
       name_(std::move(name)),
+      // The cache tree carries the single-flag, single-writer protocol
+      // only; the Fig. 10 layouts and Fig. 4's atomics keep the flag tree.
       tree_(machine, topo::parse_sensitivity(tuning_.sensitivity),
-            tuning_.comm_name),
+            tuning_.comm_name,
+            tuning_.llc_aware &&
+                tuning_.flag_layout == coll::FlagLayout::kSingle &&
+                tuning_.sync == coll::SyncMethod::kSingleWriter),
       shard_plan_(machine,
                   shard_domains(topo::parse_sensitivity(tuning_.sensitivity),
-                                tuning_.llc_shards)) {
+                                tuning_.llc_aware)) {
   const int n = machine.n_ranks();
   fault_ = fault::make_injector(tuning_.faults, tuning_.fault_seed, n,
                                 tuning_.comm_id);
@@ -197,6 +202,9 @@ void XhcComponent::await(mach::Ctx& ctx, const mach::Flag& flag,
     Timed wait(*this, ctx, "wait", site, obs::HistKind::kWaitSite,
                obs::wait_arg(level, peer));
     ctx.flag_wait_ge(flag, value);
+    if (ctx.wait_spins() == spins0) {
+      wait.set_arg(obs::wait_arg(level, peer, /*blocked=*/false));
+    }
   }
   book(ctx, obs::Counter::kFlagWaits, 1);
   book(ctx, obs::Counter::kFlagSpinIters, ctx.wait_spins() - spins0);

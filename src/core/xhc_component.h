@@ -100,6 +100,9 @@ class XhcComponent final : public coll::Component {
     Timed(const Timed&) = delete;
     Timed& operator=(const Timed&) = delete;
 
+    /// Replaces the span's arg before it is recorded.
+    void set_arg(std::uint64_t arg) noexcept { arg_ = arg; }
+
    private:
     obs::Observer* o_;
     mach::Ctx* ctx_;
@@ -112,9 +115,10 @@ class XhcComponent final : public coll::Component {
   };
 
   /// Blocks until `flag` reaches `value`: a "wait" span named `site` whose
-  /// arg packs (level, peer) — which rank's publication is awaited — so the
-  /// critical-path analyzer (obs/critpath.h) can follow the blocking edge,
-  /// a kWaitSite sample, and the spin delta into kFlagWaits/kFlagSpinIters.
+  /// arg packs (level, peer) — which rank's publication is awaited — and
+  /// whether the wait blocked at all, so the critical-path analyzer
+  /// (obs/critpath.h) can follow the blocking edge, a kWaitSite sample, and
+  /// the spin delta into kFlagWaits/kFlagSpinIters.
   void await(mach::Ctx& ctx, const mach::Flag& flag, std::uint64_t value,
              const char* site, int level, int peer);
 
@@ -176,10 +180,22 @@ class XhcComponent final : public coll::Component {
                  std::uint64_t s);
 
   // --- broadcast machinery (shared by bcast and the allreduce fan-out) -----
-  /// Non-root side: pulls `bytes` from the member-level leader into the
-  /// rank's destination, republishing to led groups chunk by chunk.
-  void pull_bcast(mach::Ctx& ctx, const CommView& view, void* user_buf,
-                  std::size_t bytes, bool cico, std::uint64_t s);
+  /// True when `bytes` fit one `elem`-aligned pipeline chunk at every level
+  /// of the flag tree, so there is nothing to pipeline: the allreduce folds
+  /// through the binomial fan-in and the bcast takes the cache tree.
+  bool one_chunk(std::size_t bytes, std::size_t elem) const;
+
+  /// Non-root side: waits for `from`'s leader to publish, pulls `bytes` from
+  /// it, then acknowledges through `acks` (this rank's memberships,
+  /// innermost first): collects the acks of the groups it leads there and
+  /// acks in the last. With `relay` the rank republishes each chunk to the
+  /// groups it leads — the flag tree's pipeline, where `from` is acks.back();
+  /// on the cache tree `from` is the root's top-group slot and nobody reads
+  /// a non-root's buffer.
+  void pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
+                  const std::vector<CommView::Membership>& acks,
+                  void* user_buf, std::size_t bytes, bool cico,
+                  std::uint64_t s, bool relay);
 
   /// Large-message bcast among top-level group members (DESIGN.md § Large-
   /// message paths): the payload is striped across the top group; each

@@ -101,16 +101,19 @@ std::vector<OpReport> analyze_critical_paths(const Recorder& rec) {
     }
 
     // Blocking chain: from the latency-bound rank, repeatedly follow the
-    // last satisfied wait backwards to the rank it waited on. Virtual-time
-    // ties and unknown peers terminate the walk; a step cap guards against
-    // pathological ping-pong.
+    // last wait that actually blocked backwards to the rank it waited on.
+    // A wait whose flag was already published (an ack loop's tail behind
+    // the straggler it just waited out) delayed nobody and is stepped over.
+    // Virtual-time ties and unknown peers terminate the walk; a step cap
+    // guards against pathological ping-pong.
     int b = rep.bound_rank;
     double cursor = std::numeric_limits<double>::infinity();
     const Span* last_pick = nullptr;
     for (int step = 0; step < 64 && b >= 0 && b < n; ++step) {
       const Span* pick = nullptr;
       for (const Span* w : waits[static_cast<std::size_t>(b)]) {
-        if (w->t1 <= cursor && (pick == nullptr || w->t1 >= pick->t1)) {
+        if (unpack_wait_arg(w->arg).blocked && w->t1 <= cursor &&
+            (pick == nullptr || w->t1 >= pick->t1)) {
           pick = w;
         }
       }

@@ -33,22 +33,29 @@ namespace xhc::obs {
 // the waiter is blocked on into Span::arg, so the analyzer can follow the
 // blocking edge. Both are biased by one so that "unknown" (-1) encodes as 0
 // and an arg of 0 (spans recorded before this encoding existed) decodes
-// back to unknown.
+// back to unknown. Bit 31 marks a wait whose flag was already published
+// when it began: it blocked on nobody, so the chain walk steps over it.
 
-constexpr std::uint64_t wait_arg(int level, int peer) noexcept {
+inline constexpr std::uint64_t kWaitSatisfied = std::uint64_t{1} << 31;
+
+constexpr std::uint64_t wait_arg(int level, int peer,
+                                 bool blocked = true) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(level + 1))
           << 32) |
+         (blocked ? 0 : kWaitSatisfied) |
          static_cast<std::uint32_t>(peer + 1);
 }
 
 struct WaitArg {
-  int level;  ///< hierarchy level of the wait site, -1 when unknown
-  int peer;   ///< rank whose flag publication was awaited, -1 when unknown
+  int level;     ///< hierarchy level of the wait site, -1 when unknown
+  int peer;      ///< rank whose flag publication was awaited, -1 when unknown
+  bool blocked;  ///< false when the flag was published before the wait
 };
 
 constexpr WaitArg unpack_wait_arg(std::uint64_t a) noexcept {
   return {static_cast<int>(a >> 32) - 1,
-          static_cast<int>(a & 0xffffffffu) - 1};
+          static_cast<int>(a & (kWaitSatisfied - 1)) - 1,
+          (a & kWaitSatisfied) == 0};
 }
 
 // --- analysis results ------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <functional>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/analyzer.h"
@@ -188,6 +189,34 @@ TEST(CheckAnalyzer, RsAgFourStageNestsSteadyStateClean) {
   }
 }
 
+/// Nine-op sequences whose sizes alternate across a size class, so
+/// consecutive bcasts switch between the cache tree and the flag tree, and
+/// allreduces and reduces between the fan-in and their multi-chunk paths:
+/// a CICO one-chunk size against a multi-chunk one, and exactly one chunk
+/// against one chunk plus an element.
+TEST(CheckAnalyzer, ThresholdStraddlingSequencesClean) {
+  for (const char* name : {"epyc2p", "mini16", "grid12"}) {
+    const topo::Topology topo = std::string(name) == "grid12"
+                                    ? topo::grid("grid12", 2, 3, 2, 2)
+                                    : topo::by_name(name);
+    const int n = topo.n_cores();
+    sim::SimMachine machine(topo, n);
+    ASSERT_TRUE(core::XhcComponent(machine, coll::Tuning{}, "straddle")
+                    .tree()
+                    .has_cache_tree())
+        << name;
+    for (const auto& [bytes, alt] :
+         {std::pair<std::size_t, std::size_t>{512, 32768},
+          std::pair<std::size_t, std::size_t>{16384, 16392}}) {
+      const check::AnalysisReport rep = record_and_analyze(
+          machine, coll::Tuning{}, check::straddling_ops(n, bytes, alt));
+      EXPECT_TRUE(rep.clean()) << name << " " << bytes << "/" << alt
+                               << " B\n"
+                               << rep.text();
+    }
+  }
+}
+
 /// Every other tuning whose flag protocol differs, by name.
 coll::Tuning variant_tuning(const std::string& name) {
   coll::Tuning t;
@@ -261,6 +290,8 @@ std::vector<MutSpec> mutation_specs() {
   return {
       {"bcast_lat", [] { return topo::mini8(); }, nullptr,
        {Op::kBcast, 40000, 0}},
+      {"bcast_cache", [] { return topo::mini16(); }, nullptr,
+       {Op::kBcast, 4096, 5}},
       {"bcast_stripe", [] { return topo::mini8(); },
        [](coll::Tuning& t) { t.stripe_threshold = 4096; },
        {Op::kBcast, 16384, 0}},

@@ -718,6 +718,67 @@ INSTANTIATE_TEST_SUITE_P(Presets, LlcShardNest,
                          ::testing::Values("epyc1p", "epyc2p", "mini16"),
                          [](const auto& info) { return info.param; });
 
+// The cache tree (DESIGN.md § Cache tree): default xhc bcasts stay
+// bit-exact at every root on both sides of the CICO threshold and of one
+// pipeline chunk (1024 and 16384 B take it, 1028 and 16388 B do not; 16388
+// takes the flag tree), back to back on one component.
+
+using CacheTreeParam = std::tuple<std::string, std::string>;
+
+class CacheTreePayload : public ::testing::TestWithParam<CacheTreeParam> {};
+
+TEST_P(CacheTreePayload, BcastBitExactAtEveryRoot) {
+  const auto& [preset, machine_kind] = GetParam();
+  const topo::Topology topo = preset == "grid12"
+                                  ? topo::grid("grid12", 2, 3, 2, 2)
+                                  : topo::by_name(preset);
+  const int n = topo.n_cores();
+  auto machine = make_machine(machine_kind, topo, n);
+  auto comp = coll::make_component("xhc", *machine);
+  const std::vector<std::size_t> sizes = {1024, 1028, 16384, 16388};
+  const std::size_t max_bytes = sizes.back();
+  // Expected payload of op i * n + root (size i, root), seeded by the op.
+  std::vector<std::vector<std::byte>> expect;
+  for (const std::size_t bytes : sizes) {
+    for (int root = 0; root < n; ++root) {
+      expect.emplace_back(bytes);
+      util::fill_pattern(expect.back().data(), bytes, expect.size() - 1);
+    }
+  }
+  std::vector<mach::Buffer> bufs;
+  for (int r = 0; r < n; ++r) bufs.emplace_back(*machine, r, max_bytes);
+  std::vector<int> bad_ops(static_cast<std::size_t>(n), 0);
+  machine->run([&](mach::Ctx& ctx) {
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      for (int root = 0; root < n; ++root) {
+        const std::size_t op = i * static_cast<std::size_t>(n) +
+                               static_cast<std::size_t>(root);
+        if (ctx.rank() == root) {
+          ctx.write_payload(bufs[r].get(), sizes[i], op);
+        }
+        comp->bcast(ctx, bufs[r].get(), sizes[i], root);
+        if (std::memcmp(bufs[r].get(), expect[op].data(), sizes[i]) != 0) {
+          ++bad_ops[r];
+        }
+      }
+    }
+  });
+  for (int r = 0; r < n; ++r) {
+    EXPECT_EQ(bad_ops[static_cast<std::size_t>(r)], 0)
+        << preset << " on " << machine_kind << ", rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, CacheTreePayload,
+    ::testing::Combine(::testing::Values("epyc1p", "epyc2p", "mini16",
+                                         "grid12"),
+                       ::testing::Values("sim", "real")),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    });
+
 class LargeMsgDispatch : public ::testing::Test {
  protected:
   /// Per-rank virtual completion times of one bcast and one f64-sum
@@ -770,10 +831,10 @@ TEST_F(LargeMsgDispatch, UccKeepsItsOwnSizeClasses) {
 }
 
 TEST_F(LargeMsgDispatch, UccIgnoresLlcShards) {
-  // ucc's shard plan follows its own socket tree, so llc_shards must not
+  // ucc's shard plan follows its own socket tree, so llc_aware must not
   // move a 256 KiB ucc allreduce (RS+AG in ucc) — while it does move xhc's.
   coll::Tuning no_llc;
-  no_llc.llc_shards = false;
+  no_llc.llc_aware = false;
   EXPECT_EQ(done_times("ucc", coll::Tuning{}, 256 << 10, 256 << 10),
             done_times("ucc", no_llc, 256 << 10, 256 << 10));
   EXPECT_NE(done_times("xhc", coll::Tuning{}, 256 << 10, 256 << 10),

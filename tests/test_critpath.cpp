@@ -118,24 +118,25 @@ TEST(CritPath, RingWrapAlignsFromTheEnd) {
   EXPECT_EQ(ops[0].chain[0].peer, 0);
 }
 
-/// Runs `iters` bcasts on mini8 with tracing on (optionally with a fault
-/// plan) and leaves the spans in `observer`.
-void run_sim(const std::string& faults, int iters, Observer& observer) {
+/// Runs `iters` bcasts of `bytes` with component `comp_name` on mini8 with
+/// tracing on (optionally with a fault plan) and leaves the spans in
+/// `observer`.
+void run_sim(const std::string& faults, int iters, Observer& observer,
+             const char* comp_name = "xhc", std::size_t bytes = 16u << 10) {
   sim::SimMachine machine(topo::mini8(), 8);
   coll::Tuning tuning;
   tuning.trace = true;
   tuning.faults = faults;
-  auto comp = coll::make_component("xhc", machine, tuning);
+  auto comp = coll::make_component(comp_name, machine, tuning);
   comp->set_observer(&observer);
 
-  constexpr std::size_t kBytes = 16u << 10;
   std::vector<mach::Buffer> bufs;
-  for (int r = 0; r < 8; ++r) bufs.emplace_back(machine, r, kBytes);
-  util::fill_pattern(bufs[0].get(), kBytes, 3);
+  for (int r = 0; r < 8; ++r) bufs.emplace_back(machine, r, bytes);
+  util::fill_pattern(bufs[0].get(), bytes, 3);
   machine.run([&](mach::Ctx& ctx) {
     for (int it = 0; it < iters; ++it) {
       comp->bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
-                  kBytes, 0);
+                  bytes, 0);
     }
   });
 }
@@ -188,6 +189,46 @@ TEST(CritPath, StragglerInflatesTheCriticalPath) {
   }
   // Deterministic under a fixed seed as well.
   EXPECT_EQ(sim_report(spec, 2), sim_report(spec, 2));
+}
+
+TEST(CritPath, ChainNamesTheStraggler) {
+  // xhc-flat at 64 KiB: the root's ack loop waits out straggler r5, then
+  // finds r6's and r7's acks already published. The walk must follow the
+  // wait that blocked (on r5), not the last one in the loop.
+  Observer observer(8);
+  run_sim("straggler,prob=1,rank=5,delay=1e-4", 2, observer, "xhc-flat",
+          64u << 10);
+  const auto ops = analyze_critical_paths(observer.trace());
+  std::ostringstream report;
+  write_critpath_report(report, ops);
+  ASSERT_EQ(ops.size(), 2u);
+  for (const OpReport& op : ops) {
+    ASSERT_FALSE(op.chain.empty());
+    EXPECT_EQ(op.chain.front().peer, 5) << report.str();
+    EXPECT_GT(op.chain.front().wait_s, 5e-5) << report.str();
+  }
+}
+
+TEST(CritPath, SatisfiedWaitsAreSteppedOver) {
+  // r0 blocks on r1 until 0.5, then finds r2's flag already published: the
+  // chain follows the blocking wait, though the satisfied one ends later.
+  Recorder rec(3, 32);
+  rec.record(1, "collective", "x.bcast", 0.0, 0.45, 128);
+  rec.record(2, "collective", "x.bcast", 0.0, 0.1, 128);
+  rec.record(0, "wait", "wait_acks", 0.1, 0.5, wait_arg(0, 1));
+  rec.record(0, "wait", "wait_acks", 0.5, 0.51,
+             wait_arg(0, 2, /*blocked=*/false));
+  rec.record(0, "collective", "x.bcast", 0.0, 0.6, 128);
+  const auto ops = analyze_critical_paths(rec);
+  ASSERT_EQ(ops.size(), 1u);
+  ASSERT_EQ(ops[0].chain.size(), 1u);
+  EXPECT_EQ(ops[0].chain[0].peer, 1);
+  const WaitArg satisfied = unpack_wait_arg(wait_arg(3, 7, false));
+  EXPECT_EQ(satisfied.level, 3);
+  EXPECT_EQ(satisfied.peer, 7);
+  EXPECT_FALSE(satisfied.blocked);
+  // Both waits still count toward level 0.
+  EXPECT_EQ(ops[0].levels.at(0).waits, 2u);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // White-box tests of the XHC core: communicator tree shapes and per-root
 // views, control-block layout (cache-line placement), flag layout variants,
-// the CICO threshold, per-level chunk configuration, and traffic patterns.
+// the CICO threshold, per-level chunk configuration, traffic patterns, and
+// the cache tree that carries one-chunk bcasts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 
+#include "coll/registry.h"
 #include "core/comm_tree.h"
 #include "core/xhc_component.h"
 #include "mach/real_machine.h"
+#include "obs/observer.h"
 #include "p2p/counters.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
@@ -219,6 +223,9 @@ TEST(XhcTraffic, TreePatternMatchesPaperTableII) {
 }
 
 TEST(XhcTraffic, PatternInvariantUnderRootAndMapping) {
+  // 64 KiB, like Table II: one-chunk sizes take the cache tree instead
+  // (CacheTree.FlatPatternForEveryRootAndMapping).
+  constexpr std::size_t kBytes = 1 << 16;
   for (const topo::MapPolicy policy :
        {topo::MapPolicy::kCore, topo::MapPolicy::kNuma}) {
     for (const int root : {0, 10, 37}) {
@@ -227,16 +234,206 @@ TEST(XhcTraffic, PatternInvariantUnderRootAndMapping) {
       p2p::TrafficCounter counter(&m.topology(), &m.map());
       comp.set_traffic_counter(&counter);
       std::vector<mach::Buffer> bufs;
-      for (int r = 0; r < 64; ++r) bufs.emplace_back(m, r, 4096);
+      for (int r = 0; r < 64; ++r) bufs.emplace_back(m, r, kBytes);
       m.run([&](mach::Ctx& ctx) {
         comp.bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
-                   4096, root);
+                   kBytes, root);
       });
       EXPECT_EQ(counter.inter_socket(), 1u)
           << to_string(policy) << " root " << root;
       EXPECT_EQ(counter.inter_numa(), 6u);
       EXPECT_EQ(counter.intra_numa(), 56u);
     }
+  }
+}
+
+// --- cache tree (DESIGN.md § Cache tree) ------------------------------------
+
+TEST(CacheTree, ShapesFollowTheLlc) {
+  // The Epycs: 4-core LLC groups under a top group whose domain is every
+  // rank; its members are the LLC leaders, the root leading its own.
+  for (const char* name : {"epyc1p", "epyc2p"}) {
+    const topo::Topology topo = topo::by_name(name);
+    const int n = topo.n_cores();
+    sim::SimMachine m(topo, n);
+    XhcComponent comp(m, {}, "xhc");
+    CommTree& tree = comp.tree();
+    ASSERT_TRUE(tree.has_cache_tree()) << name;
+    // Flag groups, then one group per LLC; the top group is the flag
+    // tree's.
+    const int flag_groups = CommTree(m, topo::parse_sensitivity(
+                                            comp.tuning().sensitivity))
+                                .n_groups();
+    EXPECT_EQ(tree.n_groups(), flag_groups + n / 4) << name;
+    const int top_level = tree.n_levels() - 1;
+    for (const int root : {0, 6, n - 1}) {
+      const CommView& v = tree.cache_view(root);
+      const auto& root_ms = v.memberships(root);
+      ASSERT_EQ(root_ms.size(), 2u) << name;
+      EXPECT_GE(root_ms[0].ctl_id, flag_groups);
+      EXPECT_EQ(root_ms[1].ctl_id,
+                tree.view(root).memberships(root).back().ctl_id);
+      EXPECT_EQ(root_ms[1].leader, root);
+      EXPECT_EQ(root_ms[1].members.size(), static_cast<std::size_t>(n / 4));
+      EXPECT_EQ(tree.shape(root_ms[1].ctl_id).domain_ranks.size(),
+                static_cast<std::size_t>(n));
+      for (int r = 0; r < n; ++r) {
+        const auto& ms = v.memberships(r);
+        ASSERT_FALSE(ms.empty());
+        // Level numbering: LLC groups report 0, the top group the flag
+        // tree's top level.
+        EXPECT_EQ(ms[0].level, 0);
+        EXPECT_EQ(ms[0].members.size(), 4u) << name << " r" << r;
+        for (const int j : ms[0].members) EXPECT_EQ(j / 4, r / 4);
+        const bool leads = ms[0].leader == r;
+        EXPECT_EQ(ms.size(), leads ? 2u : 1u) << name << " r" << r;
+        if (leads) {
+          EXPECT_EQ(ms[1].level, top_level);
+          EXPECT_EQ(ms[1].leader, root);
+        }
+      }
+    }
+  }
+  // mini8 and grid12: the LLC group is the NUMA node, the flag tree's
+  // level-0 group.
+  for (const topo::Topology& topo :
+       {topo::mini8(), topo::grid("grid12", 2, 3, 2, 2)}) {
+    sim::SimMachine m(topo, topo.n_cores());
+    XhcComponent comp(m, {}, "xhc");
+    ASSERT_TRUE(comp.tree().has_cache_tree()) << topo.name();
+    for (int r = 0; r < topo.n_cores(); ++r) {
+      EXPECT_EQ(comp.tree().cache_view(0).memberships(r)[0].members,
+                comp.tree().view(0).memberships(r)[0].members);
+    }
+  }
+  // No shared LLC (armn1), or a one-level flag tree: no cache tree.
+  for (const topo::Topology& topo : {topo::armn1(), topo::flat(8)}) {
+    sim::SimMachine m(topo, topo.n_cores());
+    EXPECT_FALSE(XhcComponent(m, {}, "xhc").tree().has_cache_tree())
+        << topo.name();
+  }
+}
+
+/// Traffic of one bcast per root on a fresh epyc2p component, per root as
+/// {inter-socket, inter-NUMA, intra-NUMA}.
+std::vector<std::array<std::uint64_t, 3>> traffic_per_root(
+    std::string_view comp_name, const coll::Tuning& tuning, std::size_t bytes,
+    topo::MapPolicy policy, const std::vector<int>& roots) {
+  sim::SimMachine m(topo::epyc2p(), 64, policy);
+  auto comp = coll::make_component(comp_name, m, tuning);
+  p2p::TrafficCounter counter(&m.topology(), &m.map());
+  comp->set_traffic_counter(&counter);
+  std::vector<mach::Buffer> bufs;
+  for (int r = 0; r < 64; ++r) bufs.emplace_back(m, r, bytes);
+  std::vector<std::array<std::uint64_t, 3>> out;
+  m.run([&](mach::Ctx& ctx) {
+    for (const int root : roots) {
+      comp->bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
+                  bytes, root);
+      ctx.barrier();  // every rank has recorded its pulls
+      if (ctx.rank() == 0) {
+        out.push_back({counter.inter_socket(), counter.inter_numa(),
+                       counter.intra_numa()});
+        counter.reset();
+      }
+      ctx.barrier();
+    }
+  });
+  return out;
+}
+
+TEST(CacheTree, FlatPatternForEveryRootAndMapping) {
+  // Every rank pulls straight from the root: the 32 ranks of the other
+  // socket, the 24 of the root's socket outside its NUMA node, and the 7
+  // inside it, at every root, under both mappings, CICO or single-copy.
+  std::vector<int> roots(64);
+  for (int r = 0; r < 64; ++r) roots[static_cast<std::size_t>(r)] = r;
+  for (const topo::MapPolicy policy :
+       {topo::MapPolicy::kCore, topo::MapPolicy::kNuma}) {
+    for (const std::size_t bytes : {std::size_t{4}, std::size_t{4096}}) {
+      const auto got = traffic_per_root("xhc", {}, bytes, policy, roots);
+      ASSERT_EQ(got.size(), roots.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], (std::array<std::uint64_t, 3>{32, 24, 7}))
+            << to_string(policy) << " root " << roots[i] << " " << bytes
+            << " B";
+      }
+    }
+  }
+}
+
+TEST(CacheTree, OtherVariantsKeepTheFlagTree) {
+  // The LLC switch changes nothing for xhc-flat, the Fig. 10 multi-flag
+  // layouts and Fig. 4's atomic sync: they build no cache tree, and their
+  // one-chunk traffic is the same with the switch on or off.
+  coll::Tuning off;
+  off.llc_aware = false;
+  const std::vector<int> roots = {0, 37};
+  coll::Tuning shared_line;
+  shared_line.flag_layout = coll::FlagLayout::kMultiSharedLine;
+  coll::Tuning separate_lines;
+  separate_lines.flag_layout = coll::FlagLayout::kMultiSeparateLines;
+  coll::Tuning atomic;
+  atomic.sync = coll::SyncMethod::kAtomicFetchAdd;
+  for (const coll::Tuning& variant : {shared_line, separate_lines, atomic}) {
+    sim::SimMachine m(topo::epyc2p(), 64);
+    EXPECT_FALSE(XhcComponent(m, variant, "v").tree().has_cache_tree());
+    coll::Tuning variant_off = variant;
+    variant_off.llc_aware = false;
+    const auto on = traffic_per_root("xhc", variant, 4096,
+                                     topo::MapPolicy::kCore, roots);
+    EXPECT_EQ(on, traffic_per_root("xhc", variant_off, 4096,
+                                   topo::MapPolicy::kCore, roots));
+    // Paper Table II: the flag tree's pattern.
+    EXPECT_EQ(on[0], (std::array<std::uint64_t, 3>{1, 6, 56}));
+  }
+  {
+    sim::SimMachine m(topo::epyc2p(), 64);
+    coll::Tuning flat;
+    flat.sensitivity = "flat";
+    EXPECT_FALSE(XhcComponent(m, flat, "flat").tree().has_cache_tree());
+  }
+  // ucc keeps its socket tree: one pull crosses the socket link.
+  for (const auto& t : traffic_per_root("ucc", {}, 4096,
+                                        topo::MapPolicy::kCore, roots)) {
+    EXPECT_EQ(t[0], 1u);
+  }
+}
+
+TEST(CacheTree, StripeThresholdBelowOneChunkStillStripes) {
+  // Striping is tested before the cache tree: with an explicit threshold
+  // below one chunk, a one-chunk bcast stripes across the top group, and
+  // the payload stays bit-exact.
+  sim::SimMachine m(topo::mini16(), 16);
+  coll::Tuning tuning;
+  tuning.stripe_threshold = 4096;
+  tuning.trace = true;
+  XhcComponent comp(m, tuning, "stripe");
+  ASSERT_TRUE(comp.tree().has_cache_tree());
+  obs::Observer observer(16);
+  comp.set_observer(&observer);
+  constexpr std::size_t kBytes = 8192;
+  std::vector<mach::Buffer> bufs;
+  for (int r = 0; r < 16; ++r) bufs.emplace_back(m, r, kBytes);
+  util::fill_pattern(bufs[5].get(), kBytes, 41);
+  m.run([&](mach::Ctx& ctx) {
+    comp.bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(), kBytes,
+               5);
+  });
+  std::size_t stripe_pulls = 0;
+  for (int r = 0; r < 16; ++r) {
+    for (const obs::Span& sp : observer.trace().spans(r)) {
+      if (std::strcmp(sp.name, "bcast.stripe_pull") == 0) ++stripe_pulls;
+    }
+  }
+  EXPECT_GT(stripe_pulls, 0u);
+  std::vector<std::byte> expect(kBytes);
+  util::fill_pattern(expect.data(), kBytes, 41);
+  for (int r = 0; r < 16; ++r) {
+    EXPECT_EQ(std::memcmp(bufs[static_cast<std::size_t>(r)].get(),
+                          expect.data(), kBytes),
+              0)
+        << "rank " << r;
   }
 }
 
