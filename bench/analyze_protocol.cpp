@@ -14,9 +14,12 @@
 // on epyc2p, mini16 and grid12 the threshold-straddling cells run the same
 // sequence with sizes alternating across a size class
 // (check::straddling_ops), so consecutive bcasts switch between the cache
-// tree and the flag tree. These cells mix op classes, so --op skips them. Every cell runs every
-// analyzer check (single-writer, monotonicity, threshold reachability,
-// acyclicity, payload races). Output is byte-deterministic; the exit status
+// tree and the flag tree, and the rotating-root cells run a reduce at every
+// root in turn between one-chunk allreduces, barriers and bcasts
+// (check::rotating_root_ops), at 4 KiB and alternating 512/32768 B. These
+// cells mix op classes, so --op skips them. Every cell runs every analyzer
+// check (single-writer, monotonicity, threshold reachability, acyclicity,
+// payload races). Output is byte-deterministic; the exit status
 // is the total finding count clamped to 1, so CI can gate on it directly.
 #include <algorithm>
 #include <fstream>
@@ -75,6 +78,8 @@ const std::vector<std::size_t> kSizes = {512, 32768, 262144};
 /// an element.
 const std::vector<std::pair<std::size_t, std::size_t>> kStraddles = {
     {512, 32768}, {16384, 16392}};
+/// Targets of the straddling and rotating-root cells: the shared-LLC shapes
+/// whose one-chunk ops end on the cache tree.
 const std::vector<std::string> kStraddleTargets = {"epyc2p", "mini16",
                                                    "grid12"};
 
@@ -137,8 +142,12 @@ int main(int argc, char** argv) {
           std::find(kStraddleTargets.begin(), kStraddleTargets.end(),
                     target) != kStraddleTargets.end()) {
         for (const auto& [bytes, alt] : kStraddles) {
-          analyze(check::straddling_ops(ranks, bytes, alt));
+          analyze(check::straddling_ops(check::steady_state_ops(ranks, bytes),
+                                        alt));
         }
+        analyze(check::rotating_root_ops(ranks, 4096));
+        analyze(check::straddling_ops(check::rotating_root_ops(ranks, 512),
+                                      32768));
       }
     }
   }

@@ -2,10 +2,10 @@
 //   * hierarchy sensitivity: flat / numa / socket / numa+socket /
 //     l3+numa+socket (paper §III-A: which levels pay off where), every
 //     column on its flag tree (the LLC switch off);
-//   * one-chunk bcast: the flag tree, the flat tree and the cache tree,
-//     4 B-16 KiB on every paper system, mean and root completion (why
-//     Tuning::llc_aware sends one-chunk bcasts over the cache tree;
-//     DESIGN.md § Cache tree);
+//   * one-chunk ops: the flag tree, the flat tree and the cache tree for
+//     bcast 4 B-16 KiB, allreduce 4 B-8 KiB and barrier on every paper
+//     system, mean and root completion (why Tuning::llc_aware ends one-chunk
+//     ops on the cache tree; DESIGN.md § Cache tree);
 //   * pipeline chunk size (paper §III-B and §V-D2's note that 128K–1M
 //     allreduce is sensitive to chunk configuration);
 //   * CICO threshold (paper §III-D: where the copy-in-copy-out path stops
@@ -65,17 +65,23 @@ static int run(int argc, char** argv) {
     }
   }
 
-  // --- one-chunk bcast: flag tree vs flat vs cache tree (every system) ----
+  // --- one-chunk ops: flag tree vs flat vs cache tree (every system) ------
   {
-    const std::vector<std::size_t> sizes =
+    const std::vector<std::size_t> bcast_sizes =
         args.quick ? std::vector<std::size_t>{4, 4096, 16384}
                    : std::vector<std::size_t>{4, 64, 512, 1024, 4096, 16384};
+    // Allreduces above 8 KiB take reduce-scatter + allgather.
+    const std::vector<std::size_t> allreduce_sizes =
+        args.quick ? std::vector<std::size_t>{4, 4096}
+                   : std::vector<std::size_t>{4, 64, 512, 1024, 4096, 8192};
     // The cache tree is xhc's default; the flag tree is xhc with the LLC
-    // switch off, the flat tree xhc-flat. The root returns last (it waits
-    // for every ack), so the slowest rank's time is its completion.
+    // switch off, the flat tree xhc-flat. The root returns last in a bcast
+    // and an allreduce (it waits for every ack), so there the slowest rank's
+    // time is its completion; in a barrier it is the last rank released.
     constexpr std::array<const char*, 3> kTrees{"flag tree", "flat",
                                                 "cache tree"};
     const auto systems = args.systems();
+    // Per point: the bcast sizes, the allreduce sizes, then the barrier.
     std::vector<std::vector<osu::SizeResult>> res(systems.size() *
                                                   kTrees.size());
     osu::run_points(res.size(), args.effective_jobs(), [&](std::size_t i) {
@@ -90,17 +96,30 @@ static int run(int argc, char** argv) {
       cfg.warmup = 1;
       cfg.iters = args.quick ? 2 : 4;
       cfg.verify = args.verify;
-      res[i] = osu::bcast_sweep(*machine, *comp, sizes, cfg);
+      res[i] = osu::bcast_sweep(*machine, *comp, bcast_sizes, cfg);
+      for (const osu::SizeResult& r :
+           osu::allreduce_sweep(*machine, *comp, allreduce_sizes, cfg)) {
+        res[i].push_back(r);
+      }
+      res[i].push_back(osu::barrier_result(*machine, *comp, cfg));
     });
+    std::vector<std::string> labels;
+    for (const std::size_t b : bcast_sizes) {
+      labels.push_back("bcast " + util::Table::fmt_bytes(b));
+    }
+    for (const std::size_t b : allreduce_sizes) {
+      labels.push_back("allreduce " + util::Table::fmt_bytes(b));
+    }
+    labels.push_back("barrier");
     for (std::size_t si = 0; si < systems.size(); ++si) {
-      std::vector<std::string> header{"Size"};
+      std::vector<std::string> header{"Op"};
       for (const char* tree : kTrees) {
         header.push_back(std::string(tree) + " avg");
         header.push_back(std::string(tree) + " root");
       }
       util::Table table(std::move(header));
-      for (std::size_t k = 0; k < sizes.size(); ++k) {
-        std::vector<std::string> row{util::Table::fmt_bytes(sizes[k])};
+      for (std::size_t k = 0; k < labels.size(); ++k) {
+        std::vector<std::string> row{labels[k]};
         for (std::size_t ti = 0; ti < kTrees.size(); ++ti) {
           const osu::SizeResult& r = res[si * kTrees.size() + ti][k];
           row.push_back(bench::us(r.avg_us));
@@ -109,7 +128,7 @@ static int run(int argc, char** argv) {
         table.add_row(std::move(row));
       }
       bench::emit(args, table,
-                  "Ablation: one-chunk bcast (us; flag tree | flat | cache "
+                  "Ablation: one-chunk ops (us; flag tree | flat | cache "
                   "tree), " +
                       std::string(systems[si]));
     }

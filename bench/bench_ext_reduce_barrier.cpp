@@ -35,17 +35,24 @@ static int run(int argc, char** argv) {
                 std::string("Extension: MPI_Reduce latency (us), ") + system);
   }
 
-  // --- Barrier scaling on ARM-N1 -------------------------------------------
+  // --- Barrier scaling on ARM-N1, and the full Epycs ----------------------
+  // On the Epycs xhc releases its barrier flat from rank 0 through the
+  // cache tree (DESIGN.md § Cache tree); ARM-N1 has no shared LLC.
   {
-    util::Table table({"Ranks", "xhc (hierarchical flags)",
+    util::Table table({"System", "Ranks", "xhc (hierarchical flags)",
                        "tuned (dissemination)", "sm (fallback)"});
-    const std::vector<int> rank_counts =
-        args.quick ? std::vector<int>{40, 160}
-                   : std::vector<int>{20, 40, 80, 160};
-    for (const int ranks : rank_counts) {
-      std::vector<std::string> row{std::to_string(ranks)};
+    std::vector<std::pair<topo::Topology, int>> points;
+    for (const int ranks : args.quick ? std::vector<int>{40, 160}
+                                      : std::vector<int>{20, 40, 80, 160}) {
+      points.emplace_back(topo::armn1(), ranks);
+    }
+    for (const topo::Topology& t : {topo::epyc1p(), topo::epyc2p()}) {
+      points.emplace_back(t, t.n_cores());
+    }
+    for (const auto& [topology, ranks] : points) {
+      std::vector<std::string> row{topology.name(), std::to_string(ranks)};
       for (const char* comp_name : {"xhc", "tuned", "sm"}) {
-        sim::SimMachine machine(topo::armn1(), ranks);
+        sim::SimMachine machine(topology, ranks);
         auto comp = coll::make_component(comp_name, machine);
         osu::Config cfg;
         cfg.warmup = 1;
@@ -56,8 +63,7 @@ static int run(int argc, char** argv) {
       table.add_row(std::move(row));
     }
     bench::emit(args, table,
-                "Extension: MPI_Barrier latency (us) vs node occupancy "
-                "(ARM-N1)");
+                "Extension: MPI_Barrier latency (us) vs node occupancy");
   }
   return 0;
 }

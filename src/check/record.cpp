@@ -44,9 +44,18 @@ std::vector<OpCall> steady_state_ops(int n_ranks, std::size_t bytes) {
   };
 }
 
-std::vector<OpCall> straddling_ops(int n_ranks, std::size_t bytes,
+std::vector<OpCall> rotating_root_ops(int n_ranks, std::size_t bytes) {
+  std::vector<OpCall> ops;
+  for (int root = 0; root < n_ranks; ++root) {
+    ops.push_back({Op::kReduce, bytes, root});
+    constexpr Op kNext[] = {Op::kAllreduce, Op::kBarrier, Op::kBcast};
+    ops.push_back({kNext[root % 3], bytes, root});
+  }
+  return ops;
+}
+
+std::vector<OpCall> straddling_ops(std::vector<OpCall> ops,
                                    std::size_t alt_bytes) {
-  std::vector<OpCall> ops = steady_state_ops(n_ranks, bytes);
   bool alt = false;
   for (OpCall& call : ops) {
     if (call.op == Op::kBarrier) continue;

@@ -96,11 +96,16 @@ Schedule record_schedule(sim::SimMachine& machine, coll::Component& comp,
 /// n/2, barrier, bcast 1, allreduce, reduce 0, bcast n/2).
 std::vector<OpCall> steady_state_ops(int n_ranks, std::size_t bytes);
 
-/// The steady-state sequence with sizes alternating between `bytes` and
-/// `alt_bytes` from one op to the next (the barrier aside), so consecutive
-/// ops — the four bcasts included — straddle a size-class threshold and
-/// switch protocols between them.
-std::vector<OpCall> straddling_ops(int n_ranks, std::size_t bytes,
+/// A reduce at every root in turn (0, 1, ..., n-1), each followed by one op
+/// of another class, in rotation an allreduce, a barrier and a bcast at the
+/// reduce's root, all of `bytes`: the reduce's return points at every root,
+/// against every class of op that can follow them.
+std::vector<OpCall> rotating_root_ops(int n_ranks, std::size_t bytes);
+
+/// `ops` with every other op (barriers aside) resized to `alt_bytes`, so
+/// consecutive ops of a sequence straddle a size-class threshold and switch
+/// protocols between them.
+std::vector<OpCall> straddling_ops(std::vector<OpCall> ops,
                                    std::size_t alt_bytes);
 
 }  // namespace xhc::check

@@ -99,9 +99,11 @@ struct Tuning {
   /// Everything at or below a threshold runs the unchanged latency path
   /// (paper §III-B pipeline), so below-threshold behavior is bit-identical
   /// to a build without the large paths. 0 disables a large path entirely.
-  /// RS+AG beats the binomial fan-in from about 7–8 KiB on the Epycs but
-  /// only above 16 KiB on ARM-N1 (EXPERIMENTS.md § Allreduce size-class
-  /// crossover); 8 KiB keeps ARM-N1 and the 4 KiB points on the fan-in.
+  /// RS+AG beats the binomial fan-in (its result pulled through the cache
+  /// tree) between 8 and 10 KiB on the Epycs but only above 16 KiB on
+  /// ARM-N1 (EXPERIMENTS.md § Allreduce size-class crossover); 8 KiB sits
+  /// just below the Epycs' crossover and keeps ARM-N1 and the 4 KiB points
+  /// on the fan-in.
   /// Striping stays off by default: under xhc's tree the hierarchical
   /// pipeline beats it at every size. ucc and xhc-flat, whose wide top
   /// groups it pays off for, pin 128 KiB themselves.
@@ -111,10 +113,11 @@ struct Tuning {
   /// The one LLC switch (DESIGN.md § Cache tree, § Large-message paths).
   /// It nests the reduce-scatter + allgather shard plan down to the LLC
   /// level (core::shard_domains), so full-payload reads stay inside a
-  /// shared cache, and on nodes whose cores share an LLC it sends bcasts
-  /// that fit one pipeline chunk at every level over the cache tree: a flat
-  /// fan-out from the root, acks through the LLC groups. The flag tree
-  /// keeps the plain sensitivity. No `--tune` key: ucc turns it off to keep
+  /// shared cache, and on nodes whose cores share an LLC it ends every op
+  /// that fits one pipeline chunk at every level on the cache tree: a
+  /// bcast's fan-out, an allreduce's result and a reduce's or barrier's
+  /// release go flat from the root, acks through the LLC groups. The flag
+  /// tree keeps the plain sensitivity and the reductions. No `--tune` key: ucc turns it off to keep
   /// its topology-blind plan and its tree.
   bool llc_aware = true;
 

@@ -12,7 +12,8 @@
 // completion in chunk order and republish availability one level up through
 // their reduce_ready slot. When the reduction reaches the top it is
 // broadcast down the same hierarchy via the pull machinery shared with
-// MPI_Bcast.
+// MPI_Bcast — or, for a one-chunk payload on a shared-LLC node, straight
+// from the internal root through the cache tree, with acks per LLC group.
 #include <algorithm>
 
 #include "core/shard_schedule.h"
@@ -48,6 +49,7 @@ struct XhcComponent::ReducePlan {
   mach::DType dtype{};
   mach::ROp op{};
   bool cico = false;
+  bool cache = false;  ///< the downward phase runs on the cache tree
   std::uint64_t s = 0;
   const std::byte* contrib0 = nullptr;
   std::byte* result = nullptr;
@@ -172,9 +174,13 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
   }
 
   // A payload that fits one pipeline chunk at every level folds through the
-  // binomial fan-in; longer ones keep the chunk-parallel reducers. Like the
-  // dispatch above, every rank derives this from size, tuning and topology.
+  // binomial fan-in; longer ones keep the chunk-parallel reducers. The
+  // fan-in's downward phase (result fan-out or release) then runs on the
+  // cache tree where the component has one (DESIGN.md § Cache tree). Like
+  // the dispatch above, every rank derives both from size, tuning and
+  // topology.
   const bool fan_in_path = one_chunk(bytes, elem);
+  const bool cache = fan_in_path && tree_.has_cache_tree();
   // A fan-in position folds a child iff it is even and not the last; the
   // internal root always ends up holding the reduction.
   const CommView::Membership& top = ms.back();
@@ -191,6 +197,7 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
   plan.dtype = dtype;
   plan.op = op;
   plan.cico = cico;
+  plan.cache = cache;
   plan.s = s;
   plan.scanned.assign(ms.size(), 0);
   if (cico) {
@@ -247,8 +254,15 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
     reduce_chunks(ctx, view, plan);
   }
 
+  // Step 3 (downward phase). On the cache tree every non-root waits on the
+  // root's slot of the top group — the flag tree's top group, where the
+  // root published seq/info in step 1 — and acks through its LLC group.
+  const CommView& down = cache ? tree_.cache_view(root) : view;
+  const auto& acks = down.memberships(r);
+  const CommView::Membership& from = cache ? down.memberships(root).back()
+                                           : top;
   if (top.is_leader) {
-    for (const auto& m : ms) {
+    for (const auto& m : acks) {
       wait_acks(ctx, m, s);
     }
     if (cico) {
@@ -256,22 +270,22 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
       ctx.copy(rbuf, my_seg.result, bytes);
     }
   } else if (deliver_all) {
-    // Step 3 (broadcast of the result), shared with MPI_Bcast.
-    pull_bcast(ctx, top, ms, rbuf, bytes, cico, s, /*relay=*/true);
+    // Broadcast of the result, shared with MPI_Bcast: relayed down the flag
+    // tree, or pulled flat from the root on the cache tree.
+    pull_bcast(ctx, from, acks, rbuf, bytes, cico, s, /*relay=*/!cache);
   } else {
     // Reduce: only a completion release flows down — wait for the root's
-    // announce, republish to led groups, then acknowledge upward.
-    announce_wait(ctx, top,
-                  rs.bcast_base[static_cast<std::size_t>(top.ctl_id)] + bytes);
-    for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
+    // announce, republish to led groups on the flag tree, then acknowledge
+    // upward.
+    announce_wait(ctx, from,
+                  rs.bcast_base[static_cast<std::size_t>(from.ctl_id)] +
+                      bytes);
+    for (std::size_t i = 0; !cache && i + 1 < ms.size(); ++i) {
       announce_publish(
           ctx, ms[i],
           rs.bcast_base[static_cast<std::size_t>(ms[i].ctl_id)] + bytes);
     }
-    for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
-      wait_acks(ctx, ms[i], s);
-    }
-    ack_publish(ctx, top, s);
+    ack_up(ctx, acks, s);
   }
 
   for (auto& b : rs.bcast_base) b += bytes;
@@ -334,11 +348,13 @@ void XhcComponent::fan_in(mach::Ctx& ctx, const CommView& view,
         rs.reduce_base[static_cast<std::size_t>(top.ctl_id)] + plan.bytes);
     return;
   }
-  // Internal root: the payload is globally reduced — trigger the broadcast
-  // at every level the root leads (§IV-B step 3).
-  for (const auto& m : ms) {
+  // Internal root: the payload is globally reduced — trigger the downward
+  // phase (§IV-B step 3) at every level the root leads, or on the cache tree
+  // in the top group alone: nobody waits on the lower announces there.
+  for (std::size_t i = plan.cache ? ms.size() - 1 : 0; i < ms.size(); ++i) {
     announce_publish(
-        ctx, m, rs.bcast_base[static_cast<std::size_t>(m.ctl_id)] + plan.bytes);
+        ctx, ms[i],
+        rs.bcast_base[static_cast<std::size_t>(ms[i].ctl_id)] + plan.bytes);
   }
 }
 
@@ -569,10 +585,7 @@ void XhcComponent::allreduce_rs_ag(mach::Ctx& ctx, const CommView& view,
           ctx, m, rs.bcast_base[static_cast<std::size_t>(m.ctl_id)] + bytes);
     }
   } else {
-    for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
-      wait_acks(ctx, ms[i], s);
-    }
-    ack_publish(ctx, top, s);
+    ack_up(ctx, ms, s);
     announce_wait(ctx, top,
                   rs.bcast_base[static_cast<std::size_t>(top.ctl_id)] + bytes);
     for (std::size_t i = 0; i + 1 < ms.size(); ++i) {

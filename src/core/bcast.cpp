@@ -8,7 +8,9 @@
 // A hierarchical acknowledgement closes the operation so buffers and flags
 // can be reused. On a shared-LLC node a one-chunk bcast skips the
 // republishing: every rank pulls from the root through the cache tree, and
-// only the acknowledgement climbs through the LLC groups.
+// only the acknowledgement climbs through the LLC groups. One-chunk
+// allreduces, reduces and barriers finish their downward phase the same way
+// (core/allreduce.cpp, XhcComponent::barrier).
 #include "core/xhc_component.h"
 
 #include <algorithm>
@@ -82,6 +84,12 @@ void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
     ctx.copy(user_buf, dst, bytes);
   }
 
+  ack_up(ctx, acks, s);
+}
+
+void XhcComponent::ack_up(mach::Ctx& ctx,
+                          const std::vector<CommView::Membership>& acks,
+                          std::uint64_t s) {
   // Hierarchical acknowledgement: collect children's acks, then ack upward.
   for (std::size_t i = 0; i + 1 < acks.size(); ++i) {
     wait_acks(ctx, acks[i], s);

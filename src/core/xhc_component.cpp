@@ -114,17 +114,22 @@ void XhcComponent::barrier(mach::Ctx& ctx) {
   }
 
   // Release, top-down through the announce counters (one "byte" per
-  // barrier keeps them monotone).
+  // barrier keeps them monotone). With a cache tree (DESIGN.md § Cache
+  // tree) rank 0 publishes its top-group announce once and every other rank
+  // waits on it directly; nobody republishes.
+  const bool cache = tree_.has_cache_tree();
   const CommView::Membership& top = ms.back();
   if (top.is_leader) {
-    for (const auto& m : ms) {
+    for (std::size_t i = cache ? ms.size() - 1 : 0; i < ms.size(); ++i) {
       announce_publish(
-          ctx, m, rs.bcast_base[static_cast<std::size_t>(m.ctl_id)] + 1);
+          ctx, ms[i],
+          rs.bcast_base[static_cast<std::size_t>(ms[i].ctl_id)] + 1);
     }
   } else {
-    announce_wait(ctx, top,
-                  rs.bcast_base[static_cast<std::size_t>(top.ctl_id)] + 1);
-    for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
+    const CommView::Membership& from = cache ? view.memberships(0).back() : top;
+    announce_wait(ctx, from,
+                  rs.bcast_base[static_cast<std::size_t>(from.ctl_id)] + 1);
+    for (std::size_t i = 0; !cache && i + 1 < ms.size(); ++i) {
       announce_publish(
           ctx, ms[i],
           rs.bcast_base[static_cast<std::size_t>(ms[i].ctl_id)] + 1);

@@ -46,8 +46,9 @@ class XhcComponent final : public coll::Component {
               int root) override;
 
   /// Native MPI_Barrier (paper §VII): hierarchical arrival gather through
-  /// the member_seq flags, release through the announce counters — no data
-  /// movement, no atomics.
+  /// the member_seq flags, release through the announce counters — down the
+  /// flag tree, or flat from rank 0's top-group slot where the component
+  /// has a cache tree. No data movement, no atomics.
   void barrier(mach::Ctx& ctx) override;
 
   std::optional<smsc::RegCache::Stats> reg_cache_stats() const override;
@@ -181,8 +182,9 @@ class XhcComponent final : public coll::Component {
 
   // --- broadcast machinery (shared by bcast and the allreduce fan-out) -----
   /// True when `bytes` fit one `elem`-aligned pipeline chunk at every level
-  /// of the flag tree, so there is nothing to pipeline: the allreduce folds
-  /// through the binomial fan-in and the bcast takes the cache tree.
+  /// of the flag tree, so there is nothing to pipeline: reductions fold
+  /// through the binomial fan-in, and every op's downward phase takes the
+  /// cache tree where the component has one.
   bool one_chunk(std::size_t bytes, std::size_t elem) const;
 
   /// Non-root side: waits for `from`'s leader to publish, pulls `bytes` from
@@ -196,6 +198,11 @@ class XhcComponent final : public coll::Component {
                   const std::vector<CommView::Membership>& acks,
                   void* user_buf, std::size_t bytes, bool cico,
                   std::uint64_t s, bool relay);
+  /// A non-root's acknowledgement through `acks` (its memberships, innermost
+  /// first): waits for the members of every group it leads there, then acks
+  /// in the last.
+  void ack_up(mach::Ctx& ctx, const std::vector<CommView::Membership>& acks,
+              std::uint64_t s);
 
   /// Large-message bcast among top-level group members (DESIGN.md § Large-
   /// message paths): the payload is striped across the top group; each
@@ -216,7 +223,8 @@ class XhcComponent final : public coll::Component {
   /// Single-chunk reduction (DESIGN.md § Allreduce fan-in): a binomial
   /// fan-in per group, innermost level first. Ends by publishing this
   /// rank's reduce_ready at its member level, or, at the internal root, the
-  /// announce of every level it leads.
+  /// announce of every level it leads (of the top group alone when the
+  /// cache tree carries the downward phase).
   void fan_in(mach::Ctx& ctx, const CommView& view, const ReducePlan& plan);
   /// Multi-chunk reduction at a non-root rank's member level: every
   /// non-leader member reduces its round-robin share of chunks into the

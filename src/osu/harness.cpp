@@ -389,11 +389,14 @@ std::vector<SizeResult> reduce_sweep(mach::Machine& machine,
   return results;
 }
 
-double barrier_latency_us(mach::Machine& machine, coll::Component& comp,
-                          const Config& config) {
-  const int n = machine.n_ranks();
+namespace {
+
+/// Each rank's summed barrier time over the timed iterations.
+std::vector<PaddedAcc> time_barriers(mach::Machine& machine,
+                                     coll::Component& comp,
+                                     const Config& config) {
   if (config.observer != nullptr) comp.set_observer(config.observer);
-  std::vector<PaddedAcc> acc(static_cast<std::size_t>(n));
+  std::vector<PaddedAcc> acc(static_cast<std::size_t>(machine.n_ranks()));
   const int total = config.warmup + config.iters;
   machine.run([&](mach::Ctx& ctx) {
     for (int it = 0; it < total; ++it) {
@@ -406,10 +409,22 @@ double barrier_latency_us(mach::Machine& machine, coll::Component& comp,
       }
     }
   });
-  double sum = 0.0;
-  for (const auto& a : acc) sum += a.value;
   publish_verify_summary(machine, config.observer);
-  return sum / n / config.iters * 1e6;
+  return acc;
+}
+
+}  // namespace
+
+double barrier_latency_us(mach::Machine& machine, coll::Component& comp,
+                          const Config& config) {
+  double sum = 0.0;
+  for (const auto& a : time_barriers(machine, comp, config)) sum += a.value;
+  return sum / machine.n_ranks() / config.iters * 1e6;
+}
+
+SizeResult barrier_result(mach::Machine& machine, coll::Component& comp,
+                          const Config& config) {
+  return summarize(time_barriers(machine, comp, config), 0, config.iters);
 }
 
 double pt2pt_latency_us(mach::Machine& machine, p2p::Fabric& fabric,

@@ -95,6 +95,10 @@ std::vector<SizeResult> reduce_sweep(mach::Machine& machine,
 double barrier_latency_us(mach::Machine& machine, coll::Component& comp,
                           const Config& config);
 
+/// osu_barrier per rank: mean, fastest and slowest rank (bytes 0).
+SizeResult barrier_result(mach::Machine& machine, coll::Component& comp,
+                          const Config& config);
+
 /// osu_latency: one-way pt2pt latency between two ranks (Fig. 1a, Fig. 3a).
 double pt2pt_latency_us(mach::Machine& machine, p2p::Fabric& fabric,
                         int rank_a, int rank_b, std::size_t bytes,

@@ -209,9 +209,33 @@ TEST(CheckAnalyzer, ThresholdStraddlingSequencesClean) {
          {std::pair<std::size_t, std::size_t>{512, 32768},
           std::pair<std::size_t, std::size_t>{16384, 16392}}) {
       const check::AnalysisReport rep = record_and_analyze(
-          machine, coll::Tuning{}, check::straddling_ops(n, bytes, alt));
+          machine, coll::Tuning{},
+          check::straddling_ops(check::steady_state_ops(n, bytes), alt));
       EXPECT_TRUE(rep.clean()) << name << " " << bytes << "/" << alt
                                << " B\n"
+                               << rep.text();
+    }
+  }
+}
+
+/// A reduce at every root in turn between one-chunk allreduces, barriers
+/// and bcasts, whose downward phases all end on the cache tree here: at
+/// 4 KiB (single-copy), and alternating 512 B (CICO) with 32 KiB, so the
+/// reduces also switch between the fan-in and the chunk-parallel reducers
+/// and the allreduces between the fan-in and RS+AG.
+TEST(CheckAnalyzer, RotatingRootReducesClean) {
+  for (const char* name : {"epyc2p", "mini16", "grid12"}) {
+    const topo::Topology topo = std::string(name) == "grid12"
+                                    ? topo::grid("grid12", 2, 3, 2, 2)
+                                    : topo::by_name(name);
+    const int n = topo.n_cores();
+    sim::SimMachine machine(topo, n);
+    for (const auto& ops :
+         {check::rotating_root_ops(n, 4096),
+          check::straddling_ops(check::rotating_root_ops(n, 512), 32768)}) {
+      const check::AnalysisReport rep =
+          record_and_analyze(machine, coll::Tuning{}, ops);
+      EXPECT_TRUE(rep.clean()) << name << " " << ops.front().bytes << " B\n"
                                << rep.text();
     }
   }
@@ -308,6 +332,14 @@ std::vector<MutSpec> mutation_specs() {
       {"reduce_tree", [] { return topo::mini8(); }, nullptr,
        {Op::kReduce, 512, 2}},
       {"barrier", [] { return topo::mini8(); }, nullptr, {Op::kBarrier, 0, 0}},
+      // The cache tree's downward phases on mini16, whose LLC groups (2
+      // ranks) are smaller than its NUMA nodes (4).
+      {"allreduce_cache", [] { return topo::mini16(); }, nullptr,
+       {Op::kAllreduce, 4096, 0}},
+      {"reduce_cache", [] { return topo::mini16(); }, nullptr,
+       {Op::kReduce, 4096, 5}},
+      {"barrier_cache", [] { return topo::mini16(); }, nullptr,
+       {Op::kBarrier, 0, 0}},
   };
 }
 

@@ -770,6 +770,96 @@ TEST_P(CacheTreePayload, BcastBitExactAtEveryRoot) {
   }
 }
 
+// One-chunk reductions end on the cache tree too: i64 sums bit-exact, a
+// reduce at every root followed by an allreduce (in place at odd roots), a
+// bcast from the same root and a barrier, back to back on one component —
+// each rank rewrites its buffers right after every op returns. 8 and 1024 B
+// take CICO, 1032 B (the first i64 size past the CICO threshold) and one
+// chunk single-copy.
+TEST_P(CacheTreePayload, ReductionsBitExactAtEveryRoot) {
+  const auto& [preset, machine_kind] = GetParam();
+  const topo::Topology topo = preset == "grid12"
+                                  ? topo::grid("grid12", 2, 3, 2, 2)
+                                  : topo::by_name(preset);
+  const int n = topo.n_cores();
+  auto machine = make_machine(machine_kind, topo, n);
+  auto comp = coll::make_component("xhc", *machine);
+  const std::vector<std::size_t> counts = {1, 128, 129, 2048};
+  const std::size_t max_bytes = counts.back() * sizeof(std::int64_t);
+  // Rank r's operand at element i of op o, and the sum over every rank.
+  const auto operand = [](int r, std::size_t o, std::size_t i) {
+    return static_cast<std::int64_t>(r + 1) * 1000003 +
+           static_cast<std::int64_t>(o * 131 + i) * (r % 7 + 1);
+  };
+  std::int64_t rank_sum = 0;
+  std::int64_t weight_sum = 0;
+  for (int r = 0; r < n; ++r) {
+    rank_sum += static_cast<std::int64_t>(r + 1) * 1000003;
+    weight_sum += r % 7 + 1;
+  }
+  std::vector<mach::Buffer> sbufs;
+  std::vector<mach::Buffer> rbufs;
+  std::vector<mach::Buffer> bbufs;
+  for (int r = 0; r < n; ++r) {
+    sbufs.emplace_back(*machine, r, max_bytes);
+    rbufs.emplace_back(*machine, r, max_bytes);
+    bbufs.emplace_back(*machine, r, max_bytes);
+  }
+  std::vector<int> bad_ops(static_cast<std::size_t>(n), 0);
+  machine->run([&](mach::Ctx& ctx) {
+    const int me = ctx.rank();
+    const auto r = static_cast<std::size_t>(me);
+    auto* sbuf = static_cast<std::int64_t*>(sbufs[r].get());
+    auto* rbuf = static_cast<std::int64_t*>(rbufs[r].get());
+    std::size_t o = 0;  // reduction op index
+    // Stages this rank's operand of op o, runs it and, where this rank
+    // holds the result, checks every element.
+    const auto reduction = [&](std::size_t count, bool in_place, int root) {
+      std::int64_t* src = in_place ? rbuf : sbuf;
+      for (std::size_t i = 0; i < count; ++i) src[i] = operand(me, o, i);
+      if (root < 0) {
+        comp->allreduce(ctx, src, rbuf, count, mach::DType::kI64,
+                        mach::ROp::kSum);
+      } else {
+        comp->reduce(ctx, src, rbuf, count, mach::DType::kI64,
+                     mach::ROp::kSum, root);
+      }
+      if (root < 0 || root == me) {
+        for (std::size_t i = 0; i < count; ++i) {
+          const std::int64_t want =
+              rank_sum + static_cast<std::int64_t>(o * 131 + i) * weight_sum;
+          if (rbuf[i] != want) {
+            ++bad_ops[r];
+            break;
+          }
+        }
+      }
+      ++o;
+    };
+    for (const std::size_t count : counts) {
+      const std::size_t bytes = count * sizeof(std::int64_t);
+      for (int root = 0; root < n; ++root) {
+        const bool in_place = root % 2 == 1;
+        reduction(count, in_place, root);
+        reduction(count, in_place, -1);
+        const std::uint64_t seed = o * 977 + static_cast<std::uint64_t>(root);
+        if (me == root) ctx.write_payload(bbufs[r].get(), bytes, seed);
+        comp->bcast(ctx, bbufs[r].get(), bytes, root);
+        std::vector<std::byte> expect(bytes);
+        util::fill_pattern(expect.data(), bytes, seed);
+        if (std::memcmp(bbufs[r].get(), expect.data(), bytes) != 0) {
+          ++bad_ops[r];
+        }
+        comp->barrier(ctx);
+      }
+    }
+  });
+  for (int r = 0; r < n; ++r) {
+    EXPECT_EQ(bad_ops[static_cast<std::size_t>(r)], 0)
+        << preset << " on " << machine_kind << ", rank " << r;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Presets, CacheTreePayload,
     ::testing::Combine(::testing::Values("epyc1p", "epyc2p", "mini16",

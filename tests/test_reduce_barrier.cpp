@@ -110,22 +110,26 @@ INSTANTIATE_TEST_SUITE_P(AllComponents, ReduceCorrectness,
 
 TEST(Barrier, NoRankLeavesBeforeTheLastArrives) {
   // Virtual-time semantics: stagger arrivals; every release must be at or
-  // after the latest arrival.
-  for (const char* comp_name : {"xhc", "tuned", "sm"}) {
-    sim::SimMachine machine(topo::epyc1p(), 32);
-    auto comp = coll::make_component(comp_name, machine);
-    std::vector<double> release(32);
-    double last_arrival = 0.0;
-    machine.run([&](mach::Ctx& ctx) {
-      // Rank r arrives at r * 1us; rank 31 arrives last.
-      ctx.charge(static_cast<double>(ctx.rank()) * 1e-6);
-      comp->barrier(ctx);
-      release[static_cast<std::size_t>(ctx.rank())] = ctx.now();
-    });
-    last_arrival = 31e-6;
-    for (int r = 0; r < 32; ++r) {
-      EXPECT_GE(release[static_cast<std::size_t>(r)], last_arrival)
-          << comp_name << " rank " << r;
+  // after the latest arrival. epyc2p and mini16 release xhc's barrier flat
+  // from rank 0 through the cache tree, with LLC groups of 4 and 2 ranks.
+  for (const char* preset : {"epyc1p", "epyc2p", "mini16"}) {
+    const topo::Topology topo = topo::by_name(preset);
+    const int n = topo.n_cores();
+    for (const char* comp_name : {"xhc", "tuned", "sm"}) {
+      sim::SimMachine machine(topo, n);
+      auto comp = coll::make_component(comp_name, machine);
+      std::vector<double> release(static_cast<std::size_t>(n));
+      machine.run([&](mach::Ctx& ctx) {
+        // Rank r arrives at r * 1us; rank n-1 arrives last.
+        ctx.charge(static_cast<double>(ctx.rank()) * 1e-6);
+        comp->barrier(ctx);
+        release[static_cast<std::size_t>(ctx.rank())] = ctx.now();
+      });
+      const double last_arrival = (n - 1) * 1e-6;
+      for (int r = 0; r < n; ++r) {
+        EXPECT_GE(release[static_cast<std::size_t>(r)], last_arrival)
+            << preset << " " << comp_name << " rank " << r;
+      }
     }
   }
 }

@@ -258,27 +258,28 @@ TEST(PaperShapes, AllreduceTreeWinsLargeEverywhere) {
 
 TEST(PaperShapes, AllreduceRsAgWinsAboveDefaultThreshold) {
   // Where the default rs_ag_threshold (8 KiB) sits against the crossover
-  // (EXPERIMENTS.md § Allreduce size-class crossover). At 4 KiB the default
-  // (the binomial fan-in) beats forcing reduce-scatter + allgather on every
-  // paper system. At 8 KiB it still does on ARM-N1, while on the Epycs the
-  // LLC-deep shard nest already wins there: the crossover sits just below
-  // the threshold, which stays for ARM-N1 and the 4 KiB points. From one
-  // pipeline chunk up, the dispatched RS+AG beats forcing the latency path
-  // (chunk-parallel reducers) everywhere.
+  // (EXPERIMENTS.md § Allreduce size-class crossover). Up to the threshold
+  // the default (the binomial fan-in, its result pulled through the cache
+  // tree on the Epycs) beats forcing reduce-scatter + allgather on every
+  // paper system. Just above it, at 10 KiB, the dispatched RS+AG beats
+  // forcing the fan-in on the Epycs, so their crossover sits between 8 and
+  // 10 KiB; ARM-N1's lies above 16 KiB. From one pipeline chunk up, the
+  // dispatched RS+AG beats forcing the latency path (chunk-parallel
+  // reducers) everywhere.
   coll::Tuning rs_ag;
   rs_ag.rs_ag_threshold = 1;
   coll::Tuning latency;
   latency.rs_ag_threshold = 0;
   for (const auto system : topo::paper_systems()) {
-    EXPECT_LT(allreduce_us(system, "xhc", 4 * 1024),
-              allreduce_us(system, "xhc", 4 * 1024, rs_ag))
-        << system << " at 4 KiB";
-    const double fan_in = allreduce_us(system, "xhc", 8 * 1024);
-    const double forced = allreduce_us(system, "xhc", 8 * 1024, rs_ag);
-    if (system == "armn1") {
-      EXPECT_LT(fan_in, forced) << system << " at 8 KiB";
-    } else {
-      EXPECT_LT(forced, fan_in) << system << " at 8 KiB";
+    for (const std::size_t bytes : {4 * 1024, 8 * 1024}) {
+      EXPECT_LT(allreduce_us(system, "xhc", bytes),
+                allreduce_us(system, "xhc", bytes, rs_ag))
+          << system << " at " << bytes << " B";
+    }
+    if (system != "armn1") {
+      EXPECT_LT(allreduce_us(system, "xhc", 10 * 1024),
+                allreduce_us(system, "xhc", 10 * 1024, latency))
+          << system << " at 10 KiB";
     }
     for (const std::size_t bytes : {16388, 64 * 1024}) {
       EXPECT_LT(allreduce_us(system, "xhc", bytes),

@@ -1,7 +1,7 @@
 // White-box tests of the XHC core: communicator tree shapes and per-root
 // views, control-block layout (cache-line placement), flag layout variants,
 // the CICO threshold, per-level chunk configuration, traffic patterns, and
-// the cache tree that carries one-chunk bcasts.
+// the cache tree that ends every one-chunk op.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,6 +11,7 @@
 #include "core/comm_tree.h"
 #include "core/xhc_component.h"
 #include "mach/real_machine.h"
+#include "obs/critpath.h"
 #include "obs/observer.h"
 #include "p2p/counters.h"
 #include "sim/sim_machine.h"
@@ -362,12 +363,120 @@ TEST(CacheTree, FlatPatternForEveryRootAndMapping) {
   }
 }
 
+TEST(CacheTree, AllreduceResultFansOutFlat) {
+  // A one-chunk allreduce folds through the flag tree's fan-in, then every
+  // non-root pulls the result straight from the internal root, rank 0: the
+  // traffic it adds to a reduce at rank 0 (the same fan-in, released by
+  // flags alone) is the bcast's flat {32, 24, 7} pattern, and the result
+  // phase's 63 pulls each follow one seq_wait on rank 0 at the top level.
+  constexpr std::size_t kCount = 512;  // 4 KiB of i64, single-copy
+  for (const topo::MapPolicy policy :
+       {topo::MapPolicy::kCore, topo::MapPolicy::kNuma}) {
+    for (const std::size_t count : {std::size_t{1}, kCount}) {
+      sim::SimMachine m(topo::epyc2p(), 64, policy);
+      coll::Tuning tuning;
+      tuning.trace = true;
+      XhcComponent comp(m, tuning, "xhc");
+      obs::Observer observer(64);
+      comp.set_observer(&observer);
+      p2p::TrafficCounter counter(&m.topology(), &m.map());
+      comp.set_traffic_counter(&counter);
+      std::vector<mach::Buffer> sbufs;
+      std::vector<mach::Buffer> rbufs;
+      for (int r = 0; r < 64; ++r) {
+        sbufs.emplace_back(m, r, kCount * sizeof(std::int64_t));
+        rbufs.emplace_back(m, r, kCount * sizeof(std::int64_t));
+      }
+      std::array<std::uint64_t, 3> reduce_traffic{};
+      std::array<std::uint64_t, 3> allreduce_traffic{};
+      m.run([&](mach::Ctx& ctx) {
+        const auto r = static_cast<std::size_t>(ctx.rank());
+        const auto snap = [&](std::array<std::uint64_t, 3>& out) {
+          ctx.barrier();  // every rank has recorded its pulls
+          if (ctx.rank() == 0) {
+            out = {counter.inter_socket(), counter.inter_numa(),
+                   counter.intra_numa()};
+            counter.reset();
+          }
+          ctx.barrier();
+        };
+        comp.reduce(ctx, sbufs[r].get(), rbufs[r].get(), count,
+                    mach::DType::kI64, mach::ROp::kSum, 0);
+        snap(reduce_traffic);
+        comp.allreduce(ctx, sbufs[r].get(), rbufs[r].get(), count,
+                       mach::DType::kI64, mach::ROp::kSum);
+        snap(allreduce_traffic);
+      });
+      const std::string where =
+          std::string(to_string(policy)) + " " + std::to_string(count * 8) +
+          " B";
+      for (std::size_t k = 0; k < 3; ++k) {
+        allreduce_traffic[k] -= reduce_traffic[k];
+      }
+      EXPECT_EQ(allreduce_traffic, (std::array<std::uint64_t, 3>{32, 24, 7}))
+          << where;
+      std::size_t pulls = 0;
+      std::size_t seq_waits = 0;
+      for (int r = 0; r < 64; ++r) {
+        for (const obs::Span& sp : observer.trace().spans(r)) {
+          if (std::strcmp(sp.name, "bcast.pull_chunk") == 0) ++pulls;
+          if (std::strcmp(sp.name, "seq_wait") != 0) continue;
+          ++seq_waits;
+          const obs::WaitArg w = obs::unpack_wait_arg(sp.arg);
+          EXPECT_EQ(w.peer, 0) << where << " r" << r;
+          EXPECT_EQ(w.level, comp.tree().n_levels() - 1) << where;
+        }
+      }
+      EXPECT_EQ(pulls, 63u) << where;
+      EXPECT_EQ(seq_waits, 63u) << where;
+    }
+  }
+}
+
+/// Per-rank virtual clocks after each of a one-chunk bcast (root 37),
+/// allreduce, reduce (root 37) and barrier on a fresh epyc2p simulator.
+std::vector<double> one_chunk_times(std::string_view comp_name,
+                                    const coll::Tuning& tuning) {
+  sim::SimMachine m(topo::epyc2p(), 64);
+  auto comp = coll::make_component(comp_name, m, tuning);
+  constexpr std::size_t kCount = 512;
+  constexpr std::size_t kBytes = kCount * sizeof(std::int64_t);
+  std::vector<mach::Buffer> sbufs;
+  std::vector<mach::Buffer> rbufs;
+  for (int r = 0; r < 64; ++r) {
+    sbufs.emplace_back(m, r, kBytes);
+    rbufs.emplace_back(m, r, kBytes);
+  }
+  std::vector<double> t(4 * 64);
+  m.run([&](mach::Ctx& ctx) {
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    comp->bcast(ctx, rbufs[r].get(), kBytes, 37);
+    t[r] = ctx.now();
+    comp->allreduce(ctx, sbufs[r].get(), rbufs[r].get(), kCount,
+                    mach::DType::kI64, mach::ROp::kSum);
+    t[64 + r] = ctx.now();
+    comp->reduce(ctx, sbufs[r].get(), rbufs[r].get(), kCount,
+                 mach::DType::kI64, mach::ROp::kSum, 37);
+    t[128 + r] = ctx.now();
+    comp->barrier(ctx);
+    t[192 + r] = ctx.now();
+  });
+  return t;
+}
+
 TEST(CacheTree, OtherVariantsKeepTheFlagTree) {
   // The LLC switch changes nothing for xhc-flat, the Fig. 10 multi-flag
-  // layouts and Fig. 4's atomic sync: they build no cache tree, and their
-  // one-chunk traffic is the same with the switch on or off.
+  // layouts, Fig. 4's atomic sync and ucc: they build no cache tree, their
+  // one-chunk traffic is the same with the switch on or off, and so is
+  // every rank's virtual time through a bcast, an allreduce, a reduce and
+  // a barrier.
   coll::Tuning off;
   off.llc_aware = false;
+  EXPECT_NE(one_chunk_times("xhc", {}), one_chunk_times("xhc", off))
+      << "the default xhc ends its one-chunk ops on the cache tree";
+  for (const char* name : {"xhc-flat", "ucc"}) {
+    EXPECT_EQ(one_chunk_times(name, {}), one_chunk_times(name, off)) << name;
+  }
   const std::vector<int> roots = {0, 37};
   coll::Tuning shared_line;
   shared_line.flag_layout = coll::FlagLayout::kMultiSharedLine;
@@ -384,6 +493,8 @@ TEST(CacheTree, OtherVariantsKeepTheFlagTree) {
                                      topo::MapPolicy::kCore, roots);
     EXPECT_EQ(on, traffic_per_root("xhc", variant_off, 4096,
                                    topo::MapPolicy::kCore, roots));
+    EXPECT_EQ(one_chunk_times("xhc", variant),
+              one_chunk_times("xhc", variant_off));
     // Paper Table II: the flag tree's pattern.
     EXPECT_EQ(on[0], (std::array<std::uint64_t, 3>{1, 6, 56}));
   }
