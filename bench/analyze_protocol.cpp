@@ -16,7 +16,9 @@
 // (check::straddling_ops), so consecutive bcasts switch between the cache
 // tree and the flag tree, and the rotating-root cells run a reduce at every
 // root in turn between one-chunk allreduces, barriers and bcasts
-// (check::rotating_root_ops), at 4 KiB and alternating 512/32768 B. These
+// (check::rotating_root_ops), at 4 KiB, at 64 KiB, alternating 512/32768 B
+// and alternating 4 KiB/64 KiB, so consecutive reduces switch between the
+// early-released fan-in and the reduce-scatter + rooted gather. These
 // cells mix op classes, so --op skips them. Every cell runs every analyzer
 // check (single-writer, monotonicity, threshold reachability, acyclicity,
 // payload races). Output is byte-deterministic; the exit status
@@ -148,6 +150,9 @@ int main(int argc, char** argv) {
         analyze(check::rotating_root_ops(ranks, 4096));
         analyze(check::straddling_ops(check::rotating_root_ops(ranks, 512),
                                       32768));
+        analyze(check::rotating_root_ops(ranks, 65536));
+        analyze(check::straddling_ops(check::rotating_root_ops(ranks, 4096),
+                                      65536));
       }
     }
   }

@@ -11,12 +11,17 @@ Options:
     --store=FILE     append the run to FILE (default BENCH_perf.json)
     --out=FILE       write a one-run candidate store to FILE instead
     --build=DIR      build tree holding bench/ binaries (default build)
-    --targets=LIST   comma list of fig10,fig4,fig8L,fig11L,svc (default
-                     all; fig8L/fig11L run the Fig. 8 bcast and Fig. 11
-                     allreduce sweeps with --large, whose size axis is the
-                     figure's plus 256K/1M/4M; svc runs the multi-tenant
-                     service loadgen and stores per-op-class latency
-                     percentiles and shed counts)
+    --targets=LIST   comma list of fig10,fig4,fig8L,fig11L,svc,reduce
+                     (default fig10,fig4,fig8L,fig11L,svc; fig8L/fig11L run
+                     the Fig. 8 bcast and Fig. 11 allreduce sweeps with
+                     --large, whose size axis is the figure's plus
+                     256K/1M/4M; svc runs the multi-tenant service loadgen
+                     and stores per-op-class latency percentiles and shed
+                     counts; reduce runs the MPI_Reduce extension bench and
+                     stores each component's average and slowest rank per
+                     preset and root, and xhc's size-class crossover — it is
+                     recorded and gated as a run of its own, so the default
+                     runs keep their baselines)
     --presets=LIST   comma list of topology presets ('' = bench defaults)
     --quick          pass --quick to the benches (default on; --full negates)
     --fault=SPEC     forward a fault-injection spec (self-test lever)
@@ -52,6 +57,7 @@ TARGETS = {
     "fig8L": ("bench_fig8_bcast", ["--large"]),
     "fig11L": ("bench_fig11_allreduce", ["--large"]),
     "svc": ("bench_loadgen", []),
+    "reduce": ("bench_ext_reduce_barrier", []),
 }
 
 
@@ -101,6 +107,10 @@ def parse_csv_sections(text, fig):
         == Fig. 8: MPI_Bcast latency (us), mini8 ==
         Size,xhc,xhc-flat,...
         4,0.82,0.53,...
+    The text after the title's last comma keys the section ("mini8", or
+    "epyc2p root 63" for the reduce tables, one per preset and root).
+    Sections without a comma (the reduce bench's barrier table) are
+    skipped.
     fig4 keys its rows by rank count ("Ranks") and appends an "x" suffix to
     its ratio column; both are normalized here. The svc loadgen tables key
     rows by op class ("Class"). Non-section chatter (trace/hist/coherence

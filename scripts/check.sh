@@ -11,7 +11,8 @@
 #                               # plus the same under TSan (build-tsan/)
 #   scripts/check.sh bench      # perf regression gate: quick fig8L+
 #                               # fig11L (the Fig. 8/11 sweeps with the
-#                               # large sizes)+fig10+fig4+svc vs
+#                               # large sizes)+fig10+fig4+svc, then the
+#                               # reduce bench as its own run, each vs
 #                               # BENCH_perf.json + gate self-test
 #   scripts/check.sh largemsg   # large-message path gate: bandwidth-engine
 #                               # tests, verified --large sweeps, bit-identity
@@ -49,9 +50,10 @@
 #                               # (build/bench/analyze_protocol)
 #   scripts/check.sh timing     # timing-only data plane proof: every
 #                               # bench-store target that runs the OSU
-#                               # harness (fig8L, fig11L, fig10, fig4) on
-#                               # each paper preset prints byte-identical
-#                               # tables with and without --verify
+#                               # harness (fig8L, fig11L, fig10, fig4,
+#                               # reduce) on each paper preset prints
+#                               # byte-identical tables with and without
+#                               # --verify
 #
 # Extra arguments after the mode are forwarded to ctest, e.g.
 #   scripts/check.sh thread -R Obs
@@ -70,12 +72,17 @@ run_bench_gate() {
   local build_dir="$1"
   scripts/bench_gate_selftest.sh "$build_dir"
   if [ -f BENCH_perf.json ]; then
-    local cand
+    local cand red
     cand="$(mktemp)"
+    red="$(mktemp)"
     # shellcheck disable=SC2064
-    trap "rm -f '$cand'" RETURN
+    trap "rm -f '$cand' '$red'" RETURN
     scripts/bench_store.py record --out="$cand" --build="$build_dir"
     scripts/bench_compare --store=BENCH_perf.json --candidate="$cand"
+    # The reduce extension bench is a run of its own (bench_store.py).
+    scripts/bench_store.py record --out="$red" --build="$build_dir" \
+      --targets=reduce
+    scripts/bench_compare --store=BENCH_perf.json --candidate="$red"
   else
     echo "no BENCH_perf.json — recording a baseline (commit it)"
     scripts/bench_store.py record --build="$build_dir"
@@ -95,7 +102,8 @@ run_timing_gate() {
   trap "rm -rf '$tmp'" RETURN
   for target in fig8L:bench_fig8_bcast:--large \
       fig11L:bench_fig11_allreduce:--large \
-      fig10:bench_fig10_cacheline: fig4:bench_fig4_atomics:; do
+      fig10:bench_fig10_cacheline: fig4:bench_fig4_atomics: \
+      reduce:bench_ext_reduce_barrier:; do
     IFS=: read -r target bin extra <<< "$target"
     for preset in epyc1p epyc2p armn1; do
       out="$tmp/$target.$preset"

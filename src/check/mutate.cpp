@@ -92,22 +92,50 @@ void each_wait(Schedule& m, Fn&& fn) {
   }
 }
 
-/// True when `writer` writes, strictly between its events `from` and `to`,
-/// bytes that rank `reader` reads after its wait `wait` and before its next
-/// wait — the data a wait lowered from `to` to `from` guards, and would let
-/// the reader see too early.
-bool reads_window(const Schedule& m, int writer, int from, int to,
+/// The latest event of `writer` that `reader` is already ordered after by
+/// its own waits before `wait`: the writer's publishes that satisfy them
+/// (-1: none). What the writer does before that point stays ordered with
+/// the reader whatever the threshold of `wait`.
+int synced_before(const Schedule& m,
+                  const std::map<const mach::Flag*, Use>& flags, int writer,
                   int reader, int wait) {
+  int synced = -1;
+  const auto& rs = m.per_rank[static_cast<std::size_t>(reader)];
+  for (int j = 0; j < wait; ++j) {
+    const Event& e = rs[static_cast<std::size_t>(j)];
+    if (e.kind != EvKind::kWait) continue;
+    for (const Ref p : flags.at(e.flag).pubs) {
+      if (m.per_rank[static_cast<std::size_t>(p.rank)]
+                    [static_cast<std::size_t>(p.idx)]
+              .value < e.value) {
+        continue;
+      }
+      if (p.rank == writer) synced = std::max(synced, p.idx);
+      break;
+    }
+  }
+  return synced;
+}
+
+/// True when `writer` accesses, strictly between its events `from` and `to`,
+/// bytes that rank `reader` also accesses after its wait `wait` and before
+/// its next wait, at least one of the two a write: the accesses a wait
+/// lowered from `to` to `from` stops ordering. A write by the writer read
+/// too early is a premature read; a read by the writer that the waiter's
+/// next write overtakes is a premature return.
+bool conflicts_window(const Schedule& m, int writer, int from, int to,
+                      int reader, int wait) {
   const auto& ws = m.per_rank[static_cast<std::size_t>(writer)];
   const auto& rs = m.per_rank[static_cast<std::size_t>(reader)];
   for (int i = from + 1; i < to; ++i) {
     const Event& w = ws[static_cast<std::size_t>(i)];
-    if (w.kind != EvKind::kWrite) continue;
+    if (w.kind != EvKind::kWrite && w.kind != EvKind::kRead) continue;
     for (std::size_t j = static_cast<std::size_t>(wait) + 1;
          j < rs.size() && rs[j].kind != EvKind::kWait; ++j) {
       const Event& r = rs[j];
-      if (r.kind == EvKind::kRead && r.block == w.block && r.lo < w.hi &&
-          w.lo < r.hi) {
+      if ((r.kind == EvKind::kWrite || r.kind == EvKind::kRead) &&
+          (r.kind == EvKind::kWrite || w.kind == EvKind::kWrite) &&
+          r.block == w.block && r.lo < w.hi && w.lo < r.hi) {
         return true;
       }
     }
@@ -127,7 +155,9 @@ MutantInfo threshold_low(Schedule& m, std::uint64_t seed,
     for (const Ref p : u.pubs) {
       if (p.rank != first.rank) return;  // not a single-writer flag
       if (at(m, p).value < we.value) continue;
-      if (reads_window(m, first.rank, first.idx, p.idx, w.rank, w.idx)) {
+      const int from = std::max(
+          first.idx, synced_before(m, flags, first.rank, w.rank, w.idx));
+      if (conflicts_window(m, first.rank, from, p.idx, w.rank, w.idx)) {
         cands.push_back(w);
       }
       return;

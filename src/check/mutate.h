@@ -28,10 +28,13 @@ namespace xhc::check {
 enum class MutationKind {
   /// Lower a wait threshold to the flag's first published value: the wait
   /// releases before the payload it reads is written (off-by-one /
-  /// premature-read bug). Candidates are chosen by data dependence alone:
-  /// between the new and the old satisfier, the flag's writer writes bytes
-  /// the waiting rank reads after the wait and before its next one.
-  /// Expected: race on the waiting rank, named after the lowered flag.
+  /// premature-read bug), or before a reader of the waiter's buffer is done
+  /// with it (premature return). Candidates are chosen by data dependence
+  /// alone: between the new and the old satisfier — past any publish of the
+  /// writer an earlier wait of the waiting rank already synchronizes with —
+  /// the flag's writer accesses bytes the waiting rank accesses after the
+  /// wait and before its next one, one of the two a write. Expected: race
+  /// on the waiting rank, named after the lowered flag.
   kThresholdLow,
   /// Raise a wait threshold past every publish: the wait can never be
   /// satisfied (forgotten final publish / wrong count). Expected:

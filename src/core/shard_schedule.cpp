@@ -107,6 +107,20 @@ int ShardPlan::resolve(int l, int g, const std::vector<int>& digits) const {
   return cur;
 }
 
+int ShardPlan::meet_level(int a, int b) const {
+  XHC_REQUIRE(uniform_, "shard schedule on a non-uniform hierarchy");
+  if (a == b) return -1;
+  for (int l = 0; l < n_stages(); ++l) {
+    const auto& group_of = group_of_[static_cast<std::size_t>(l)];
+    if (group_of[static_cast<std::size_t>(a)] ==
+        group_of[static_cast<std::size_t>(b)]) {
+      return l;
+    }
+  }
+  XHC_CHECK(false, "ranks ", a, " and ", b, " share no shard domain");
+  return -1;
+}
+
 ShardSchedule ShardPlan::schedule(int rank, std::size_t count,
                                   std::size_t elem) const {
   XHC_REQUIRE(uniform_, "shard schedule on a non-uniform hierarchy");
@@ -121,6 +135,7 @@ ShardSchedule ShardPlan::schedule(int rank, std::size_t count,
 
   ShardSchedule s;
   s.bytes = count * elem;
+  s.elem = elem;
   s.stages.reserve(static_cast<std::size_t>(n_levels));
   ElemRange cur{0, count};
   for (int k = 0; k < n_levels; ++k) {

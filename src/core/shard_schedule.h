@@ -63,6 +63,7 @@ struct ShardStage {
 struct ShardSchedule {
   std::vector<ShardStage> stages;  ///< innermost (level 0) first
   std::size_t bytes = 0;           ///< payload bytes (slot width)
+  std::size_t elem = 0;            ///< element bytes
 
   int n_stages() const noexcept { return static_cast<int>(stages.size()); }
   /// prog value at the *start* of RS stage k.
@@ -105,6 +106,16 @@ class ShardPlan {
   /// The schedule of `rank` for a `count`-element payload. Requires
   /// uniform().
   ShardSchedule schedule(int rank, std::size_t count, std::size_t elem) const;
+
+  /// Lowest level whose domain holds both `a` and `b` (-1 when a == b): the
+  /// stage at which their shard timelines meet. Requires uniform().
+  int meet_level(int a, int b) const;
+  /// Index of `rank`'s child domain inside its level-l domain, which is the
+  /// index of the stage-l peer that lives in that child domain.
+  int child_index(int l, int rank) const {
+    return child_pos_[static_cast<std::size_t>(l)]
+                     [static_cast<std::size_t>(rank)];
+  }
 
  private:
   /// Rank at digit path d[0..l] inside the level-l group `g`.

@@ -218,11 +218,13 @@ TEST(CheckAnalyzer, ThresholdStraddlingSequencesClean) {
   }
 }
 
-/// A reduce at every root in turn between one-chunk allreduces, barriers
-/// and bcasts, whose downward phases all end on the cache tree here: at
-/// 4 KiB (single-copy), and alternating 512 B (CICO) with 32 KiB, so the
-/// reduces also switch between the fan-in and the chunk-parallel reducers
-/// and the allreduces between the fan-in and RS+AG.
+/// A reduce at every root in turn between allreduces, barriers and bcasts,
+/// whose one-chunk downward phases all end on the cache tree here: at
+/// 4 KiB (single-copy) and at 64 KiB, and alternating 512 B (CICO) with
+/// 32 KiB and 4 KiB with 64 KiB, so consecutive reduces switch between the
+/// early-released fan-in and the reduce-scatter + rooted gather, whose
+/// ranks return once their readers are done, and the allreduces between
+/// the fan-in and RS+AG.
 TEST(CheckAnalyzer, RotatingRootReducesClean) {
   for (const char* name : {"epyc2p", "mini16", "grid12"}) {
     const topo::Topology topo = std::string(name) == "grid12"
@@ -232,7 +234,9 @@ TEST(CheckAnalyzer, RotatingRootReducesClean) {
     sim::SimMachine machine(topo, n);
     for (const auto& ops :
          {check::rotating_root_ops(n, 4096),
-          check::straddling_ops(check::rotating_root_ops(n, 512), 32768)}) {
+          check::straddling_ops(check::rotating_root_ops(n, 512), 32768),
+          check::rotating_root_ops(n, 65536),
+          check::straddling_ops(check::rotating_root_ops(n, 4096), 65536)}) {
       const check::AnalysisReport rep =
           record_and_analyze(machine, coll::Tuning{}, ops);
       EXPECT_TRUE(rep.clean()) << name << " " << ops.front().bytes << " B\n"
@@ -307,39 +311,61 @@ struct MutSpec {
   const char* label;
   std::function<topo::Topology()> topo;
   std::function<void(coll::Tuning&)> tune;
-  OpCall call;
+  std::vector<OpCall> ops;
 };
 
+/// One op per spec, except where an op's return points are the subject. A
+/// lowered wait can only be satisfied by an earlier value of its flag, and
+/// a rank that returns early only races with a write that follows, so
+/// those specs run the op twice — every flag of the second has an earlier
+/// value to be lowered to — and then an op that rewrites the root's
+/// buffers (the record rewrites every rank's buffers before each op). The
+/// barrier moves no data: its spec has the next allreduce wait on the slot
+/// its release published.
 std::vector<MutSpec> mutation_specs() {
   return {
       {"bcast_lat", [] { return topo::mini8(); }, nullptr,
-       {Op::kBcast, 40000, 0}},
-      {"bcast_cache", [] { return topo::mini16(); }, nullptr,
-       {Op::kBcast, 4096, 5}},
+       {{Op::kBcast, 40000, 0}}},
       {"bcast_stripe", [] { return topo::mini8(); },
        [](coll::Tuning& t) { t.stripe_threshold = 4096; },
-       {Op::kBcast, 16384, 0}},
+       {{Op::kBcast, 16384, 0}}},
       {"allreduce_lat", [] { return topo::mini8(); },
        [](coll::Tuning& t) { t.rs_ag_threshold = 0; },
-       {Op::kAllreduce, 40000, 0}},
+       {{Op::kAllreduce, 40000, 0}}},
       {"allreduce_rs_ag", [] { return topo::flat(8); },
        [](coll::Tuning& t) { t.rs_ag_threshold = 4096; },
-       {Op::kAllreduce, 16384, 0}},
+       {{Op::kAllreduce, 16384, 0}}},
       {"allreduce_tree", [] { return topo::mini8(); }, nullptr,
-       {Op::kAllreduce, 4096, 0}},
-      {"reduce", [] { return topo::mini8(); }, nullptr,
-       {Op::kReduce, 40000, 2}},
+       {{Op::kAllreduce, 4096, 0}}},
+      // The chunk-parallel reducers, which the default tuning's reduce
+      // leaves above 8 KiB.
+      {"reduce", [] { return topo::mini8(); },
+       [](coll::Tuning& t) { t.rs_ag_threshold = 0; },
+       {{Op::kReduce, 40000, 2}}},
+      // Reduce-scatter + rooted gather: every rank returns once its readers
+      // are done, then an allreduce rewrites every buffer.
+      {"reduce_rs_gather", [] { return topo::mini16(); }, nullptr,
+       {{Op::kReduce, 40000, 5},
+        {Op::kReduce, 40000, 5},
+        {Op::kAllreduce, 40000, 0}}},
       {"reduce_tree", [] { return topo::mini8(); }, nullptr,
-       {Op::kReduce, 512, 2}},
-      {"barrier", [] { return topo::mini8(); }, nullptr, {Op::kBarrier, 0, 0}},
+       {{Op::kReduce, 512, 2}}},
+      {"barrier", [] { return topo::mini8(); }, nullptr,
+       {{Op::kBarrier, 0, 0}}},
       // The cache tree's downward phases on mini16, whose LLC groups (2
       // ranks) are smaller than its NUMA nodes (4).
+      {"bcast_cache", [] { return topo::mini16(); }, nullptr,
+       {{Op::kBcast, 4096, 5}, {Op::kBcast, 4096, 5}, {Op::kBcast, 4096, 5}}},
       {"allreduce_cache", [] { return topo::mini16(); }, nullptr,
-       {Op::kAllreduce, 4096, 0}},
+       {{Op::kAllreduce, 4096, 0},
+        {Op::kAllreduce, 4096, 0},
+        {Op::kAllreduce, 4096, 0}}},
       {"reduce_cache", [] { return topo::mini16(); }, nullptr,
-       {Op::kReduce, 4096, 5}},
+       {{Op::kReduce, 4096, 5},
+        {Op::kReduce, 4096, 5},
+        {Op::kAllreduce, 4096, 0}}},
       {"barrier_cache", [] { return topo::mini16(); }, nullptr,
-       {Op::kBarrier, 0, 0}},
+       {{Op::kBarrier, 0, 0}, {Op::kAllreduce, 4096, 0}}},
   };
 }
 
@@ -358,15 +384,17 @@ TEST_P(CheckMutants, EverySeededMutantIsKilled) {
     if (spec.tune) spec.tune(tuning);
     core::XhcComponent comp(machine, tuning, "mut");
     const check::Schedule base =
-        check::record_schedule(machine, comp, {spec.call});
+        check::record_schedule(machine, comp, spec.ops);
     ASSERT_TRUE(check::analyze(base, machine.verify_ledger()).clean())
         << spec.label << ": baseline schedule must be clean";
+    int spec_applied = 0;
     for (const std::uint64_t seed : seeds) {
       check::Schedule m = base;
       const check::MutantInfo info =
           check::apply_mutation(m, kind, seed, machine.verify_ledger());
       if (!info.applied) continue;
       ++applied;
+      ++spec_applied;
       const check::AnalysisReport rep =
           check::analyze(m, machine.verify_ledger());
       const bool hit =
@@ -378,6 +406,10 @@ TEST_P(CheckMutants, EverySeededMutantIsKilled) {
                        << "\nexpected flag=" << info.flag
                        << " rank=" << info.rank << "\n"
                        << rep.text();
+    }
+    if (kind == check::MutationKind::kThresholdLow && spec.ops.size() > 1) {
+      EXPECT_GT(spec_applied, 0)
+          << spec.label << ": no premature read or return to lower";
     }
   }
   EXPECT_GT(applied, 0) << "no candidate site in any schedule for "

@@ -193,6 +193,49 @@ TEST(ShardPlan, FinalShardsTileThePayload) {
   }
 }
 
+TEST(ShardPlan, RootedGatherPullsEachPieceOnceTowardTheRoot) {
+  // The reduce's gather (DESIGN.md § Large-message paths): rank x runs the
+  // allgather's stages u > meet_level(x, root). Every other rank r must be
+  // pulled exactly once, at stage meet_level(r, root), by its stage peer in
+  // the root's child domain, and following pullers must reach the root.
+  for (const char* name : {"epyc2p", "epyc1p", "mini16", "armn1"}) {
+    topo::Topology topo = topo::by_name(name);
+    const int ranks = topo.n_cores();
+    mach::RealMachine m(std::move(topo), ranks);
+    const ShardPlan plan(m, llc_nest());
+    std::vector<ShardSchedule> sched;
+    for (int r = 0; r < ranks; ++r) sched.push_back(plan.schedule(r, 64, 4));
+    for (const int root : {0, 1, ranks / 2, ranks - 1}) {
+      EXPECT_EQ(plan.meet_level(root, root), -1);
+      std::vector<std::vector<std::pair<int, int>>> pulled_by(
+          static_cast<std::size_t>(ranks));
+      for (int x = 0; x < ranks; ++x) {
+        for (int u = plan.n_stages() - 1; u > plan.meet_level(x, root); --u) {
+          for (const int j : sched[static_cast<std::size_t>(x)]
+                                 .stages[static_cast<std::size_t>(u)]
+                                 .peers) {
+            if (j != x) pulled_by[static_cast<std::size_t>(j)].push_back({x, u});
+          }
+        }
+      }
+      EXPECT_TRUE(pulled_by[static_cast<std::size_t>(root)].empty()) << name;
+      for (int r = 0; r < ranks; ++r) {
+        if (r == root) continue;
+        const int k = plan.meet_level(r, root);
+        ASSERT_GE(k, 0) << name;
+        const int puller = sched[static_cast<std::size_t>(r)]
+                               .stages[static_cast<std::size_t>(k)]
+                               .peers[static_cast<std::size_t>(
+                                   plan.child_index(k, root))];
+        ASSERT_EQ(pulled_by[static_cast<std::size_t>(r)],
+                  (std::vector<std::pair<int, int>>{{puller, k}}))
+            << name << " root " << root << " rank " << r;
+        EXPECT_LT(plan.meet_level(puller, root), k) << name;
+      }
+    }
+  }
+}
+
 TEST(ShardSchedule, SlotTimeline) {
   mach::RealMachine m(topo::epyc2p(), 64);
   const ShardSchedule sched = ShardPlan(m, flag_nest()).schedule(0, 1024, 4);

@@ -289,6 +289,35 @@ TEST(PaperShapes, AllreduceRsAgWinsAboveDefaultThreshold) {
   }
 }
 
+TEST(PaperShapes, ReduceNoSlowerThanAllreduce) {
+  // A reduce does strictly less than an allreduce: no rank but the root
+  // needs the result. At every size from 64 B to 1 MiB and at both ends of
+  // the rank range, xhc's reduce must cost no more than its allreduce, on
+  // average over ranks and at the root's completion (the slowest rank).
+  const std::vector<std::size_t> sizes{64,    256,    1024,    4096,
+                                       16384, 65536, 262144, 1 << 20};
+  osu::Config cfg;
+  cfg.verify = false;
+  for (const auto system : topo::paper_systems()) {
+    const int n = topo::by_name(system).n_cores();
+    sim::SimMachine ma(topo::by_name(system), n);
+    auto ca = coll::make_component("xhc", ma);
+    const auto all = osu::allreduce_sweep(ma, *ca, sizes, cfg);
+    for (const int root : {0, n - 1}) {
+      sim::SimMachine mr(topo::by_name(system), n);
+      auto cr = coll::make_component("xhc", mr);
+      cfg.root = root;
+      const auto red = osu::reduce_sweep(mr, *cr, sizes, cfg);
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        EXPECT_LE(red[k].avg_us, all[k].avg_us)
+            << system << " root " << root << " at " << sizes[k] << " B";
+        EXPECT_LE(red[k].max_us, all[k].max_us)
+            << system << " root " << root << " at " << sizes[k] << " B";
+      }
+    }
+  }
+}
+
 TEST(PaperShapes, XbrcTracksXhcFlat) {
   // The two flat single-copy reducers behave alike (paper §V-D2).
   const double flat = allreduce_us("epyc2p", "xhc-flat", 64 * 1024);

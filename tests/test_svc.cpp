@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "check/explore.h"
+#include "core/xhc_component.h"
 #include "mach/machine.h"
 #include "obs/timeseries.h"
 #include "sim/sim_machine.h"
@@ -153,6 +154,60 @@ TEST(SvcRegistry, OverlappingCommsInterleaveInOneRun) {
           << "b rank " << r;
     }
   }
+}
+
+TEST(SvcRegistry, SplitWindowReduceKeepsTheLatencyPathExact) {
+  // A tenant over epyc2p's NUMA nodes 1-4, three on socket 0 and one on
+  // socket 1: its shard nest is not uniform, so a reduce above one chunk
+  // keeps the chunk-parallel reducers instead of the reduce-scatter +
+  // rooted gather. It must stay bit-exact at every root, back to back with
+  // a reduce of the other path's size class.
+  sim::SimMachine machine(topo::epyc2p(), 64);
+  svc::Arbiter arbiter(svc::Budget{});
+  svc::CommRegistry reg(machine, arbiter);
+  svc::CommSpec spec;
+  spec.name = "split";
+  for (int r = 8; r < 40; ++r) spec.ranks.push_back(r);
+  svc::Communicator& comm = reg.create(spec);
+  const auto* xhc = dynamic_cast<core::XhcComponent*>(&comm.component());
+  ASSERT_NE(xhc, nullptr);
+  EXPECT_FALSE(xhc->shard_plan().uniform());
+
+  constexpr std::size_t kMaxBytes = 65536;
+  std::vector<mach::Buffer> sbufs, rbufs;
+  for (int r = 0; r < 64; ++r) {
+    sbufs.emplace_back(machine, r, kMaxBytes);
+    rbufs.emplace_back(machine, r, kMaxBytes);
+  }
+  const int n = comm.size();
+  std::vector<std::string> errors(64);
+  machine.run([&](mach::Ctx& ctx) {
+    const int local = comm.local_rank(ctx.rank());
+    if (local < 0) return;
+    svc::TenantCtx tctx(ctx, comm.machine());
+    const auto i = static_cast<std::size_t>(ctx.rank());
+    auto* sbuf = static_cast<std::uint64_t*>(sbufs[i].get());
+    auto* rbuf = static_cast<std::uint64_t*>(rbufs[i].get());
+    std::uint64_t o = 0;
+    for (const std::size_t bytes : {std::size_t{4096}, kMaxBytes}) {
+      const std::size_t count = bytes / sizeof(std::uint64_t);
+      for (int root = 0; root < n; ++root, ++o) {
+        for (std::size_t w = 0; w < count; ++w) {
+          sbuf[w] = (std::uint64_t{1} << local) * (2 * w + 1 + o);
+        }
+        comm.component().reduce(tctx, sbuf, rbuf, count, mach::DType::kI64,
+                                mach::ROp::kSum, root);
+        if (local != root) continue;
+        for (std::size_t w = 0; w < count && errors[i].empty(); ++w) {
+          if (rbuf[w] != ((std::uint64_t{1} << n) - 1) * (2 * w + 1 + o)) {
+            errors[i] = std::to_string(bytes) + " B root " +
+                        std::to_string(root) + " word " + std::to_string(w);
+          }
+        }
+      }
+    }
+  });
+  for (const std::string& e : errors) EXPECT_TRUE(e.empty()) << e;
 }
 
 // ---------------------------------------------------------------------------
