@@ -18,8 +18,12 @@
 // root in turn between one-chunk allreduces, barriers and bcasts
 // (check::rotating_root_ops), at 4 KiB, at 64 KiB, alternating 512/32768 B
 // and alternating 4 KiB/64 KiB, so consecutive reduces switch between the
-// early-released fan-in and the reduce-scatter + rooted gather. These
-// cells mix op classes, so --op skips them. Every cell runs every analyzer
+// early-released fan-in and the reduce-scatter + rooted gather. On mini16
+// and grid12 the flag-tree cells run a bcast at every root in turn with
+// `llc_aware` off (check::rotating_bcast_ops), at 4 KiB, at 40000 B and
+// alternating 512/40000 B, so ranks switch between pulling from the root on
+// its seq alone and pulling from a relaying leader. These cells mix op
+// classes or tunings, so --op skips them. Every cell runs every analyzer
 // check (single-writer, monotonicity, threshold reachability, acyclicity,
 // payload races). Output is byte-deterministic; the exit status
 // is the total finding count clamped to 1, so CI can gate on it directly.
@@ -84,6 +88,9 @@ const std::vector<std::pair<std::size_t, std::size_t>> kStraddles = {
 /// whose one-chunk ops end on the cache tree.
 const std::vector<std::string> kStraddleTargets = {"epyc2p", "mini16",
                                                    "grid12"};
+/// Targets of the flag-tree rotating-bcast cells: three-level flag trees
+/// whose root-led groups hold relaying leaders.
+const std::vector<std::string> kFlagTreeTargets = {"mini16", "grid12"};
 
 }  // namespace
 
@@ -98,6 +105,8 @@ int main(int argc, char** argv) {
 
   coll::Tuning tuning;
   for (const auto& t : args.get_all("tune")) coll::apply_param(tuning, t);
+  coll::Tuning flag_tree = tuning;
+  flag_tree.llc_aware = false;
 
   std::vector<std::string> targets = kTargets;
   if (!only_preset.empty()) {
@@ -115,8 +124,9 @@ int main(int argc, char** argv) {
     topo::Topology topo = target_by_name(target);
     const int ranks = topo.n_cores();
     sim::SimMachine machine(std::move(topo), ranks);
-    const auto analyze = [&](const std::vector<check::OpCall>& ops) {
-      core::XhcComponent comp(machine, tuning, "analyze");
+    const auto analyze = [&](const std::vector<check::OpCall>& ops,
+                             const coll::Tuning& t) {
+      core::XhcComponent comp(machine, t, "analyze");
       const check::AnalysisReport rep = check::analyze(
           check::record_schedule(machine, comp, ops), machine.verify_ledger());
       total_findings += rep.findings.size();
@@ -131,28 +141,42 @@ int main(int argc, char** argv) {
     for (const OpSpec& spec : kOps) {
       if (!only_op.empty() && only_op != spec.name) continue;
       if (spec.op == check::Op::kBarrier) {
-        analyze({{spec.op, 0, 0}});
+        analyze({{spec.op, 0, 0}}, tuning);
         continue;
       }
-      for (const std::size_t bytes : sizes) analyze({{spec.op, bytes, root}});
+      for (const std::size_t bytes : sizes) {
+        analyze({{spec.op, bytes, root}}, tuning);
+      }
     }
     if (only_op.empty()) {
       for (const std::size_t bytes : sizes) {
-        analyze(check::steady_state_ops(ranks, bytes));
+        analyze(check::steady_state_ops(ranks, bytes), tuning);
       }
       if (only_size < 0 &&
           std::find(kStraddleTargets.begin(), kStraddleTargets.end(),
                     target) != kStraddleTargets.end()) {
         for (const auto& [bytes, alt] : kStraddles) {
           analyze(check::straddling_ops(check::steady_state_ops(ranks, bytes),
-                                        alt));
+                                        alt),
+                  tuning);
         }
-        analyze(check::rotating_root_ops(ranks, 4096));
+        analyze(check::rotating_root_ops(ranks, 4096), tuning);
         analyze(check::straddling_ops(check::rotating_root_ops(ranks, 512),
-                                      32768));
-        analyze(check::rotating_root_ops(ranks, 65536));
+                                      32768),
+                tuning);
+        analyze(check::rotating_root_ops(ranks, 65536), tuning);
         analyze(check::straddling_ops(check::rotating_root_ops(ranks, 4096),
-                                      65536));
+                                      65536),
+                tuning);
+      }
+      if (only_size < 0 &&
+          std::find(kFlagTreeTargets.begin(), kFlagTreeTargets.end(),
+                    target) != kFlagTreeTargets.end()) {
+        analyze(check::rotating_bcast_ops(ranks, 4096), flag_tree);
+        analyze(check::rotating_bcast_ops(ranks, 40000), flag_tree);
+        analyze(check::straddling_ops(check::rotating_bcast_ops(ranks, 512),
+                                      40000),
+                flag_tree);
       }
     }
   }

@@ -54,6 +54,14 @@ std::vector<OpCall> rotating_root_ops(int n_ranks, std::size_t bytes) {
   return ops;
 }
 
+std::vector<OpCall> rotating_bcast_ops(int n_ranks, std::size_t bytes) {
+  std::vector<OpCall> ops;
+  for (int root = 0; root < n_ranks; ++root) {
+    ops.push_back({Op::kBcast, bytes, root});
+  }
+  return ops;
+}
+
 std::vector<OpCall> straddling_ops(std::vector<OpCall> ops,
                                    std::size_t alt_bytes) {
   bool alt = false;

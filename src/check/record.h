@@ -102,6 +102,12 @@ std::vector<OpCall> steady_state_ops(int n_ranks, std::size_t bytes);
 /// against every class of op that can follow them.
 std::vector<OpCall> rotating_root_ops(int n_ranks, std::size_t bytes);
 
+/// A bcast at every root in turn (0, 1, ..., n-1), all of `bytes`: where
+/// consecutive roots lead different domains, a rank that pulled from one
+/// root becomes a relaying leader's child in the next op, and the other way
+/// round.
+std::vector<OpCall> rotating_bcast_ops(int n_ranks, std::size_t bytes);
+
 /// `ops` with every other op (barriers aside) resized to `alt_bytes`, so
 /// consecutive ops of a sequence straddle a size-class threshold and switch
 /// protocols between them.

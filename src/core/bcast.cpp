@@ -1,10 +1,10 @@
 // XHC MPI_Bcast (paper §IV-A): hierarchical, pipelined, pull-based.
 //
-// The root exposes its buffer and publishes availability through the
-// announce counter of every group it leads. Each other rank waits on its
-// leader's counter, pulls chunks into its own buffer (single-copy via
-// XPMEM, or via the leader's CICO result area for small messages), and —
-// when it leads lower groups — republishes each chunk to its children.
+// The root exposes its buffer and, once it is complete, releases it in every
+// group it leads (under the single-flag layout by its `seq` alone). Each
+// other rank waits on its leader, pulls chunks into its own buffer (single-
+// copy via XPMEM, or via the leader's CICO result area for small messages),
+// and — when it leads lower groups — republishes each chunk to its children.
 // A hierarchical acknowledgement closes the operation so buffers and flags
 // can be reused. On a shared-LLC node a one-chunk bcast skips the
 // republishing: every rank pulls from the root through the cache tree, and
@@ -30,7 +30,7 @@ bool XhcComponent::one_chunk(std::size_t bytes, std::size_t elem) const {
 void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
                               const std::vector<CommView::Membership>& acks,
                               void* user_buf, std::size_t bytes, bool cico,
-                              std::uint64_t s, bool relay) {
+                              std::uint64_t s, bool relay, bool from_root) {
   const int r = ctx.rank();
   XHC_CHECK(from.leader != r, "pull_bcast called on the root");
   RankState& rs = state(r);
@@ -41,6 +41,10 @@ void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
   // different leader can never satisfy it or clobber the pointer (GroupCtl).
   await(ctx, *from_ctl.seq[from.leader_slot], s, "seq_wait", from.level,
         from.leader);
+  // A bcast root stores seq only once its buffer (or CICO copy) is complete,
+  // so under the single-flag layout that store releases every chunk.
+  const bool whole =
+      from_root && tuning_.flag_layout == coll::FlagLayout::kSingle;
   const void* src;
   if (cico) {
     src = cico_[static_cast<std::size_t>(from.leader)].result;
@@ -65,7 +69,7 @@ void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
   for (std::size_t lo = 0; lo < bytes;) {
     const std::size_t hi = std::min(bytes, lo + chunk);
     maybe_stall(ctx, from.level);
-    announce_wait(ctx, from, base + hi);
+    if (!whole) announce_wait(ctx, from, base + hi);
     pull_chunk(ctx, dst + lo, static_cast<const std::byte*>(src) + lo, hi - lo,
                from.level, cico ? -1 : from.leader, "bcast.pull_chunk");
     // Republish to led groups (pipelining across levels, §III-B).
@@ -95,6 +99,20 @@ void XhcComponent::ack_up(mach::Ctx& ctx,
     wait_acks(ctx, acks[i], s);
   }
   ack_publish(ctx, acks.back(), s);
+}
+
+void XhcComponent::root_release(mach::Ctx& ctx, const CommView::Membership& m,
+                                const void* src, std::uint64_t s,
+                                std::size_t bytes) {
+  GroupCtl& ctl = tree_.ctl(m.ctl_id);
+  ctl.info[m.my_slot]->buf = src;
+  if (tuning_.flag_layout != coll::FlagLayout::kSingle) {
+    ctx.flag_store(*ctl.seq[m.my_slot], s);
+    const auto g = static_cast<std::size_t>(m.ctl_id);
+    announce_publish(ctx, m, state(ctx.rank()).bcast_base[g] + bytes);
+  } else if (fault_allows_publish(ctx)) {
+    ctx.flag_store(*ctl.seq[m.my_slot], s);
+  }
 }
 
 void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
@@ -152,18 +170,11 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
     } else {
       rs.endpoint->expose(ctx, buf, bytes);
     }
-    // The root's data is fully available up front: join every led group and
-    // publish the complete range at once (children still pull chunk-wise).
-    // On the cache tree only the top group carries data; the LLC groups
-    // just gather acks.
+    // The root's data is fully available up front: release it in every led
+    // group at once (children still pull chunk-wise). On the cache tree
+    // only the top group carries data; the LLC groups just gather acks.
     for (std::size_t i = cache ? ms.size() - 1 : 0; i < ms.size(); ++i) {
-      const CommView::Membership& m = ms[i];
-      GroupCtl& ctl = tree_.ctl(m.ctl_id);
-      ctl.info[m.my_slot]->buf = src;
-      ctx.flag_store(*ctl.seq[m.my_slot], s);
-      const std::uint64_t base =
-          rs.bcast_base[static_cast<std::size_t>(m.ctl_id)];
-      announce_publish(ctx, m, base + bytes);
+      root_release(ctx, ms[i], src, s, bytes);
     }
     for (const auto& m : ms) {
       wait_acks(ctx, m, s);
@@ -171,7 +182,7 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
   } else if (cache) {
     // Nobody reads a non-root's buffer here: no expose, no join, no relay.
     pull_bcast(ctx, view.memberships(root).back(), ms, buf, bytes, cico, s,
-               /*relay=*/false);
+               /*relay=*/false, /*from_root=*/true);
   } else {
     // Join led groups first so children can start as soon as data flows.
     const void* my_pub =
@@ -186,7 +197,8 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
       ctl.info[ms[i].my_slot]->buf = my_pub;
       ctx.flag_store(*ctl.seq[ms[i].my_slot], s);
     }
-    pull_bcast(ctx, ms.back(), ms, buf, bytes, cico, s, /*relay=*/true);
+    pull_bcast(ctx, ms.back(), ms, buf, bytes, cico, s, /*relay=*/true,
+               /*from_root=*/ms.back().leader == root);
   }
 
   // Advance the per-group cumulative byte bases (kept mirrored by every
@@ -219,18 +231,17 @@ void XhcComponent::bcast_striped(mach::Ctx& ctx, const CommView& view,
 
   if (r == root) {
     // The root's payload is fully available up front: join every led group
-    // (lower groups run the standard full-range announce), publish the
-    // buffer on the stripe plane, and mark the whole stripe timeline done —
-    // owners pull their stripes without further handshakes.
+    // (lower groups get the pull path's release), publish the buffer on the
+    // stripe plane, and mark the whole stripe timeline done — owners pull
+    // their stripes without further handshakes.
     for (const auto& m : ms) {
+      if (m.ctl_id != top.ctl_id) {
+        root_release(ctx, m, buf, s, bytes);
+        continue;
+      }
       GroupCtl& ctl = tree_.ctl(m.ctl_id);
       ctl.info[m.my_slot]->buf = buf;
       ctx.flag_store(*ctl.seq[m.my_slot], s);
-      if (m.ctl_id != top.ctl_id) {
-        announce_publish(
-            ctx, m,
-            rs.bcast_base[static_cast<std::size_t>(m.ctl_id)] + bytes);
-      }
     }
     sc.sinfo[r]->result = buf;
     ctx.flag_store(*sc.shard_seq[r], s);

@@ -205,11 +205,18 @@ class XhcComponent final : public coll::Component {
   /// acks in the last. With `relay` the rank republishes each chunk to the
   /// groups it leads — the flag tree's pipeline, where `from` is acks.back();
   /// on the cache tree `from` is the root's top-group slot and nobody reads
-  /// a non-root's buffer.
+  /// a non-root's buffer. With `from_root` (the leader is a bcast root, see
+  /// root_release) and the single-flag layout no chunk waits on an announce.
   void pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
                   const std::vector<CommView::Membership>& acks,
                   void* user_buf, std::size_t bytes, bool cico,
-                  std::uint64_t s, bool relay);
+                  std::uint64_t s, bool relay, bool from_root);
+  /// A bcast root's release in a group `m` it leads, once `src` (its buffer
+  /// or CICO copy) holds all `bytes`: under the single-flag layout `seq`
+  /// alone, through the fault plane; under the Fig. 10 layouts `seq` and
+  /// then the full-range announce.
+  void root_release(mach::Ctx& ctx, const CommView::Membership& m,
+                    const void* src, std::uint64_t s, std::size_t bytes);
   /// A non-root's acknowledgement through `acks` (its memberships, innermost
   /// first): waits for the members of every group it leads there, then acks
   /// in the last.

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <iostream>
 #include <new>
 #include <string>
 #include <utility>
@@ -245,6 +246,36 @@ TEST(CheckAnalyzer, RotatingRootReducesClean) {
   }
 }
 
+/// A bcast at every root in turn on the flag tree (`llc_aware` off) of
+/// mini16 and grid12, at 4 KiB, at 40000 B (three chunks) and alternating
+/// 512 B (CICO) with 40000 B: the members of a root-led group pull on the
+/// root's seq alone, and where the next root leads another domain they
+/// become a relaying leader's children, which keep the announce wait.
+TEST(CheckAnalyzer, RotatingRootBcastsOnTheFlagTreeClean) {
+  coll::Tuning flag_tree;
+  flag_tree.llc_aware = false;
+  for (const char* name : {"mini16", "grid12"}) {
+    const topo::Topology topo = std::string(name) == "grid12"
+                                    ? topo::grid("grid12", 2, 3, 2, 2)
+                                    : topo::by_name(name);
+    const int n = topo.n_cores();
+    sim::SimMachine machine(topo, n);
+    ASSERT_FALSE(core::XhcComponent(machine, flag_tree, "flag")
+                     .tree()
+                     .has_cache_tree())
+        << name;
+    for (const auto& ops :
+         {check::rotating_bcast_ops(n, 4096),
+          check::rotating_bcast_ops(n, 40000),
+          check::straddling_ops(check::rotating_bcast_ops(n, 512), 40000)}) {
+      const check::AnalysisReport rep =
+          record_and_analyze(machine, flag_tree, ops);
+      EXPECT_TRUE(rep.clean()) << name << " " << ops.front().bytes << " B\n"
+                               << rep.text();
+    }
+  }
+}
+
 /// Every other tuning whose flag protocol differs, by name.
 coll::Tuning variant_tuning(const std::string& name) {
   coll::Tuning t;
@@ -324,8 +355,12 @@ struct MutSpec {
 /// its release published.
 std::vector<MutSpec> mutation_specs() {
   return {
+      // Rank 4 relays to its NUMA group at root 0 and is the root next, so
+      // its members' seq_wait has an earlier value to be lowered to.
       {"bcast_lat", [] { return topo::mini8(); }, nullptr,
-       {{Op::kBcast, 40000, 0}}},
+       {{Op::kBcast, 40000, 0},
+        {Op::kBcast, 40000, 4},
+        {Op::kBcast, 40000, 0}}},
       {"bcast_stripe", [] { return topo::mini8(); },
        [](coll::Tuning& t) { t.stripe_threshold = 4096; },
        {{Op::kBcast, 16384, 0}}},
@@ -412,6 +447,8 @@ TEST_P(CheckMutants, EverySeededMutantIsKilled) {
           << spec.label << ": no premature read or return to lower";
     }
   }
+  std::cout << check::to_string(kind) << ": " << applied << " applied, "
+            << killed << " killed\n";
   EXPECT_GT(applied, 0) << "no candidate site in any schedule for "
                         << check::to_string(kind);
   EXPECT_EQ(killed, applied) << "kill score below 100% for "

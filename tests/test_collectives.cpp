@@ -13,6 +13,7 @@
 #include "coll/registry.h"
 #include "coll/tuning.h"
 #include "mach/real_machine.h"
+#include "osu/harness.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
 #include "util/check.h"
@@ -868,6 +869,99 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
+
+// The Fig. 10 layouts read the waiter's own announce slot, so their bcast
+// roots keep publishing seq and then the full-range announce, and every
+// child keeps both waits, to the virtual nanosecond: these are the OSU
+// averages and slowest ranks of Fig. 10's four points on epyc1p (flat and
+// numa+socket trees, shared and separated lines) before a single-flag root
+// child waited on seq alone.
+TEST(Bcast, FlagVariantsKeepTheirVirtualTimes) {
+  struct Pin {
+    const char* sensitivity;
+    coll::FlagLayout layout;
+    double avg[3];
+    double max[3];
+  };
+  const Pin pins[] = {
+      {"flat", coll::FlagLayout::kMultiSharedLine,
+       {1.9184795224, 0.83519870276, 4.4907030554},
+       {3.6599335056, 1.7322128057, 9.8654895743}},
+      {"flat", coll::FlagLayout::kMultiSeparateLines,
+       {2.2824471829, 2.3435503462, 5.4252047533},
+       {3.9899335056, 4.1492128057, 9.9847456113}},
+      {"numa+socket", coll::FlagLayout::kMultiSharedLine,
+       {1.6703688161, 1.5076925427, 5.1451233645},
+       {2.6859026404, 2.3861597841, 7.1240649574}},
+      {"numa+socket", coll::FlagLayout::kMultiSeparateLines,
+       {1.8404313161, 2.1670284802, 5.8213889895},
+       {2.8821526404, 3.2484097841, 7.9730649574}},
+  };
+  for (const Pin& pin : pins) {
+    coll::Tuning t;
+    t.sensitivity = pin.sensitivity;
+    t.flag_layout = pin.layout;
+    topo::Topology topo = topo::epyc1p();
+    const int n = topo.n_cores();
+    sim::SimMachine machine(std::move(topo), n);
+    auto comp = coll::make_component("xhc", machine, t);
+    osu::Config cfg;
+    cfg.verify = false;
+    const auto res = osu::bcast_sweep(machine, *comp, {4, 4096, 40000}, cfg);
+    const char* lines =
+        pin.layout == coll::FlagLayout::kMultiSharedLine ? "shared"
+                                                         : "separated";
+    for (std::size_t k = 0; k < res.size(); ++k) {
+      EXPECT_NEAR(res[k].avg_us, pin.avg[k], 1e-7 * pin.avg[k])
+          << pin.sensitivity << " " << lines << " " << res[k].bytes << " B";
+      EXPECT_NEAR(res[k].max_us, pin.max[k], 1e-7 * pin.max[k])
+          << pin.sensitivity << " " << lines << " " << res[k].bytes << " B";
+    }
+  }
+}
+
+// tuned's two largest bcast algorithms: the segmented binary tree (above
+// 2 MiB, up to 8 MiB) and the pipeline chain (above 8 MiB), each just past
+// its threshold, at roots 0 and n-1 back to back on one component.
+class TunedLargeBcast : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TunedLargeBcast, BinaryAndChainBitExactAtBothEndRoots) {
+  constexpr int kRanks = 8;
+  auto machine = make_machine(GetParam(), topo::mini8(), kRanks);
+  auto comp = coll::make_component("tuned", *machine);
+  const std::size_t sizes[] = {(std::size_t{2} << 20) + 4,
+                               (std::size_t{8} << 20) + 4};
+  const int roots[] = {0, kRanks - 1};
+  std::vector<mach::Buffer> bufs;
+  for (int r = 0; r < kRanks; ++r) bufs.emplace_back(*machine, r, sizes[1]);
+  std::vector<std::vector<std::string>> bad(kRanks);
+  machine->run([&](mach::Ctx& ctx) {
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    std::vector<std::byte> expect(sizes[1]);
+    std::uint64_t op = 0;
+    for (const std::size_t bytes : sizes) {
+      for (const int root : roots) {
+        const std::uint64_t seed = 0x7B + op++;
+        if (ctx.rank() == root) ctx.write_payload(bufs[r].get(), bytes, seed);
+        comp->bcast(ctx, bufs[r].get(), bytes, root);
+        util::fill_pattern(expect.data(), bytes, seed);
+        if (std::memcmp(bufs[r].get(), expect.data(), bytes) != 0) {
+          bad[r].push_back(std::to_string(bytes) + " B at root " +
+                           std::to_string(root));
+        }
+      }
+    }
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& b = bad[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(b.empty()) << GetParam() << ", rank " << r << ": "
+                           << b.front();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, TunedLargeBcast,
+                         ::testing::Values("sim", "real"),
+                         [](const auto& info) { return info.param; });
 
 class LargeMsgDispatch : public ::testing::Test {
  protected:

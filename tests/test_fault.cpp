@@ -350,6 +350,106 @@ TEST(FaultDrop, RealWatchdogNamesRankAndFlag) {
   }
 }
 
+// A bcast root's release under the single-flag layout is its `seq` alone in
+// every group it leads (DESIGN.md § Cache tree), published through the
+// fault plane: dropping it strands every child that pulls from the root, on
+// the cache tree (mini16) and on the flag tree (`llc_aware` off), and the
+// report names the root's seq slot in each of those groups.
+TEST(FaultDrop, RootSeqDropStrandsItsChildrenOnBothTrees) {
+  constexpr int kRanks = 16;
+  constexpr int kRoot = 5;
+  constexpr std::size_t kBytes = 4096;  // one chunk, single-copy
+  for (const bool llc_aware : {true, false}) {
+    sim::SimMachine machine(topo::mini16(), kRanks);
+    coll::Tuning tuning;
+    tuning.llc_aware = llc_aware;
+    tuning.faults = "flagdrop,rank=" + std::to_string(kRoot);
+    core::XhcComponent comp(machine, tuning, "drop");
+    ASSERT_EQ(comp.tree().has_cache_tree(), llc_aware);
+    const core::CommView& view = llc_aware ? comp.tree().cache_view(kRoot)
+                                           : comp.tree().view(kRoot);
+    std::vector<std::string> released;
+    for (const auto& m : view.memberships(kRoot)) {
+      if (llc_aware && m.ctl_id != view.memberships(kRoot).back().ctl_id) {
+        continue;  // the cache tree's LLC groups only gather acks
+      }
+      released.push_back(machine.verify_ledger().flag_name(
+          &*comp.tree().ctl(m.ctl_id).seq[m.my_slot]));
+    }
+    ASSERT_EQ(released.size(), llc_aware ? 1u : 3u);
+    std::vector<mach::Buffer> bufs;
+    for (int r = 0; r < kRanks; ++r) bufs.emplace_back(machine, r, kBytes);
+    try {
+      machine.run([&](mach::Ctx& ctx) {
+        comp.bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
+                   kBytes, kRoot);
+      });
+      FAIL() << "expected a deadlock report, llc_aware=" << llc_aware;
+    } catch (const util::Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("deadlock"), std::string::npos) << msg;
+      for (const std::string& name : released) {
+        EXPECT_NE(msg.find("blocked@'" + name + "'"), std::string::npos)
+            << "llc_aware=" << llc_aware << ": " << name << "\n"
+            << msg;
+      }
+      // Nobody on the cache tree waits on an announce any more.
+      if (llc_aware) {
+        EXPECT_EQ(msg.find("announce"), std::string::npos) << msg;
+      }
+    }
+  }
+}
+
+// A delayed release delays every child that pulls from the root: none can
+// complete before the injected delay has passed, while without the fault
+// the whole bcast takes a small fraction of it.
+TEST(FaultChaos, RootSeqDelayHoldsBackItsChildren) {
+  constexpr int kRanks = 16;
+  constexpr int kRoot = 5;
+  constexpr std::size_t kBytes = 4096;
+  constexpr double kDelay = 1e-4;
+  for (const bool llc_aware : {true, false}) {
+    for (const bool faulty : {false, true}) {
+      sim::SimMachine machine(topo::mini16(), kRanks);
+      coll::Tuning tuning;
+      tuning.llc_aware = llc_aware;
+      if (faulty) {
+        tuning.faults = "flagdelay,rank=" + std::to_string(kRoot) +
+                        ",delay=" + std::to_string(kDelay);
+      }
+      core::XhcComponent comp(machine, tuning, "delay");
+      std::vector<mach::Buffer> bufs;
+      for (int r = 0; r < kRanks; ++r) bufs.emplace_back(machine, r, kBytes);
+      util::fill_pattern(bufs[kRoot].get(), kBytes, 0xDE);
+      std::vector<double> took(kRanks, 0.0);
+      machine.run([&](mach::Ctx& ctx) {
+        const double t0 = ctx.now();
+        comp.bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
+                   kBytes, kRoot);
+        took[static_cast<std::size_t>(ctx.rank())] = ctx.now() - t0;
+      });
+      std::vector<std::byte> expect(kBytes);
+      util::fill_pattern(expect.data(), kBytes, 0xDE);
+      for (int r = 0; r < kRanks; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        EXPECT_EQ(std::memcmp(bufs[ri].get(), expect.data(), kBytes), 0)
+            << "llc_aware=" << llc_aware << " faulty=" << faulty << " rank "
+            << r;
+        if (r == kRoot) continue;
+        if (faulty) {
+          EXPECT_GE(took[ri], kDelay)
+              << "llc_aware=" << llc_aware << ": rank " << r
+              << " completed before the root's delayed release";
+        } else {
+          EXPECT_LT(took[ri], kDelay / 10)
+              << "llc_aware=" << llc_aware << " rank " << r;
+        }
+      }
+    }
+  }
+}
+
 // Two-tenant registry helper: comm0 'wide' spans the node, comm1 'narrow'
 // the first half; `faults` (typically with a comm= filter) reaches every
 // tenant's injector, which filters by its own comm id.
