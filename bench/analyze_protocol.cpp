@@ -22,11 +22,15 @@
 // and grid12 the flag-tree cells run a bcast at every root in turn with
 // `llc_aware` off (check::rotating_bcast_ops), at 4 KiB, at 40000 B and
 // alternating 512/40000 B, so ranks switch between pulling from the root on
-// its seq alone and pulling from a relaying leader. These cells mix op
-// classes or tunings, so --op skips them. Every cell runs every analyzer
-// check (single-writer, monotonicity, threshold reachability, acyclicity,
-// payload races). Output is byte-deterministic; the exit status
-// is the total finding count clamped to 1, so CI can gate on it directly.
+// its seq alone and pulling from a relaying leader. On grid12n (no shared
+// LLC, three NUMA leaders per socket group) the chain cells run a bcast at
+// every root in turn at 128 KiB + 4 B, where ranks pull along their member
+// group's chain, and alternating it with 64 KiB, where they pull from the
+// leader. These cells mix op classes or tunings, so --op skips them. Every
+// cell runs every analyzer check (single-writer, monotonicity, threshold
+// reachability, acyclicity, payload races). Output is byte-deterministic;
+// the exit status is the total finding count clamped to 1, so CI can gate
+// on it directly.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -49,16 +53,19 @@ namespace {
 
 using namespace xhc;
 
-/// Paper systems, the test minis, and two synthetic shapes the presets do
-/// not cover (a flat single-domain machine and an odd 3-NUMA grid).
+/// Paper systems, the test minis, and synthetic shapes the presets do not
+/// cover (a flat single-domain machine and an odd 3-NUMA grid, with and
+/// without a shared LLC).
 const std::vector<std::string> kTargets = {
-    "epyc1p", "epyc2p", "armn1", "mini8", "mini16", "flat4", "flat8", "grid12",
+    "epyc1p", "epyc2p", "armn1",  "mini8",   "mini16",
+    "flat4",  "flat8",  "grid12", "grid12n",
 };
 
 topo::Topology target_by_name(const std::string& name) {
   if (name == "flat4") return topo::flat(4);
   if (name == "flat8") return topo::flat(8);
   if (name == "grid12") return topo::grid("grid12", 2, 3, 2, 2);
+  if (name == "grid12n") return topo::grid("grid12n", 2, 3, 2, 0);
   return topo::by_name(name);
 }
 
@@ -91,6 +98,10 @@ const std::vector<std::string> kStraddleTargets = {"epyc2p", "mini16",
 /// Targets of the flag-tree rotating-bcast cells: three-level flag trees
 /// whose root-led groups hold relaying leaders.
 const std::vector<std::string> kFlagTreeTargets = {"mini16", "grid12"};
+/// Targets of the chain cells, and their chain size: just above the edge of
+/// a node without a shared LLC.
+const std::vector<std::string> kChainTargets = {"grid12n"};
+constexpr std::size_t kChainBytes = (std::size_t{128} << 10) + 4;
 
 }  // namespace
 
@@ -177,6 +188,14 @@ int main(int argc, char** argv) {
         analyze(check::straddling_ops(check::rotating_bcast_ops(ranks, 512),
                                       40000),
                 flag_tree);
+      }
+      if (only_size < 0 &&
+          std::find(kChainTargets.begin(), kChainTargets.end(), target) !=
+              kChainTargets.end()) {
+        analyze(check::rotating_bcast_ops(ranks, kChainBytes), tuning);
+        analyze(check::straddling_ops(
+                    check::rotating_bcast_ops(ranks, kChainBytes), 65536),
+                tuning);
       }
     }
   }

@@ -176,7 +176,7 @@ case "$mode" in
     scripts/lint_flags.sh
     cmake -B build -S .
     cmake --build build -j
-    largemsg_tests='LargeMsg|LlcShardNest|CacheTree|Collectives|ReduceKernels|ShardPlan|Partition|ShardSchedule|Reduce\.'
+    largemsg_tests='LargeMsg|LlcShardNest|CacheTree|Chain|Collectives|ReduceKernels|ShardPlan|Partition|ShardSchedule|Reduce\.'
     (cd build && ctest --output-on-failure -j "$(nproc)" \
       -R "$largemsg_tests" "$@")
     tmp="$(mktemp -d)"
@@ -185,9 +185,13 @@ case "$mode" in
     build/bench/bench_fig11_allreduce --quick --large --verify \
       --preset=epyc2p > /dev/null
     # xhc pipelines every bcast by default (xhc-flat and ucc stripe above
-    # their pinned 128 KiB), so the second run stripes xhc's tree as well.
-    build/bench/bench_fig8_bcast --quick --large --verify \
-      --preset=epyc2p > /dev/null
+    # their pinned 128 KiB), so the last run stripes xhc's tree as well.
+    # Its upper levels pull along the chain above 2 MiB on the Epycs (4 MiB
+    # here) and above 128 KiB on armn1 (256 KiB, 1 MiB and 4 MiB).
+    for preset in epyc2p epyc1p armn1; do
+      build/bench/bench_fig8_bcast --quick --large --verify \
+        --preset="$preset" > /dev/null
+    done
     build/bench/bench_fig8_bcast --quick --large --verify \
       --preset=epyc2p --tune=xhc_stripe_threshold=131072 > /dev/null
     # Tiny grids with the thresholds pulled down: the nested schedule and

@@ -48,6 +48,10 @@ class UccComponent final : public coll::Component {
   void set_traffic_counter(p2p::TrafficCounter* counter) noexcept override {
     inner_->set_traffic_counter(counter);
   }
+  /// The inner component records (and applies Tuning::trace's gate).
+  void set_observer(obs::Observer* observer) noexcept override {
+    inner_->set_observer(observer);
+  }
 
  private:
   /// Per-operation library dispatch cost (team lookup, task scheduling).

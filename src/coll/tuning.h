@@ -105,8 +105,10 @@ struct Tuning {
   /// just below the Epycs' crossover and keeps ARM-N1 and the 4 KiB points
   /// on the fan-in.
   /// Striping stays off by default: under xhc's tree the hierarchical
-  /// pipeline beats it at every size. ucc and xhc-flat, whose wide top
-  /// groups it pays off for, pin 128 KiB themselves.
+  /// pipeline, whose upper levels pull along a chain once the payload leaves
+  /// the cache (DESIGN.md § Large-message paths), beats it at every size
+  /// from 256 KiB to 4 MiB. ucc and xhc-flat, whose wide top groups it pays
+  /// off for, pin 128 KiB themselves.
   std::size_t rs_ag_threshold = 8 * 1024;
   std::size_t stripe_threshold = 0;
 

@@ -297,7 +297,8 @@ void XhcComponent::reduce_impl(mach::Ctx& ctx, const void* sbuf, void* rbuf,
     // Broadcast of the result, shared with MPI_Bcast: relayed down the flag
     // tree, or pulled flat from the root on the cache tree.
     pull_bcast(ctx, cache ? down.memberships(root).back() : top, acks, rbuf,
-               bytes, cico, s, /*relay=*/!cache, /*from_root=*/false);
+               bytes, cico, s, /*relay=*/!cache, /*from_root=*/false,
+               /*chain=*/false);
   } else if (release) {
     fan_in_handoff_wait(ctx, view, plan);
   } else {

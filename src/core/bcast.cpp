@@ -5,7 +5,11 @@
 // other rank waits on its leader, pulls chunks into its own buffer (single-
 // copy via XPMEM, or via the leader's CICO result area for small messages),
 // and — when it leads lower groups — republishes each chunk to its children.
-// A hierarchical acknowledgement closes the operation so buffers and flags
+// Once the payload no longer stays in a cache, a rank whose member level is
+// above the leaf pulls from its predecessor in that group's chain instead
+// (the leader, then the other members ascending) and republishes to its
+// successor, so no node's memory serves every upper-level child. A
+// hierarchical acknowledgement closes the operation so buffers and flags
 // can be reused. On a shared-LLC node a one-chunk bcast skips the
 // republishing: every rank pulls from the root through the cache tree, and
 // only the acknowledgement climbs through the LLC groups. One-chunk
@@ -20,6 +24,18 @@
 
 namespace xhc::core {
 
+namespace {
+
+/// Largest bcast that every rank still pulls from its group leader: on a
+/// shared-LLC node the cost model keeps a payload LLC-resident only up to
+/// 1.6 MiB (sim::CacheModel::fits_llc); without a shared LLC (armn1) the
+/// chain stays within 3% of the tree up to 208 KiB and wins by 8-17% from
+/// 224 KiB (EXPERIMENTS.md § Bcast chain).
+constexpr std::size_t kChainAboveLlc = std::size_t{2} << 20;
+constexpr std::size_t kChainAboveNoLlc = std::size_t{128} << 10;
+
+}  // namespace
+
 bool XhcComponent::one_chunk(std::size_t bytes, std::size_t elem) const {
   for (int l = 0; l < tree_.n_levels(); ++l) {
     if (bytes > aligned_chunk(tuning_.chunk_for_level(l), elem)) return false;
@@ -30,27 +46,46 @@ bool XhcComponent::one_chunk(std::size_t bytes, std::size_t elem) const {
 void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
                               const std::vector<CommView::Membership>& acks,
                               void* user_buf, std::size_t bytes, bool cico,
-                              std::uint64_t s, bool relay, bool from_root) {
+                              std::uint64_t s, bool relay, bool from_root,
+                              bool chain) {
   const int r = ctx.rank();
   XHC_CHECK(from.leader != r, "pull_bcast called on the root");
   RankState& rs = state(r);
   GroupCtl& from_ctl = tree_.ctl(from.ctl_id);
+  const GroupShape& from_shape = tree_.shape(from.ctl_id);
 
-  // Wait for the leader to join this op and publish its buffer. The wait is
-  // exact: seq/info are indexed by the leader's slot, so a later op under a
-  // different leader can never satisfy it or clobber the pointer (GroupCtl).
-  await(ctx, *from_ctl.seq[from.leader_slot], s, "seq_wait", from.level,
-        from.leader);
+  // The source: the leader, or on the chain this rank's predecessor in
+  // chain order (the leader, then the other members ascending). The
+  // successor, if any, pulls from this rank's slot of `from` in turn.
+  int src = from.leader;
+  int next = -1;
+  if (chain) {
+    for (const int j : from.members) {
+      if (j == from.leader) continue;
+      if (j < r) src = j;
+      if (j > r) {
+        next = j;
+        break;
+      }
+    }
+  }
+  const int src_slot = from_shape.slot_of(src);
+
+  // Wait for the source to join this op and publish its buffer. The wait is
+  // exact: seq/info are indexed by the publisher's slot, so a later op under
+  // a different leader can never satisfy it or clobber the pointer
+  // (GroupCtl).
+  await(ctx, *from_ctl.seq[src_slot], s, "seq_wait", from.level, src);
   // A bcast root stores seq only once its buffer (or CICO copy) is complete,
   // so under the single-flag layout that store releases every chunk.
-  const bool whole =
-      from_root && tuning_.flag_layout == coll::FlagLayout::kSingle;
-  const void* src;
+  const bool whole = from_root && src == from.leader &&
+                     tuning_.flag_layout == coll::FlagLayout::kSingle;
+  const void* src_buf;
   if (cico) {
-    src = cico_[static_cast<std::size_t>(from.leader)].result;
+    src_buf = cico_[static_cast<std::size_t>(src)].result;
   } else {
-    const void* leader_buf = from_ctl.info[from.leader_slot]->buf;
-    src = rs.endpoint->attach(ctx, from.leader, leader_buf, bytes);
+    src_buf = rs.endpoint->attach(ctx, src, from_ctl.info[src_slot]->buf,
+                                  bytes);
   }
 
   // Destination this rank copies into: relaying leaders stage into their own
@@ -69,10 +104,17 @@ void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
   for (std::size_t lo = 0; lo < bytes;) {
     const std::size_t hi = std::min(bytes, lo + chunk);
     maybe_stall(ctx, from.level);
-    if (!whole) announce_wait(ctx, from, base + hi);
-    pull_chunk(ctx, dst + lo, static_cast<const std::byte*>(src) + lo, hi - lo,
-               from.level, cico ? -1 : from.leader, "bcast.pull_chunk");
-    // Republish to led groups (pipelining across levels, §III-B).
+    if (!whole && chain) {
+      await(ctx, *from_ctl.announce[src_slot], base + hi, "announce_wait",
+            from.level, src);
+    } else if (!whole) {
+      announce_wait(ctx, from, base + hi);
+    }
+    pull_chunk(ctx, dst + lo, static_cast<const std::byte*>(src_buf) + lo,
+               hi - lo, from.level, cico ? -1 : src, "bcast.pull_chunk");
+    // Republish to led groups (pipelining across levels, §III-B), and on
+    // the chain to the successor, in this rank's slot of `from`.
+    if (chain) announce_publish(ctx, from, base + hi);
     for (std::size_t i = 0; i < n_led; ++i) {
       const std::uint64_t led_base =
           rs.bcast_base[static_cast<std::size_t>(acks[i].ctl_id)];
@@ -80,7 +122,7 @@ void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
     }
     lo = hi;
   }
-  record_traffic(from.leader, r);
+  record_traffic(src, r);
 
   if (cico && n_led > 0) {
     // Copy-out from the staged result into the user buffer.
@@ -88,7 +130,16 @@ void XhcComponent::pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
     ctx.copy(user_buf, dst, bytes);
   }
 
-  ack_up(ctx, acks, s);
+  // ack_up, except that on the chain this rank acks only once its
+  // successor, which reads its buffer, shows the last chunk pulled.
+  for (std::size_t i = 0; i + 1 < acks.size(); ++i) {
+    wait_acks(ctx, acks[i], s);
+  }
+  if (next >= 0) {
+    await(ctx, *from_ctl.announce[from_shape.slot_of(next)], base + bytes,
+          "chain_ack_wait", from.level, next);
+  }
+  ack_publish(ctx, acks.back(), s);
 }
 
 void XhcComponent::ack_up(mach::Ctx& ctx,
@@ -159,6 +210,18 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
   const CommView& view = cache ? tree_.cache_view(root) : flag_view;
   const auto& ms = view.memberships(r);
 
+  // Chain dispatch (DESIGN.md § Large-message paths): once the payload
+  // leaves the cache, a rank whose member level is above the leaf pulls
+  // from its predecessor in that group's chain, so each node's memory
+  // serves its own members and one successor instead of the root's serving
+  // every upper-level child. Single-flag, single-writer flag tree only.
+  const bool chain =
+      !stripe && !cache && !cico && ms.back().level > 0 &&
+      tuning_.flag_layout == coll::FlagLayout::kSingle &&
+      tuning_.sync == coll::SyncMethod::kSingleWriter &&
+      bytes > (machine_->topology().has_shared_llc() ? kChainAboveLlc
+                                                      : kChainAboveNoLlc);
+
   if (r == root) {
     const void* src = buf;
     if (cico) {
@@ -182,9 +245,10 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
   } else if (cache) {
     // Nobody reads a non-root's buffer here: no expose, no join, no relay.
     pull_bcast(ctx, view.memberships(root).back(), ms, buf, bytes, cico, s,
-               /*relay=*/false, /*from_root=*/true);
+               /*relay=*/false, /*from_root=*/true, /*chain=*/false);
   } else {
-    // Join led groups first so children can start as soon as data flows.
+    // Join led groups first so children can start as soon as data flows,
+    // and on the chain the member group too, for the successor.
     const void* my_pub =
         cico ? static_cast<const void*>(
                    cico_[static_cast<std::size_t>(r)].result)
@@ -192,13 +256,13 @@ void XhcComponent::bcast(mach::Ctx& ctx, void* buf, std::size_t bytes,
     if (!cico && ms.size() > 1) {
       rs.endpoint->expose(ctx, buf, bytes);
     }
-    for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
+    for (std::size_t i = 0; i + (chain ? 0 : 1) < ms.size(); ++i) {
       GroupCtl& ctl = tree_.ctl(ms[i].ctl_id);
       ctl.info[ms[i].my_slot]->buf = my_pub;
       ctx.flag_store(*ctl.seq[ms[i].my_slot], s);
     }
     pull_bcast(ctx, ms.back(), ms, buf, bytes, cico, s, /*relay=*/true,
-               /*from_root=*/ms.back().leader == root);
+               /*from_root=*/ms.back().leader == root, chain);
   }
 
   // Advance the per-group cumulative byte bases (kept mirrored by every

@@ -251,10 +251,10 @@ void XhcComponent::announce_publish(mach::Ctx& ctx,
   const GroupShape& shape = tree_.shape(m.ctl_id);
   switch (tuning_.flag_layout) {
     case coll::FlagLayout::kSingle:
-      // The publisher is always m's current leader, so my_slot ==
-      // leader_slot here; the slot index keeps the writer fixed across
+      // The publisher's own slot: m's current leader's, or on a bcast
+      // chain a member's. The slot index keeps the writer fixed across
       // root changes (see GroupCtl).
-      ctx.flag_store(*ctl.announce[m.leader_slot], value);
+      ctx.flag_store(*ctl.announce[m.my_slot], value);
       return;
     case coll::FlagLayout::kMultiSharedLine:
       for (const int j : m.members) {

@@ -207,10 +207,15 @@ class XhcComponent final : public coll::Component {
   /// on the cache tree `from` is the root's top-group slot and nobody reads
   /// a non-root's buffer. With `from_root` (the leader is a bcast root, see
   /// root_release) and the single-flag layout no chunk waits on an announce.
+  /// With `chain` (flag tree, relaying) the source is this rank's
+  /// predecessor in `from`'s chain order — the leader, then the other
+  /// members ascending — and the rank republishes each chunk in its own
+  /// slot of `from` too, then acks only once its successor has pulled the
+  /// last chunk.
   void pull_bcast(mach::Ctx& ctx, const CommView::Membership& from,
                   const std::vector<CommView::Membership>& acks,
                   void* user_buf, std::size_t bytes, bool cico,
-                  std::uint64_t s, bool relay, bool from_root);
+                  std::uint64_t s, bool relay, bool from_root, bool chain);
   /// A bcast root's release in a group `m` it leads, once `src` (its buffer
   /// or CICO copy) holds all `bytes`: under the single-flag layout `seq`
   /// alone, through the fault plane; under the Fig. 10 layouts `seq` and

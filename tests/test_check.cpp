@@ -276,6 +276,29 @@ TEST(CheckAnalyzer, RotatingRootBcastsOnTheFlagTreeClean) {
   }
 }
 
+/// A 12-rank grid without a shared LLC whose socket groups chain three NUMA
+/// leaders: above 128 KiB its bcasts pull along the chain (DESIGN.md
+/// § Large-message paths), where a member pulls from a member.
+topo::Topology chain_grid() { return topo::grid("grid12n", 2, 3, 2, 0); }
+constexpr std::size_t kChainBytes = (std::size_t{128} << 10) + 4;
+
+/// A bcast at every root in turn on the chain, and alternating with a
+/// tree-sized 64 KiB bcast, so a rank's member group switches between
+/// pulling from the leader and pulling along the chain, and the chain's
+/// order changes with the root.
+TEST(CheckAnalyzer, RotatingRootChainBcastsClean) {
+  const int n = chain_grid().n_cores();
+  sim::SimMachine machine(chain_grid(), n);
+  for (const auto& ops :
+       {check::rotating_bcast_ops(n, kChainBytes),
+        check::straddling_ops(check::rotating_bcast_ops(n, kChainBytes),
+                              std::size_t{64} << 10)}) {
+    const check::AnalysisReport rep =
+        record_and_analyze(machine, coll::Tuning{}, ops);
+    EXPECT_TRUE(rep.clean()) << ops[1].bytes << " B\n" << rep.text();
+  }
+}
+
 /// Every other tuning whose flag protocol differs, by name.
 coll::Tuning variant_tuning(const std::string& name) {
   coll::Tuning t;
@@ -401,6 +424,10 @@ std::vector<MutSpec> mutation_specs() {
         {Op::kAllreduce, 4096, 0}}},
       {"barrier_cache", [] { return topo::mini16(); }, nullptr,
        {{Op::kBarrier, 0, 0}, {Op::kAllreduce, 4096, 0}}},
+      // The bcast chain: members pull from members and wait for their
+      // successors before they ack.
+      {"bcast_chain", chain_grid, nullptr,
+       {{Op::kBcast, kChainBytes, 0}, {Op::kBcast, kChainBytes, 0}}},
   };
 }
 
@@ -477,6 +504,65 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+/// The chain's two waits, each lowered to its flag's first published value
+/// as kThresholdLow does, in the bcast_chain spec: at root 0 the socket
+/// group chains NUMA leaders 0, 2 and 4, so rank 4 waits on rank 2's
+/// announce slot before each pull (lowered, it reads a chunk rank 2 has not
+/// written), and rank 2 waits on rank 4's for the last chunk before it acks
+/// (lowered, its next op rewrites the buffer rank 4 still reads). Both must
+/// be killed, as races on the waiting rank named after the lowered flag.
+TEST(CheckMutants, ChainWaitsLoweredAreKilled) {
+  sim::SimMachine machine(chain_grid(), chain_grid().n_cores());
+  core::XhcComponent comp(machine, coll::Tuning{}, "chain");
+  const check::Schedule base = check::record_schedule(
+      machine, comp,
+      {{Op::kBcast, kChainBytes, 0}, {Op::kBcast, kChainBytes, 0}});
+  ASSERT_TRUE(check::analyze(base, machine.verify_ledger()).clean());
+  const core::CommView::Membership& m =
+      comp.tree().view(0).memberships(2).back();
+  ASSERT_EQ(m.members, (std::vector<int>{0, 2, 4}));
+  const core::GroupShape& shape = comp.tree().shape(m.ctl_id);
+  struct Site {
+    int waiter;
+    int writer;
+  };
+  int killed = 0;
+  for (const Site site : {Site{4, 2}, Site{2, 4}}) {
+    const mach::Flag* flag =
+        &*comp.tree().ctl(m.ctl_id).announce[shape.slot_of(site.writer)];
+    const auto& pubs = base.per_rank[static_cast<std::size_t>(site.writer)];
+    const auto first = std::find_if(
+        pubs.begin(), pubs.end(), [&](const check::Event& e) {
+          return e.kind == check::EvKind::kPublish && e.flag == flag;
+        });
+    ASSERT_NE(first, pubs.end());
+    check::Schedule mut = base;
+    check::Event* wait = nullptr;
+    auto& waits = mut.per_rank[static_cast<std::size_t>(site.waiter)];
+    for (check::Event& e : waits) {
+      if (e.op == 0 && e.kind == check::EvKind::kWait && e.flag == flag &&
+          e.value > first->value) {
+        wait = &e;
+      }
+    }
+    ASSERT_NE(wait, nullptr) << "rank " << site.waiter;
+    wait->value = first->value;
+    const std::string name = machine.verify_ledger().flag_name(flag);
+    const check::AnalysisReport rep =
+        check::analyze(mut, machine.verify_ledger());
+    const bool hit = std::any_of(
+        rep.findings.begin(), rep.findings.end(), [&](const check::Finding& f) {
+          return f.property == check::Property::kRace && f.flag == name &&
+                 f.rank == site.waiter;
+        });
+    killed += hit ? 1 : 0;
+    EXPECT_TRUE(hit) << "rank " << site.waiter << "'s wait on " << name
+                     << " lowered\n"
+                     << rep.text();
+  }
+  std::cout << "chain waits lowered: 2 applied, " << killed << " killed\n";
+}
 
 /// The reason the static pass exists: a lowered wait threshold terminates
 /// and keeps the writer discipline intact — every signal a flag-level

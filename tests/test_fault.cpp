@@ -401,6 +401,43 @@ TEST(FaultDrop, RootSeqDropStrandsItsChildrenOnBothTrees) {
   }
 }
 
+// On the bcast chain (DESIGN.md § Large-message paths) a member publishes
+// each chunk in its own announce slot of its member group for its
+// successor. At root 0 on a 12-rank grid without a shared LLC, rank 0's
+// socket group chains NUMA leaders 0, 2 and 4: dropping rank 2's
+// publications strands rank 4 on rank 2's announce slot there, and the
+// report names it.
+TEST(FaultDrop, ChainAnnounceDropStrandsItsSuccessor) {
+  constexpr int kRanks = 12;
+  constexpr int kMember = 2;
+  constexpr std::size_t kBytes = (std::size_t{128} << 10) + 4;
+  sim::SimMachine machine(topo::grid("grid12n", 2, 3, 2, 0), kRanks);
+  coll::Tuning tuning;
+  tuning.faults = "flagdrop,rank=" + std::to_string(kMember);
+  core::XhcComponent comp(machine, tuning, "drop");
+  const core::CommView::Membership& m =
+      comp.tree().view(0).memberships(kMember).back();
+  ASSERT_EQ(m.level, 1);
+  ASSERT_EQ(m.members, (std::vector<int>{0, 2, 4}));
+  const std::string announce = machine.verify_ledger().flag_name(
+      &*comp.tree().ctl(m.ctl_id).announce[m.my_slot]);
+  std::vector<mach::Buffer> bufs;
+  for (int r = 0; r < kRanks; ++r) bufs.emplace_back(machine, r, kBytes);
+  try {
+    machine.run([&](mach::Ctx& ctx) {
+      comp.bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
+                 kBytes, 0);
+    });
+    FAIL() << "expected a deadlock report";
+  } catch (const util::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("deadlock"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("[4:blocked@'" + announce + "'"), std::string::npos)
+        << announce << "\n"
+        << msg;
+  }
+}
+
 // A delayed release delays every child that pulls from the root: none can
 // complete before the injected delay has passed, while without the fault
 // the whole bcast takes a small fraction of it.

@@ -17,6 +17,7 @@
 #include "obs/export.h"
 #include "obs/observer.h"
 #include "obs/timeseries.h"
+#include "osu/harness.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
 #include "util/cacheline.h"
@@ -460,6 +461,24 @@ TEST(ObsEndToEnd, TunedBaselineTraces) {
   EXPECT_TRUE(cats.count("collective"));
   EXPECT_TRUE(cats.count("reduce"));
   EXPECT_GT(observer.metrics().total(Counter::kReduceBytes), 0u);
+}
+
+// Wrapper components forward the observer to the component that records:
+// an OSU bcast sweep of ucc (an XhcComponent inside) fills the trace as
+// xhc's does.
+TEST(ObsEndToEnd, UccForwardsItsObserver) {
+  for (const char* name : {"xhc", "ucc"}) {
+    sim::SimMachine machine(topo::mini8(), 8);
+    coll::Tuning tuning;
+    tuning.trace = true;
+    auto comp = coll::make_component(name, machine, tuning);
+    Observer observer(8);
+    osu::Config cfg;
+    cfg.observer = &observer;
+    osu::bcast_sweep(machine, *comp, {4096, 64u << 10}, cfg);
+    EXPECT_GT(observer.trace().recorded(), 0u) << name;
+    EXPECT_GT(observer.metrics().total(Counter::kSingleCopyBytes), 0u) << name;
+  }
 }
 
 TEST(ObsExport, EscapesSpecialCharacters) {
