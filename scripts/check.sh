@@ -259,8 +259,12 @@ case "$mode" in
     scripts/lint_flags.sh
     cmake -B build -S .
     cmake --build build -j
+    # The model suites include the flat per-event tables' own tests: the
+    # cache model's residency, the flag-history window and the per-rank
+    # block lookup across a free.
+    coh_tests='LineModel|SimMachineCoh|SimCacheModel|SimFlagHist|SimMachineFree'
     (cd build && ctest --output-on-failure -j "$(nproc)" \
-      -R 'LineModel|SimMachineCoh|VerifyLayout' "$@")
+      -R "$coh_tests|VerifyLayout" "$@")
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
     echo "== scenario assertions + determinism: fig10 =="
@@ -296,12 +300,12 @@ case "$mode" in
     XHC_SIM_BACKEND=threads build/bench/bench_fig10_cacheline --quick \
       > /dev/null
     (cd build && XHC_SIM_BACKEND=threads ctest --output-on-failure \
-      -j "$(nproc)" -R 'LineModel|SimMachineCoh' "$@")
+      -j "$(nproc)" -R "$coh_tests" "$@")
     echo "== TSan =="
     cmake -B build-tsan -S . -DXHC_SANITIZE=thread
     cmake --build build-tsan -j
     (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-      -R 'LineModel|SimMachineCoh|VerifyLayout' "$@")
+      -R "$coh_tests|VerifyLayout" "$@")
     echo "coherence gate: OK"
     exit 0
     ;;
@@ -484,7 +488,7 @@ ctest --output-on-failure -j "$(nproc)" "$@"
 if [ "$mode" = "" ] || [ "$mode" = thread ]; then
   echo "== re-running sim tests under XHC_SIM_BACKEND=threads =="
   XHC_SIM_BACKEND=threads ctest --output-on-failure -j "$(nproc)" \
-    -R 'Sim|Backend|Sched|Collectives|Fault|Check|Svc|TimingOnly|CacheTree' "$@"
+    -R 'Sim|Backend|Sched|Collectives|Fault|Check|Svc|TimingOnly|CacheTree|LineModel|RegCache' "$@"
 fi
 
 # The default full run also walks the quick sweeps through the perf gate

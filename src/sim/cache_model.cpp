@@ -1,6 +1,6 @@
 #include "sim/cache_model.h"
 
-#include <vector>
+#include <algorithm>
 
 #include "util/check.h"
 
@@ -23,6 +23,27 @@ const char* to_string(ServeKind k) {
 CacheModel::CacheModel(const topo::Topology* topo, const SimParams* params)
     : topo_(topo), params_(params) {
   XHC_REQUIRE(topo_ != nullptr && params_ != nullptr, "null dependency");
+  llc_rep_.assign(static_cast<std::size_t>(topo_->n_llc()), -1);
+  numa_socket_.assign(static_cast<std::size_t>(topo_->n_numa()), -1);
+  for (auto it = topo_->cores().rbegin(); it != topo_->cores().rend(); ++it) {
+    llc_rep_[static_cast<std::size_t>(it->llc)] = it->core;
+    numa_socket_[static_cast<std::size_t>(it->numa)] = it->socket;
+  }
+}
+
+bool CacheModel::Block::resident(int llc) const noexcept {
+  return std::find(resident_llcs.begin(), resident_llcs.end(), llc) !=
+         resident_llcs.end();
+}
+
+bool CacheModel::Block::pulled(int key, std::size_t n) {
+  auto it = std::find_if(read_progress.begin(), read_progress.end(),
+                         [key](const auto& p) { return p.first == key; });
+  if (it == read_progress.end()) {
+    it = read_progress.insert(read_progress.end(), {key, 0});
+  }
+  it->second += n;
+  return it->second >= bytes;
 }
 
 void CacheModel::add_block(std::uint64_t id, std::size_t bytes, int home_numa) {
@@ -63,7 +84,7 @@ void CacheModel::on_write(std::uint64_t id, int writer_core) {
   b.producer_llc = topo_->has_shared_llc() ? topo_->core(writer_core).llc : -1;
   if (topo_->has_shared_llc() && fits_llc(b)) {
     // The writer just produced the data; its own LLC group holds it.
-    b.resident_llcs.insert(b.producer_llc);
+    b.resident_llcs.push_back(b.producer_llc);
   }
 }
 
@@ -75,7 +96,7 @@ ServeInfo CacheModel::on_read(std::uint64_t id, int reader_core,
   const topo::CorePlace& reader = topo_->core(reader_core);
 
   ServeInfo info;
-  if (topo_->has_shared_llc() && b.resident_llcs.count(reader.llc) != 0) {
+  if (topo_->has_shared_llc() && b.resident(reader.llc)) {
     info.kind = ServeKind::kLocalLlc;
     info.src_llc = reader.llc;
     info.src_numa = reader.numa;
@@ -90,11 +111,11 @@ ServeInfo CacheModel::on_read(std::uint64_t id, int reader_core,
     info.src_numa = b.home_numa;
     info.distance = topo::Distance::kIntraNuma;  // latency via params_->slc
   } else if (topo_->has_shared_llc() && b.producer_llc >= 0 &&
-             b.resident_llcs.count(b.producer_llc) != 0) {
+             b.resident(b.producer_llc)) {
     info.kind = ServeKind::kProducerLlc;
     info.src_llc = b.producer_llc;
     // Distance from the reader to the serving LLC group.
-    const int rep = llc_rep_core(b.producer_llc);
+    const int rep = llc_rep_[static_cast<std::size_t>(b.producer_llc)];
     info.src_numa = topo_->core(rep).numa;
     info.distance = topo_->distance(reader_core, rep);
   } else {
@@ -106,15 +127,12 @@ ServeInfo CacheModel::on_read(std::uint64_t id, int reader_core,
   // Residency update: a cache holds the version only after a full block's
   // worth of bytes has flowed toward it (chunked pulls stay priced at the
   // source until the whole buffer has moved).
-  if (topo_->has_shared_llc() && fits_llc(b)) {
-    std::size_t& progress = b.read_progress[reader.llc];
-    progress += bytes;
-    if (progress >= b.bytes) b.resident_llcs.insert(reader.llc);
+  // The reader's group is not resident here (that returned above).
+  if (topo_->has_shared_llc() && fits_llc(b) && b.pulled(reader.llc, bytes)) {
+    b.resident_llcs.push_back(reader.llc);
   }
-  if (!topo_->has_shared_llc() && fits_slc(b)) {
-    std::size_t& progress = b.read_progress[-1];
-    progress += bytes;
-    if (progress >= b.bytes) b.in_slc = true;
+  if (!topo_->has_shared_llc() && fits_slc(b) && b.pulled(-1, bytes)) {
+    b.in_slc = true;
   }
   if (tracking()) {
     switch (info.kind) {
@@ -150,38 +168,15 @@ std::uint64_t CacheModel::version(std::uint64_t id) const {
 
 bool CacheModel::resident_in_llc(std::uint64_t id, int llc) const {
   auto it = blocks_.find(id);
-  return it != blocks_.end() && it->second.resident_llcs.count(llc) != 0;
-}
-
-int CacheModel::llc_rep_core(int llc) const {
-  for (const auto& c : topo_->cores()) {
-    if (c.llc == llc) return c.core;
-  }
-  XHC_CHECK(false, "no core in llc group ", llc);
-  return 0;
+  return it != blocks_.end() && it->second.resident(llc);
 }
 
 topo::Distance CacheModel::numa_distance(int reader_core, int numa) const {
   const topo::CorePlace& reader = topo_->core(reader_core);
   if (reader.numa == numa) return topo::Distance::kIntraNuma;
-  // Socket of the target NUMA node: take any core homed there.
-  for (const auto& c : topo_->cores()) {
-    if (c.numa == numa) {
-      return c.socket == reader.socket ? topo::Distance::kCrossNuma
-                                       : topo::Distance::kCrossSocket;
-    }
-  }
-  return topo::Distance::kCrossNuma;
-}
-
-void CacheModel::reset() {
-  for (auto& [id, b] : blocks_) {
-    b.version = 0;
-    b.producer_llc = -1;
-    b.in_slc = false;
-    b.resident_llcs.clear();
-    b.read_progress.clear();
-  }
+  return numa_socket_[static_cast<std::size_t>(numa)] == reader.socket
+             ? topo::Distance::kCrossNuma
+             : topo::Distance::kCrossSocket;
 }
 
 }  // namespace xhc::sim

@@ -9,8 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "sim/coh_stats.h"
 #include "sim/params.h"
@@ -64,8 +65,6 @@ class CacheModel {
   /// identical whether or not stats are recorded.
   void set_stats(CohStats* stats) noexcept { stats_ = stats; }
 
-  void reset();
-
  private:
   struct Block {
     std::size_t bytes = 0;
@@ -73,19 +72,24 @@ class CacheModel {
     std::uint64_t version = 0;
     int producer_llc = -1;   ///< LLC group of the last writer (-1: none)
     bool in_slc = false;     ///< current version resident in the SLC
-    std::set<int> resident_llcs;  ///< LLC groups holding the current version
+    /// LLC groups holding the current version. Every write clears this and
+    /// read_progress; both keep their capacity, so steady state allocates
+    /// nothing.
+    std::vector<int> resident_llcs;
     /// Bytes of the current version pulled toward each LLC group (or the
     /// SLC, key -1). A cache becomes resident only once a block's worth of
     /// data has actually flowed there — chunked pulls are priced at the
     /// source until then (a first pull of a 1 MB buffer is not free after
     /// its first 16 KB chunk).
-    std::map<int, std::size_t> read_progress;
+    std::vector<std::pair<int, std::size_t>> read_progress;
+
+    bool resident(int llc) const noexcept;
+    /// Adds `bytes` toward cache `key`; true once a block's worth arrived.
+    bool pulled(int key, std::size_t bytes);
   };
 
   bool fits_llc(const Block& b) const noexcept;
   bool fits_slc(const Block& b) const noexcept;
-  /// Any core belonging to LLC group `llc`.
-  int llc_rep_core(int llc) const;
   /// Distance class from `reader_core` to memory homed on `numa`.
   topo::Distance numa_distance(int reader_core, int numa) const;
 
@@ -96,7 +100,9 @@ class CacheModel {
   const topo::Topology* topo_;
   const SimParams* params_;
   CohStats* stats_ = nullptr;
-  std::map<std::uint64_t, Block> blocks_;
+  std::unordered_map<std::uint64_t, Block> blocks_;  ///< by block id
+  std::vector<int> llc_rep_;      ///< first core of each LLC group
+  std::vector<int> numa_socket_;  ///< socket of each NUMA node
 };
 
 }  // namespace xhc::sim

@@ -10,11 +10,27 @@ namespace xhc::sim {
 LineModel::LineModel(const topo::Topology* topo, const SimParams* params)
     : topo_(topo), params_(params) {
   XHC_REQUIRE(topo_ != nullptr && params_ != nullptr, "null dependency");
+  words_ = static_cast<std::uint32_t>(topo_->n_llc() + 63) / 64;
+  core_port_free_.assign(static_cast<std::size_t>(topo_->n_cores()), 0.0);
 }
 
-LineModel::Line& LineModel::line(std::uintptr_t id) { return lines_[id]; }
+LineModel::Line& LineModel::line(std::uintptr_t id) {
+  const auto [it, fresh] = lines_.try_emplace(id);
+  if (fresh) {
+    it->second.sharers = static_cast<std::uint32_t>(sharer_words_.size());
+    sharer_words_.resize(sharer_words_.size() + words_, 0);
+  }
+  return it->second;
+}
 
-double& LineModel::core_port(int core) { return core_port_free_[core]; }
+bool LineModel::drop_sharers(Line& l) noexcept {
+  bool any = false;
+  for (std::uint32_t w = 0; w < words_; ++w) {
+    any |= sharer_words_[l.sharers + w] != 0;
+    sharer_words_[l.sharers + w] = 0;
+  }
+  return any;
+}
 
 std::uint64_t LineModel::store_seq(const void* addr) const noexcept {
   auto it = lines_.find(util::line_of(addr));
@@ -40,7 +56,7 @@ double LineModel::read(const void* addr, int core, double t, bool pipelined) {
   }
 
   const int reader_llc = topo_->core(core).llc;
-  if (shared_llc && l.sharer_llcs.count(reader_llc) != 0) {
+  if (shared_llc && shared_by(l, reader_llc)) {
     // A group peer already pulled the line into our LLC (the implicit
     // hardware assist of paper §V-D1).
     if (tracking()) {
@@ -58,13 +74,13 @@ double LineModel::read(const void* addr, int core, double t, bool pipelined) {
     if (tracking()) {
       stats_->on_line_read(addr, core, CohEvent::kHitm, l.owner_core);
     }
-    double& port = core_port(l.owner_core);
+    double& port = core_port_free_[static_cast<std::size_t>(l.owner_core)];
     const double start = std::max(t, port);
     port = start + params_->core_port_service;
     done = start + std::max(params_->line_hit, params_->line_lat(dist) * expose);
     l.dirty = false;
     if (shared_llc) {
-      l.sharer_llcs.insert(topo_->core(l.owner_core).llc);
+      add_sharer(l, topo_->core(l.owner_core).llc);
     } else {
       l.in_slc = true;
     }
@@ -88,13 +104,13 @@ double LineModel::read(const void* addr, int core, double t, bool pipelined) {
     done = start + std::max(params_->line_hit, params_->line_lat_numa * expose);
   }
 
-  if (shared_llc) l.sharer_llcs.insert(reader_llc);
+  if (shared_llc) add_sharer(l, reader_llc);
   return done;
 }
 
 double LineModel::write(const void* addr, int core, double t) {
   Line& l = line(util::line_of(addr));
-  const bool invalidated = !l.sharer_llcs.empty() || l.in_slc ||
+  const bool invalidated = drop_sharers(l) || l.in_slc ||
                            (l.owner_core >= 0 && l.owner_core != core);
   double cost = params_->store_cost;
   if (invalidated) {
@@ -107,7 +123,6 @@ double LineModel::write(const void* addr, int core, double t) {
   l.owner_core = core;
   l.dirty = true;
   l.in_slc = false;
-  l.sharer_llcs.clear();
   ++l.store_seq;
   const double done = t + cost;
   l.line_free = std::max(l.line_free, done);
@@ -130,7 +145,7 @@ double LineModel::rmw(const void* addr, int core, double t) {
   l.owner_core = core;
   l.dirty = true;
   l.in_slc = false;
-  l.sharer_llcs.clear();
+  drop_sharers(l);
   ++l.store_seq;
   const double done = start + transfer + params_->rmw_service;
   l.line_free = done;
@@ -139,7 +154,8 @@ double LineModel::rmw(const void* addr, int core, double t) {
 
 void LineModel::reset() {
   lines_.clear();
-  core_port_free_.clear();
+  sharer_words_.clear();
+  std::fill(core_port_free_.begin(), core_port_free_.end(), 0.0);
 }
 
 }  // namespace xhc::sim

@@ -20,8 +20,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "sim/coh_stats.h"
 #include "sim/params.h"
@@ -65,16 +65,22 @@ class LineModel {
     int owner_core = -1;        ///< last writer
     bool dirty = false;         ///< no shared-cache copy yet
     bool in_slc = false;
-    std::set<int> sharer_llcs;  ///< LLC groups holding the line
+    std::uint32_t sharers = 0;  ///< offset of the line's LLC-group bitmask
+                                ///< (groups holding it) in sharer_words_
     double line_free = 0.0;     ///< serialization point for this line's
                                 ///< fetches (SLC bank / providing LLC)
     std::uint64_t store_seq = 0;  ///< stores+RMWs so far (accounting only)
   };
 
   Line& line(std::uintptr_t id);
-  /// Serialization queue of a provider core's port (first reads of dirty
-  /// lines owned by that core, across *all* lines — Fig. 10 separated-flags).
-  double& core_port(int core);
+  bool shared_by(const Line& l, int llc) const noexcept {
+    return (sharer_words_[l.sharers + llc / 64] >> (llc % 64)) & 1u;
+  }
+  void add_sharer(Line& l, int llc) noexcept {
+    sharer_words_[l.sharers + llc / 64] |= std::uint64_t{1} << (llc % 64);
+  }
+  /// Clears the line's sharers; returns whether it had any.
+  bool drop_sharers(Line& l) noexcept;
   bool tracking() const noexcept {
     return stats_ != nullptr && stats_->enabled();
   }
@@ -82,8 +88,14 @@ class LineModel {
   const topo::Topology* topo_;
   const SimParams* params_;
   CohStats* stats_ = nullptr;
-  std::map<std::uintptr_t, Line> lines_;
-  std::map<int, double> core_port_free_;
+  // Keyed by line id, a host address: looked up, never iterated.
+  std::unordered_map<std::uintptr_t, Line> lines_;
+  /// words_ words per line: bit g of a line's mask is LLC group g.
+  std::vector<std::uint64_t> sharer_words_;
+  std::uint32_t words_;
+  /// Serialization queue of each provider core's port (first reads of dirty
+  /// lines owned by that core, across *all* lines — Fig. 10 separated-flags).
+  std::vector<double> core_port_free_;
 };
 
 }  // namespace xhc::sim

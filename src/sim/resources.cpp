@@ -8,14 +8,20 @@ namespace xhc::sim {
 
 void ResourceLedger::set_capacity(ResId res, double bytes_per_sec) {
   XHC_REQUIRE(bytes_per_sec > 0.0, "capacity must be positive");
-  states_[res].capacity = bytes_per_sec;
+  XHC_REQUIRE(res.index >= 0, "negative resource index ", res.index);
+  auto& kind = states_[static_cast<std::size_t>(res.kind)];
+  const auto i = static_cast<std::size_t>(res.index);
+  if (i >= kind.size()) kind.resize(i + 1);
+  kind[i].capacity = bytes_per_sec;
 }
 
 ResourceLedger::State& ResourceLedger::state(ResId res) {
-  auto it = states_.find(res);
-  XHC_CHECK(it != states_.end(), "resource has no capacity set (kind=",
-            static_cast<int>(res.kind), " index=", res.index, ")");
-  return it->second;
+  auto& kind = states_[static_cast<std::size_t>(res.kind)];
+  const auto i = static_cast<std::size_t>(res.index);
+  XHC_CHECK(res.index >= 0 && i < kind.size() && kind[i].capacity > 0.0,
+            "resource has no capacity set (kind=", static_cast<int>(res.kind),
+            " index=", res.index, ")");
+  return kind[i];
 }
 
 void ResourceLedger::expire(State& s, double t) {
@@ -41,10 +47,6 @@ int ResourceLedger::active(ResId res, double t) {
   State& s = state(res);
   expire(s, t);
   return static_cast<int>(s.ends.size());
-}
-
-void ResourceLedger::clear_in_flight() {
-  for (auto& [id, s] : states_) s.ends.clear();
 }
 
 }  // namespace xhc::sim

@@ -7,8 +7,8 @@
 // pile-ups emerge from the ledger rather than being modeled explicitly.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace xhc::sim {
@@ -25,11 +25,6 @@ enum class ResKind : std::uint8_t {
 struct ResId {
   ResKind kind;
   int index;
-
-  friend bool operator<(const ResId& a, const ResId& b) noexcept {
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.index < b.index;
-  }
 };
 
 /// Tracks in-flight transfers per resource and computes fair shares.
@@ -50,8 +45,6 @@ class ResourceLedger {
   /// Number of in-flight transfers on `res` at time `t` (test hook).
   int active(ResId res, double t);
 
-  void clear_in_flight();
-
  private:
   struct State {
     double capacity = 0.0;
@@ -61,7 +54,9 @@ class ResourceLedger {
   State& state(ResId res);
   static void expire(State& s, double t);
 
-  std::map<ResId, State> states_;
+  /// One vector per kind, indexed by resource index.
+  std::array<std::vector<State>, static_cast<std::size_t>(ResKind::kSlc) + 1>
+      states_;
 };
 
 }  // namespace xhc::sim

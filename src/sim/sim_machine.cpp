@@ -1,9 +1,11 @@
 #include "sim/sim_machine.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <tuple>
 
 #include "mach/host_alloc.h"
 #include "obs/coh.h"
@@ -23,27 +25,25 @@ void SimMachine::FlagHist::append(std::uint64_t value, double t) {
   entries.emplace_back(value, t);
   if (entries.size() > 4096) {
     // Keep the window bounded; the dropped prefix is summarized by the
-    // floor watermark (waits for long-passed thresholds resume at the
-    // window start, which can only over-estimate slightly).
-    for (std::size_t i = 0; i < 2048; ++i) {
-      floor_value = entries.front().first;
-      floor_time = entries.front().second;
-      entries.pop_front();
-    }
+    // floor watermark, its last entry (waits for long-passed thresholds
+    // resume at the window start, which can only over-estimate slightly).
+    std::tie(floor_value, floor_time) = entries[2047];
+    entries.erase(entries.begin(), entries.begin() + 2048);
   }
 }
 
 std::optional<double> SimMachine::FlagHist::crossing(std::uint64_t v) const {
   if (v == 0) return 0.0;
   if (floor_value >= v) return floor_time;
-  // Values are non-decreasing (monotone counters / fetch-adds), so binary
-  // search for the first entry reaching v.
+  // Values are non-decreasing, so the last entry says "not yet" alone (the
+  // common answer to a blocked waiter's re-check), and otherwise a binary
+  // search finds the first entry reaching v.
+  if (entries.empty() || entries.back().first < v) return std::nullopt;
   auto it = std::lower_bound(
       entries.begin(), entries.end(), v,
       [](const std::pair<std::uint64_t, double>& e, std::uint64_t val) {
         return e.first < val;
       });
-  if (it == entries.end()) return std::nullopt;
   return it->second;
 }
 
@@ -87,11 +87,11 @@ class SimMachine::SimCtx final : public mach::Ctx {
 
   void copy(void* dst, const void* src, std::size_t n) override {
     const double t = m_->sched_->now(rank_);
-    const auto* src_block = m_->registry_.find(src);
-    const auto* dst_block = m_->registry_.find(dst);
+    const std::uint64_t src_block = block_id(src);
+    const std::uint64_t dst_block = block_id(dst);
     const double d = m_->price_read(src_block, core_, n, t, 1.0);
     if (!m_->timing_only_) util::copy_payload(dst, src, n);
-    if (dst_block != nullptr) m_->cache_.on_write(dst_block->id, core_);
+    if (dst_block != 0) m_->cache_.on_write(dst_block, core_);
     if (m_->access_ != nullptr) {
       m_->access_->on_data(rank_, src, n, /*write=*/false);
       m_->access_->on_data(rank_, dst, n, /*write=*/true);
@@ -103,15 +103,15 @@ class SimMachine::SimCtx final : public mach::Ctx {
               mach::DType dtype, mach::ROp op) override {
     const std::size_t n = count * mach::dtype_size(dtype);
     const double t = m_->sched_->now(rank_);
-    const auto* src_block = m_->registry_.find(src);
-    const auto* dst_block = m_->registry_.find(dst);
+    const std::uint64_t src_block = block_id(src);
+    const std::uint64_t dst_block = block_id(dst);
     // Fetch the source operand (at reduction throughput), then the
     // destination operand, which is also read-modified-written.
     const double d1 = m_->price_read(src_block, core_, n, t,
                                      m_->params_.reduce_bw_factor);
     const double d2 = m_->price_read(dst_block, core_, n, t + d1, 1.0);
     if (!m_->timing_only_) mach::reduce_apply(dst, src, count, dtype, op);
-    if (dst_block != nullptr) m_->cache_.on_write(dst_block->id, core_);
+    if (dst_block != 0) m_->cache_.on_write(dst_block, core_);
     if (m_->access_ != nullptr) {
       m_->access_->on_data(rank_, src, n, /*write=*/false);
       m_->access_->on_data(rank_, dst, n, /*write=*/true);
@@ -121,8 +121,8 @@ class SimMachine::SimCtx final : public mach::Ctx {
 
   void write_payload(void* dst, std::size_t n, std::uint64_t seed) override {
     if (!m_->timing_only_) util::fill_pattern(dst, n, seed);
-    const auto* block = m_->registry_.find(dst);
-    if (block != nullptr) m_->cache_.on_write(block->id, core_);
+    const std::uint64_t block = block_id(dst);
+    if (block != 0) m_->cache_.on_write(block, core_);
     if (m_->access_ != nullptr) {
       m_->access_->on_data(rank_, dst, n, /*write=*/true);
     }
@@ -135,7 +135,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
     const double t = m_->sched_->now(rank_);
     const double done = m_->lines_.write(&f, core_, t);
     f.v.store(v, std::memory_order_release);
-    m_->flag_hist_[&f].append(v, done);
+    m_->hist(f).append(v, done);
     // The ledger records the same publish time the model uses, so the
     // read-side cross-check compares like with like.
     if (verify_->enabled()) verify_->on_store(&f, rank_, v, done);
@@ -149,7 +149,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
   std::uint64_t flag_read(const mach::Flag& f) override {
     const double t = m_->sched_->now(rank_);
     const double done = m_->lines_.read(&f, core_, t);
-    const std::uint64_t value = m_->flag_hist_[&f].value_at(done);
+    const std::uint64_t value = m_->hist(f).value_at(done);
     if (verify_->enabled()) verify_->on_observe(&f, rank_, value, done);
     if (m_->access_ != nullptr) {
       m_->access_->on_flag(rank_, &f, AccessSink::FlagOp::kRead, value);
@@ -162,7 +162,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
     if (m_->access_ != nullptr) {
       m_->access_->on_flag(rank_, &f, AccessSink::FlagOp::kWaitEnter, v);
     }
-    FlagHist& hist = m_->flag_hist_[&f];
+    FlagHist& hist = m_->hist(f);
     // Fast path: the value is already published — the fetch overlaps with
     // the surrounding reads (a scan over set flags exposes only part of the
     // miss latency).
@@ -212,7 +212,7 @@ class SimMachine::SimCtx final : public mach::Ctx {
   std::uint64_t fetch_add(mach::Flag& f, std::uint64_t delta) override {
     const double t = m_->sched_->now(rank_);
     const double done = m_->lines_.rmw(&f, core_, t);
-    FlagHist& hist = m_->flag_hist_[&f];
+    FlagHist& hist = m_->hist(f);
     const std::uint64_t prev = hist.last_value();
     const std::uint64_t next = prev + delta;
     f.v.store(next, std::memory_order_release);
@@ -231,11 +231,34 @@ class SimMachine::SimCtx final : public mach::Ctx {
   }
 
  private:
+  using Block = mach::AllocRegistry::Block;
+
+  /// Id of the registered block holding `p` (0: none), served from copies
+  /// of the last four blocks this rank looked up while no block has been
+  /// freed (a free may recycle a cached block's range).
+  std::uint64_t block_id(const void* p) {
+    if (frees_seen_ != m_->frees_) {
+      recent_ = {};
+      frees_seen_ = m_->frees_;
+    }
+    const auto* a = static_cast<const std::byte*>(p);
+    for (const Block& b : recent_) {
+      if (b.bytes != 0 && a >= b.base && a < b.base + b.bytes) return b.id;
+    }
+    const Block* b = m_->registry_.find(p);
+    if (b == nullptr) return 0;
+    recent_[next_slot_++ % recent_.size()] = *b;
+    return b->id;
+  }
+
   SimMachine* const m_;
   verify::Ledger* const verify_;
   const int rank_;
   const int core_;
   const double run_epoch_;
+  std::array<Block, 4> recent_{};
+  std::size_t next_slot_ = 0;
+  std::uint64_t frees_seen_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -295,6 +318,18 @@ void* SimMachine::alloc(int owner_rank, std::size_t bytes, std::size_t align,
   return b.p;
 }
 
+SimMachine::FlagHist& SimMachine::hist(const mach::Flag& f) {
+  const auto [it, fresh] = flag_hist_.try_emplace(&f);
+  if (fresh) {
+    if (const auto* block = registry_.find(&f); block != nullptr) {
+      const mach::Flag*& head = block_flags_[block->id];
+      it->second.next_in_block = head;
+      head = &f;
+    }
+  }
+  return it->second;
+}
+
 void SimMachine::free(void* p) {
   if (p == nullptr) return;
   const auto* block = registry_.find(p);
@@ -303,26 +338,25 @@ void SimMachine::free(void* p) {
     // A reused address starts clean: a previous occupant's crossings must
     // not satisfy waits on (or poison the ledger for) a fresh flag there.
     verify_ledger().forget_range(block->base, block->bytes);
-    const std::byte* lo = block->base;
-    for (auto it = flag_hist_.begin(); it != flag_hist_.end();) {
-      const auto* a = reinterpret_cast<const std::byte*>(it->first);
-      if (a >= lo && a < lo + block->bytes) {
-        it = flag_hist_.erase(it);
-      } else {
-        ++it;
+    if (const auto head = block_flags_.find(block->id);
+        head != block_flags_.end()) {
+      for (const mach::Flag* f = head->second; f != nullptr;) {
+        const auto it = flag_hist_.find(f);
+        f = it->second.next_in_block;
+        flag_hist_.erase(it);
       }
+      block_flags_.erase(head);
     }
   }
+  ++frees_;
   registry_.erase(p);
   std::free(p);
 }
 
-double SimMachine::price_read(const mach::AllocRegistry::Block* block,
-                              int core, std::size_t n, double t,
-                              double bw_divisor) {
-  ServeInfo info = (block != nullptr)
-                       ? cache_.on_read(block->id, core, n)
-                       : cache_.local_read(core);
+double SimMachine::price_read(std::uint64_t block, int core, std::size_t n,
+                              double t, double bw_divisor) {
+  ServeInfo info = block != 0 ? cache_.on_read(block, core, n)
+                              : cache_.local_read(core);
   const LinkCost* link = nullptr;
   ResId res[3];
   int n_res = 0;

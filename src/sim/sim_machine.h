@@ -12,10 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "mach/machine.h"
 #include "sim/access_sink.h"
@@ -94,15 +95,15 @@ class SimMachine final : public mach::Machine {
   CohStats& coh_stats() noexcept { return coh_; }
   const CohStats& coh_stats() const noexcept { return coh_; }
 
- private:
-  class SimCtx;
-  friend class SimCtx;
-
   /// Publish history of one flag: (value, virtual time) pairs, pruned.
+  /// Values are non-decreasing (monotone counters / fetch-adds). Public for
+  /// tests.
   struct FlagHist {
-    std::deque<std::pair<std::uint64_t, double>> entries;
+    std::vector<std::pair<std::uint64_t, double>> entries;
     std::uint64_t floor_value = 0;  ///< value before the retained window
     double floor_time = 0.0;
+    /// Next flag of the same allocation block (see SimMachine::hist).
+    const mach::Flag* next_in_block = nullptr;
 
     void append(std::uint64_t value, double t);
     /// Earliest retained time at which the value was >= v; nullopt if the
@@ -113,12 +114,22 @@ class SimMachine final : public mach::Machine {
     std::uint64_t last_value() const;
   };
 
+ private:
+  class SimCtx;
+  friend class SimCtx;
+
+  /// The history of `f`, created empty on first use and then linked into
+  /// the list of the allocation block holding `f`, so free() scrubs exactly
+  /// that block's flags. A flag outside every block keeps its history for
+  /// the machine's lifetime.
+  FlagHist& hist(const mach::Flag& f);
   void setup_ledger();
-  /// Prices a bulk read of `n` bytes of `block` (or unregistered memory when
-  /// block == nullptr) by `core` starting at `t`; books resources; returns
-  /// the duration. `bw_divisor` scales throughput (reductions are slower).
-  double price_read(const mach::AllocRegistry::Block* block, int core,
-                    std::size_t n, double t, double bw_divisor);
+  /// Prices a bulk read of `n` bytes of block id `block` (or unregistered
+  /// memory when block == 0) by `core` starting at `t`; books resources;
+  /// returns the duration. `bw_divisor` scales throughput (reductions are
+  /// slower).
+  double price_read(std::uint64_t block, int core, std::size_t n, double t,
+                    double bw_divisor);
 
   topo::Topology topo_;
   topo::RankMap map_;
@@ -129,15 +140,20 @@ class SimMachine final : public mach::Machine {
   LineModel lines_;
   ResourceLedger ledger_;
   // Hashed on the flag's address; looked up on every simulated flag op
-  // (hot path), so unordered lookup cost wins. The only iteration, free()'s
-  // erase of the freed block's flags, does not depend on bucket order.
+  // (hot path), so unordered lookup cost wins. Never iterated.
   std::unordered_map<const mach::Flag*, FlagHist> flag_hist_;
+  /// Per block id, the first flag of its FlagHist::next_in_block list.
+  std::unordered_map<std::uint64_t, const mach::Flag*> block_flags_;
+  /// Bumped by every free(): a SimCtx's cached blocks are valid only while
+  /// it has not moved.
+  std::uint64_t frees_ = 0;
   std::unique_ptr<VirtualScheduler> sched_;  // alive during run()
   VirtualScheduler::PickHook pick_hook_;     // exploration; usually null
   AccessSink* access_ = nullptr;             // exploration; usually null
   SimBackend backend_ = backend_from_env();
-  // Fills the padding after backend_: sizeof(SimMachine) is unchanged, so
-  // host heap placement (and the regcache hits keyed on it) is too.
+  // Fills the padding after backend_. sizeof(SimMachine) (1424 B) sizes its
+  // heap block, so a layout change moves host heap placement, and with it
+  // the regcache hits keyed on host addresses.
   bool timing_only_ = false;
   double epoch_ = 0.0;
 };

@@ -202,6 +202,40 @@ TEST_F(LineModelCohTest, PublishDeltaNeverDoubleCounts) {
   for (const auto v : dn) EXPECT_EQ(v, 0u);
 }
 
+TEST(LineModelWide, LlcGroupsPastOneMaskWordShareAndInvalidate) {
+  // 100 LLC groups of two cores: a line's sharer mask spans two words, and
+  // cores 150 and 151 (group 75) and 198 and 199 (group 99) sit in the
+  // second one.
+  const topo::Topology wide = topo::grid("wide", 1, 1, 200, 2);
+  ASSERT_EQ(wide.n_llc(), 100);
+  const SimParams params = epyc_like_params();
+  LineModel lines(&wide, &params);
+  CohStats stats;
+  stats.set_enabled(true);
+  lines.set_stats(&stats);
+
+  (void)lines.write(ln(1), 150, 0.0);
+  (void)lines.read(ln(1), 199, 1.0);  // HITM: groups 75 and 99 now share
+  EXPECT_EQ(stats.total(CohEvent::kHitm), 1u);
+  EXPECT_DOUBLE_EQ(lines.read(ln(1), 198, 2.0), 2.0 + params.line_lat_llc);
+  EXPECT_DOUBLE_EQ(lines.read(ln(1), 151, 3.0), 3.0 + params.line_lat_llc);
+  (void)lines.read(ln(1), 0, 4.0);  // group 0, first word: a remote fill
+  EXPECT_EQ(stats.total(CohEvent::kRemoteFill), 1u);
+  EXPECT_DOUBLE_EQ(lines.read(ln(1), 1, 5.0), 5.0 + params.line_lat_llc);
+  EXPECT_EQ(stats.total(CohEvent::kLlcHit), 3u);
+
+  // The owner stores again: only the sharer mask makes it an invalidation.
+  EXPECT_DOUBLE_EQ(lines.write(ln(1), 150, 6.0),
+                   6.0 + params.store_cost + params.inval_cost);
+  EXPECT_EQ(stats.total(CohEvent::kInvalBroadcast), 1u);
+  EXPECT_EQ(stats.total(CohEvent::kOwnershipTransfer), 0u);
+  (void)lines.read(ln(1), 198, 7.0);  // the store dropped group 99 ...
+  (void)lines.read(ln(1), 1, 8.0);    // ... and group 0
+  EXPECT_EQ(stats.total(CohEvent::kHitm), 2u);
+  EXPECT_EQ(stats.total(CohEvent::kRemoteFill), 2u);
+  EXPECT_EQ(stats.total(CohEvent::kLlcHit), 3u);
+}
+
 // ---------------------------------------------------------------------------
 // SimMachine end-to-end: attribution, spin-refetch windows, publishing.
 

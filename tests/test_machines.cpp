@@ -393,6 +393,21 @@ TEST(SimMachineAlloc, TimingOnlyBlockIsNotHinted) {
 // ---------------------------------------------------------------------------
 // Sim-specific free: a reused address does not inherit its flag history
 
+/// Allocates ever smaller blocks below `bytes` until one lands at the
+/// just-freed block's address `addr` and returns it (nullptr when none
+/// does). Which request the allocator serves from a freed block depends on
+/// what else the heap holds. The misses stay allocated in `misses`, or the
+/// walk would keep getting them back.
+void* alloc_at(mach::Machine& m, std::uintptr_t addr, std::size_t bytes,
+               std::vector<void*>& misses) {
+  for (bytes -= 64; bytes > 0; bytes -= 64) {
+    void* p = m.alloc(0, bytes);
+    if (reinterpret_cast<std::uintptr_t>(p) == addr) return p;
+    misses.push_back(p);
+  }
+  return nullptr;
+}
+
 TEST(SimMachineFree, ReusedAddressForgetsFlagHistory) {
   sim::SimMachine m(topo::mini8(), 1);
   constexpr std::size_t kBlock = 4096;
@@ -402,20 +417,8 @@ TEST(SimMachineFree, ReusedAddressForgetsFlagHistory) {
   const auto old_addr = reinterpret_cast<std::uintptr_t>(old_block);
   m.free(old_block);
 
-  // Which smaller request the allocator serves from the freed block depends
-  // on what else the heap holds, so walk down until one lands there. The
-  // misses stay allocated, or the walk would keep getting them back.
   std::vector<void*> misses;
-  void* reused = nullptr;
-  for (std::size_t bytes = kBlock - 64; bytes > 0 && reused == nullptr;
-       bytes -= 64) {
-    void* p = m.alloc(0, bytes);
-    if (reinterpret_cast<std::uintptr_t>(p) == old_addr) {
-      reused = p;
-    } else {
-      misses.push_back(p);
-    }
-  }
+  void* reused = alloc_at(m, old_addr, kBlock, misses);
   if (reused != nullptr) {
     auto* fresh = new (reused) mach::Flag();  // nobody ever stores to it
     try {
@@ -429,6 +432,42 @@ TEST(SimMachineFree, ReusedAddressForgetsFlagHistory) {
     m.free(reused);
   }
   for (void* p : misses) m.free(p);
+  if (reused == nullptr) {
+    GTEST_SKIP() << "no smaller request reused the freed 4 KiB block";
+  }
+}
+
+// Each rank serves block lookups from the blocks it touched last; a free
+// inside the run must not let a recycled range resolve to the dead block.
+TEST(SimMachineFree, CopyAfterFreeAndReallocInOneRunUsesTheNewBlock) {
+  sim::SimMachine m(topo::mini8(), 1);
+  constexpr std::size_t kBlock = 4096;
+  void* dst = m.alloc(0, kBlock);
+  std::vector<void*> misses;
+  void* reused = nullptr;
+  std::uint64_t old_id = 0;
+  m.run([&](mach::Ctx& ctx) {
+    void* old_block = m.alloc(0, kBlock);
+    old_id = m.registry().find(old_block)->id;
+    ctx.write_payload(old_block, kBlock, 1);
+    ctx.copy(dst, old_block, kBlock);  // both blocks are now the last hit
+    const auto old_addr = reinterpret_cast<std::uintptr_t>(old_block);
+    m.free(old_block);
+    reused = alloc_at(m, old_addr, kBlock, misses);
+    if (reused == nullptr) return;
+    ctx.write_payload(reused, 64, 2);
+    ctx.copy(dst, reused, 64);  // priced from the new block's residency
+  });
+  if (reused != nullptr) {
+    const std::uint64_t new_id = m.registry().find(reused)->id;
+    EXPECT_NE(new_id, old_id);
+    EXPECT_EQ(m.cache_model().version(old_id), 0u);  // gone with its block
+    EXPECT_EQ(m.cache_model().version(new_id), 1u);
+    EXPECT_EQ(m.cache_model().version(m.registry().find(dst)->id), 2u);
+    m.free(reused);
+  }
+  for (void* p : misses) m.free(p);
+  m.free(dst);
   if (reused == nullptr) {
     GTEST_SKIP() << "no smaller request reused the freed 4 KiB block";
   }

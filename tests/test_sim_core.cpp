@@ -11,6 +11,8 @@
 #include <optional>
 #include <thread>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "sim/cache_model.h"
 #include "sim/line_model.h"
@@ -141,6 +143,96 @@ TEST(CacheModelArm, SlcResidency) {
   EXPECT_EQ(cache.on_read(1, 30, 4096).kind, ServeKind::kMemory);
   EXPECT_EQ(cache.on_read(1, 100, 4096).kind, ServeKind::kSlc);
   EXPECT_EQ(cache.on_read(1, 30, 4096).kind, ServeKind::kSlc);
+}
+
+TEST(SimCacheModel, ResidencyAcrossWriteReadWrite) {
+  const topo::Topology topo = topo::epyc1p();
+  const SimParams params = epyc_like_params();
+  CacheModel cache(&topo, &params);
+  const int llc0 = topo.core(0).llc;
+  const int llc8 = topo.core(8).llc;
+  ASSERT_NE(llc0, llc8);
+
+  cache.add_block(1, 4096, 0);
+  cache.on_write(1, 0);
+  EXPECT_EQ(cache.on_read(1, 8, 4096).kind, ServeKind::kProducerLlc);
+  EXPECT_TRUE(cache.resident_in_llc(1, llc0));
+  EXPECT_TRUE(cache.resident_in_llc(1, llc8));
+  EXPECT_EQ(cache.on_read(1, 8, 4096).kind, ServeKind::kLocalLlc);
+
+  // The reader writes next: only its own group holds the new version.
+  cache.on_write(1, 8);
+  EXPECT_EQ(cache.version(1), 2u);
+  EXPECT_FALSE(cache.resident_in_llc(1, llc0));
+  EXPECT_TRUE(cache.resident_in_llc(1, llc8));
+  const ServeInfo back = cache.on_read(1, 0, 4096);
+  EXPECT_EQ(back.kind, ServeKind::kProducerLlc);
+  EXPECT_EQ(back.src_llc, llc8);
+  EXPECT_EQ(cache.on_read(1, 0, 4096).kind, ServeKind::kLocalLlc);
+
+  // A write also forgets partial pulls: half a block before it and half
+  // after it make no whole block.
+  cache.add_block(2, 8192, 0);
+  cache.on_write(2, 0);
+  (void)cache.on_read(2, 8, 4096);
+  cache.on_write(2, 0);
+  (void)cache.on_read(2, 8, 4096);
+  EXPECT_FALSE(cache.resident_in_llc(2, llc8));
+  EXPECT_NE(cache.on_read(2, 8, 4096).kind, ServeKind::kLocalLlc);
+  EXPECT_EQ(cache.on_read(2, 8, 4096).kind, ServeKind::kLocalLlc);
+}
+
+// ---------------------------------------------------------------------------
+// Flag history
+
+TEST(SimFlagHist, WindowMatchesLinearScanAcrossPrunes) {
+  using Entry = std::pair<std::uint64_t, double>;
+  SimMachine::FlagHist h;
+  std::vector<Entry> all;  // every append, never pruned
+  std::size_t lo = 0;      // first entry the window keeps
+  int prunes = 0;
+  // Each value is published three times and each time stamp twice.
+  for (std::size_t i = 0; i < 10000; ++i) {
+    const Entry e{1 + i / 3, static_cast<double>(i / 2) * 1e-6};
+    h.append(e.first, e.second);
+    all.push_back(e);
+    if (all.size() - lo > 4096) {
+      lo += 2048;
+      ++prunes;
+    }
+    if (i + 1 != 4096 && i + 1 != 4097 && i + 1 != 6145 && i + 1 != 10000) {
+      continue;
+    }
+    // The window is the suffix from `lo`, the floor the entry before it.
+    const Entry floor = lo == 0 ? Entry{0, 0.0} : all[lo - 1];
+    ASSERT_EQ(h.floor_value, floor.first);
+    ASSERT_EQ(h.floor_time, floor.second);
+    ASSERT_EQ(h.entries, std::vector<Entry>(all.begin() + lo, all.end()));
+    for (std::uint64_t v = 0; v <= all.back().first + 2; ++v) {
+      std::optional<double> want;
+      if (v == 0) {
+        want = 0.0;
+      } else if (floor.first >= v) {
+        want = floor.second;
+      } else {
+        for (std::size_t k = lo; k < all.size() && !want; ++k) {
+          if (all[k].first >= v) want = all[k].second;
+        }
+      }
+      ASSERT_EQ(h.crossing(v), want) << "v=" << v << " after " << i + 1;
+    }
+    for (std::size_t k = lo; k < all.size(); k += 7) {
+      for (const double t : {all[k].second, all[k].second - 5e-7}) {
+        std::uint64_t want = floor.first;
+        for (std::size_t j = lo; j < all.size() && all[j].second <= t; ++j) {
+          want = all[j].first;
+        }
+        ASSERT_EQ(h.value_at(t), want) << "t=" << t << " after " << i + 1;
+      }
+    }
+    EXPECT_EQ(h.last_value(), all.back().first);
+  }
+  EXPECT_EQ(prunes, 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -131,6 +131,33 @@ TEST(RegCache, EraseOwnerInvalidatesOnlyThatOwner) {
   EXPECT_EQ(cache.erase_owner(7), 0u);  // unknown owner: no-op
 }
 
+TEST(RegCache, LruOrderSpansOwnersAtCapacityThree) {
+  RegCache cache(3);
+  char a[128]{}, b[64]{}, c[128]{}, d[64]{}, e[64]{};
+  cache.insert(2, a, 64);
+  cache.insert(0, b, 64);
+  cache.insert(1, c, 64);                    // oldest first: 2a 0b 1c
+  EXPECT_TRUE(cache.lookup(2, a, 64));       // 0b 1c 2a
+  EXPECT_EQ(cache.insert(1, c, 128), 0u);    // 0b 2a 1c
+  EXPECT_EQ(cache.insert(0, d, 64), 1u);     // evicts 0b: 2a 1c 0d
+  EXPECT_EQ(cache.insert(2, e, 64), 1u);     // evicts 2a: 1c 0d 2e
+  EXPECT_FALSE(cache.lookup(0, b, 64));
+  EXPECT_FALSE(cache.lookup(2, a, 64));
+  EXPECT_TRUE(cache.lookup(1, c, 128));
+  EXPECT_TRUE(cache.lookup(0, d, 64));
+  EXPECT_TRUE(cache.lookup(2, e, 64));       // 1c 0d 2e
+  EXPECT_EQ(cache.erase_owner(0), 1u);       // 1c 2e
+  cache.insert(3, a, 64);                    // 1c 2e 3a
+  EXPECT_EQ(cache.insert(3, b, 64), 1u);     // evicts 1c: 2e 3a 3b
+  EXPECT_FALSE(cache.lookup(1, c, 64));
+  EXPECT_TRUE(cache.lookup(3, a, 64));
+  EXPECT_TRUE(cache.lookup(3, b, 64));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().evictions, 4u);
+  EXPECT_EQ(cache.clear(), 3u);
+  EXPECT_EQ(cache.stats().evictions, 7u);
+}
+
 TEST(RegCache, ForcedMissesCountAgainstHitRatio) {
   RegCache cache;
   char a[64]{};
