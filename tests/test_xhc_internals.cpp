@@ -153,6 +153,47 @@ TEST(XhcTuning, AtomicSyncVariantCorrect) {
   }
 }
 
+// Under atomic sync a group's acks are anonymous fetch-adds, so a bcast
+// leader's count is exact only if no member acks the next op first. Rank 0
+// straggles before pulling op 1 (root 1) while the others go on to op 2: a
+// bcast at root 2, which releases them at once, or a barrier. Had their
+// op-2 acks completed rank 1's op-1 count, rank 1 would return and pull op
+// 2's payload into, or the caller rewrite, the buffer rank 0 still reads.
+TEST(XhcTuning, AtomicSyncAckCountsStayExactAcrossLeaders) {
+  for (const bool barrier : {false, true}) {
+    sim::SimMachine m(topo::flat(4), 4);
+    coll::Tuning tuning;
+    tuning.sync = coll::SyncMethod::kAtomicFetchAdd;
+    tuning.sensitivity = "flat";
+    tuning.faults = "straggler,rank=0,level=0,count=1,delay=1e-4";
+    XhcComponent comp(m, tuning, "xhc-atomic");
+    constexpr std::size_t kBytes = 4096;
+    std::vector<mach::Buffer> bufs;
+    for (int r = 0; r < 4; ++r) bufs.emplace_back(m, r, kBytes);
+    std::array<int, 4> bad{};
+    m.run([&](mach::Ctx& ctx) {
+      const auto r = static_cast<std::size_t>(ctx.rank());
+      std::vector<std::byte> expect(kBytes);
+      const auto check = [&](std::uint64_t seed) {
+        util::fill_pattern(expect.data(), kBytes, seed);
+        if (std::memcmp(bufs[r].get(), expect.data(), kBytes) != 0) ++bad[r];
+      };
+      if (ctx.rank() == 1) ctx.write_payload(bufs[r].get(), kBytes, 1);
+      comp.bcast(ctx, bufs[r].get(), kBytes, 1);
+      check(1);
+      if (barrier) {
+        if (ctx.rank() == 1) ctx.write_payload(bufs[r].get(), kBytes, 3);
+        comp.barrier(ctx);
+      } else {
+        if (ctx.rank() == 2) ctx.write_payload(bufs[r].get(), kBytes, 2);
+        comp.bcast(ctx, bufs[r].get(), kBytes, 2);
+        check(2);
+      }
+    });
+    EXPECT_EQ(bad, (std::array<int, 4>{})) << (barrier ? "barrier" : "bcast");
+  }
+}
+
 TEST(XhcTuning, PerLevelChunkSizes) {
   // Distinct chunk sizes per level (paper §III-B / Fig. 5) must not affect
   // correctness.
