@@ -23,6 +23,7 @@
 #include "obs/critpath.h"
 #include "obs/export.h"
 #include "obs/observer.h"
+#include "obs/wait_recorder.h"
 #include "osu/harness.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
@@ -233,12 +234,19 @@ inline void emit_observability(const BenchArgs& args, const obs::Observer& o,
   std::cout.flush();
 }
 
-/// Attaches the observer's histogram set to the machine's flag-wait hook.
-/// Call before the sweep, outside any parallel region; a null observer
-/// leaves the hook disabled.
-inline void wire_wait_hist(mach::Machine& machine, obs::Observer* o) {
-  if (o != nullptr) machine.set_wait_hist(&o->hists());
-}
+/// Records the machine's blocked flag waits into the observer's histogram
+/// set while it lives. Construct before the sweep, outside any parallel
+/// region; a null observer attaches nothing.
+class WaitHist {
+ public:
+  WaitHist(mach::Machine& machine, obs::Observer* o)
+      : rec_(o != nullptr ? &o->hists() : nullptr),
+        attach_(machine, o != nullptr ? &rec_ : nullptr) {}
+
+ private:
+  obs::WaitRecorder rec_;
+  mach::ScopedSink attach_;
+};
 
 /// Prints the histogram table (--hist) and writes the JSON (--hist-out) for
 /// one finished system run. `per_comp` holds the per-size op histograms each
@@ -360,7 +368,7 @@ inline int run_latency_figure(const BenchArgs& args, std::string_view title,
           cfg.observer = observers[si].get();
         }
         if (args.hist_on()) cfg.size_hists = &hists[i];
-        wire_wait_hist(*machine, cfg.observer);
+        const WaitHist wait_hist(*machine, cfg.observer);
         wire_coherence(args, *machine);
         results[si][ci] = sweep(*machine, *comp, sizes, cfg);
         // Each point owns its machine, so the report is private to this

@@ -47,7 +47,7 @@ std::vector<osu::SizeResult> run_point(const bench::BenchArgs& args,
   cfg.verify = args.verify;
   cfg.root = p.root;
   cfg.observer = observer;
-  bench::wire_wait_hist(*machine, observer);
+  const bench::WaitHist wait_hist(*machine, observer);
   return p.allreduce ? osu::allreduce_sweep(*machine, *comp, sizes, cfg)
                      : osu::reduce_sweep(*machine, *comp, sizes, cfg);
 }

@@ -68,7 +68,7 @@ static int run(int argc, char** argv) {
       cfg.observer = observer.get();
     }
     if (args.hist_on()) cfg.size_hists = &hists[i];
-    bench::wire_wait_hist(machine, cfg.observer);
+    const bench::WaitHist wait_hist(machine, cfg.observer);
     bench::wire_coherence(args, machine);
     // The RMW-transfer assertion below needs the modeled counters even in
     // default runs; tracking never changes virtual time.

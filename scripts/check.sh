@@ -488,7 +488,7 @@ ctest --output-on-failure -j "$(nproc)" "$@"
 if [ "$mode" = "" ] || [ "$mode" = thread ]; then
   echo "== re-running sim tests under XHC_SIM_BACKEND=threads =="
   XHC_SIM_BACKEND=threads ctest --output-on-failure -j "$(nproc)" \
-    -R 'Sim|Backend|Sched|Collectives|Fault|Check|Svc|TimingOnly|CacheTree|LineModel|RegCache' "$@"
+    -R 'Sim|Backend|Sched|Collectives|Fault|Check|Svc|TimingOnly|CacheTree|LineModel|RegCache|Verify|Obs|Hist' "$@"
 fi
 
 # The default full run also walks the quick sweeps through the perf gate

@@ -48,20 +48,21 @@ bool independent(const Segment& a, const Segment& b) {
   return true;
 }
 
-class Recorder final : public sim::AccessSink {
+class Recorder final : public mach::EventSink {
  public:
   Segment* seg = nullptr;  ///< null disables recording (random walks)
 
-  void on_flag(int /*rank*/, const mach::Flag* f, FlagOp op,
-               std::uint64_t /*value*/) override {
-    if (seg == nullptr) return;
-    const bool write = op == FlagOp::kStore || op == FlagOp::kRmw;
-    seg->add(reinterpret_cast<std::uintptr_t>(f), 8, write);
-  }
-  void on_data(int /*rank*/, const void* p, std::size_t n,
-               bool write) override {
-    if (seg == nullptr) return;
-    seg->add(reinterpret_cast<std::uintptr_t>(p), n, write);
+  /// A flag access is its word; a wait's return repeats its start.
+  void on_event(const mach::Event& e) override {
+    using K = mach::Event::Kind;
+    if (seg == nullptr || e.kind == K::kWaitEnd) return;
+    if (e.kind == K::kDataRead || e.kind == K::kDataWrite) {
+      seg->add(reinterpret_cast<std::uintptr_t>(e.data), e.bytes,
+               e.kind == K::kDataWrite);
+    } else {
+      seg->add(reinterpret_cast<std::uintptr_t>(e.flag), 8,
+               e.kind == K::kStore || e.kind == K::kRmw);
+    }
   }
 };
 

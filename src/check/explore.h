@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/access_sink.h"
+#include "mach/event_sink.h"
 #include "sim/scheduler.h"
 
 namespace xhc::check {
@@ -36,10 +36,11 @@ struct RunOutcome {
 };
 
 /// One full program execution under `hook`; `sink` (never null) must be
-/// installed so the explorer sees per-step accesses. The runner must make
-/// a fresh program state per call (exploration replays from scratch).
+/// attached to the machine (mach::ScopedSink) so the explorer sees per-step
+/// accesses. The runner must make a fresh program state per call
+/// (exploration replays from scratch).
 using Runner = std::function<RunOutcome(const sim::VirtualScheduler::PickHook&,
-                                        sim::AccessSink*)>;
+                                        mach::EventSink*)>;
 
 struct ExploreOptions {
   int max_branch_depth = 6;    ///< decision points explored per execution

@@ -5,7 +5,7 @@
 #include <map>
 
 #include "coll/component.h"
-#include "sim/access_sink.h"
+#include "mach/event_sink.h"
 #include "sim/sim_machine.h"
 #include "util/check.h"
 #include "util/prng.h"
@@ -77,7 +77,7 @@ namespace {
 
 /// Appends every access to its rank's stream. Sink calls run under the
 /// scheduler token, one at a time, so nothing here needs a lock.
-class Recorder final : public sim::AccessSink {
+class Recorder final : public mach::EventSink {
  public:
   Recorder(const mach::AllocRegistry& registry, Schedule& s)
       : registry_(registry),
@@ -89,20 +89,35 @@ class Recorder final : public sim::AccessSink {
   /// First blind spot seen, empty when none.
   const std::string& error() const noexcept { return error_; }
 
-  void on_flag(int rank, const mach::Flag* f, FlagOp fop,
-               std::uint64_t value) override {
-    if (fop == FlagOp::kRead) {
-      fail(rank, "flag_read inside a recorded op (the event stream would "
-                 "depend on the interleaving)");
-      return;
+  void on_event(const mach::Event& e) override {
+    using K = mach::Event::Kind;
+    switch (e.kind) {
+      case K::kStore:
+        push(e.rank, {.kind = EvKind::kPublish, .flag = e.flag,
+                      .value = e.value});
+        break;
+      case K::kRmw:
+        push(e.rank, {.kind = EvKind::kRmw, .flag = e.flag, .value = e.delta});
+        break;
+      case K::kWaitStart:
+        push(e.rank, {.kind = EvKind::kWait, .flag = e.flag,
+                      .value = e.value});
+        break;
+      case K::kWaitEnd:
+        break;
+      case K::kRead:
+        fail(e.rank, "flag_read inside a recorded op (the event stream "
+                     "would depend on the interleaving)");
+        break;
+      case K::kDataRead:
+      case K::kDataWrite:
+        on_data(e.rank, e.data, e.bytes, e.kind == K::kDataWrite);
+        break;
     }
-    const EvKind kind = fop == FlagOp::kStore ? EvKind::kPublish
-                        : fop == FlagOp::kRmw ? EvKind::kRmw
-                                              : EvKind::kWait;
-    push(rank, {.kind = kind, .flag = f, .value = value});
   }
 
-  void on_data(int rank, const void* p, std::size_t n, bool write) override {
+ private:
+  void on_data(int rank, const void* p, std::size_t n, bool write) {
     if (n == 0) return;
     const mach::AllocRegistry::Block* b = registry_.find(p);
     const auto lo = static_cast<std::uint64_t>(
@@ -123,7 +138,6 @@ class Recorder final : public sim::AccessSink {
                 .hi = lo + n});
   }
 
- private:
   void push(int rank, Event e) {
     e.op = op_[static_cast<std::size_t>(rank)];
     e.seq = seq_++;
@@ -211,8 +225,8 @@ Schedule record_schedule(sim::SimMachine& machine, coll::Component& comp,
 
   Recorder rec(machine.registry(), s);
   std::vector<std::string> wrong(static_cast<std::size_t>(n));
-  machine.set_access_sink(&rec);
-  try {
+  {
+    const mach::ScopedSink attach(machine, &rec);
     machine.run([&](mach::Ctx& ctx) {
       const int r = ctx.rank();
       const auto ri = static_cast<std::size_t>(r);
@@ -256,11 +270,7 @@ Schedule record_schedule(sim::SimMachine& machine, coll::Component& comp,
         }
       }
     });
-  } catch (...) {
-    machine.set_access_sink(nullptr);
-    throw;
   }
-  machine.set_access_sink(nullptr);
 
   XHC_CHECK(rec.error().empty(), "record_schedule: ", rec.error());
   for (const std::string& w : wrong) {

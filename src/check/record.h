@@ -2,7 +2,7 @@
 // collectives, captured from one execution on the simulated machine.
 //
 // record_schedule() runs a sequence of collectives once on a SimMachine
-// with a sim::AccessSink installed and keeps, per rank in program order,
+// with an event sink attached and keeps, per rank in program order,
 // every flag publish, blocking wait (with its threshold) and RMW (with its
 // delta), and every payload read and write resolved to a machine allocation
 // and a byte range. The analyzer (analyzer.h) proves properties about the

@@ -16,6 +16,7 @@
 // See DESIGN.md §3.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -24,9 +25,9 @@
 #include <mutex>
 #include <vector>
 
+#include "mach/event_sink.h"
 #include "mach/flag.h"
 #include "mach/reduce_kernels.h"
-#include "obs/hist.h"
 #include "topo/mapping.h"
 #include "topo/topology.h"
 #include "verify/verify.h"
@@ -34,7 +35,6 @@
 namespace xhc::obs {
 struct CohReport;  // obs/coh.h
 class Metrics;     // obs/metrics.h
-class TimeSeries;  // obs/timeseries.h
 }  // namespace xhc::obs
 
 namespace xhc::mach {
@@ -159,38 +159,23 @@ class Machine {
   /// Protocol-conformance ledger over this machine's flags (single-writer /
   /// monotone / publish-order discipline, see src/verify/verify.h). Always
   /// present so components can register flags and tests can use the direct
-  /// API; the per-operation hooks that feed it from flag_store / flag_read
-  /// run only while its switch is on (verify::Ledger::set_enabled). Virtual
-  /// so facade machines over a rank subset (svc::TenantMachine) can forward
-  /// to the parent's ledger — flags allocated through the facade must be
-  /// named in the ledger the parent's flag hooks actually consult.
+  /// API; runs report to it only while its switch is on
+  /// (verify::Ledger::set_enabled). Virtual so facade machines over a rank
+  /// subset (svc::TenantMachine) can forward to the parent's ledger — flags
+  /// allocated through the facade must be named in the ledger the parent's
+  /// runs report to.
   virtual verify::Ledger& verify_ledger() noexcept { return verify_ledger_; }
   virtual const verify::Ledger& verify_ledger() const noexcept {
     return verify_ledger_;
   }
 
-  /// Attaches per-rank latency histograms for blocking flag waits: both
-  /// machines' flag_wait_ge slow paths record the blocked duration into
-  /// HistKind::kFlagWait (virtual time on the simulator — deterministic and
-  /// charge-free; wall time on the real machine). Null (the default)
-  /// disables recording; the fast path then pays one pointer test. Set only
-  /// outside parallel regions; the set must outlive the runs using it.
-  void set_wait_hist(obs::HistSet* h) noexcept { wait_hist_ = h; }
-  obs::HistSet* wait_hist() const noexcept { return wait_hist_; }
-
-  /// Attaches a windowed wait-time series (obs::TimeSeries sized to this
-  /// machine's ranks): both machines' flag_wait_ge slow paths additionally
-  /// record each blocked duration into series `sid` at the resume
-  /// timestamp, tagging *when* synchronization stalls happened — the core
-  /// wait-site feed of the service telemetry plane. Same contract as
-  /// set_wait_hist: observational only, set outside parallel regions, the
-  /// series must outlive the runs using it; null disables.
-  void set_wait_series(obs::TimeSeries* s, int sid) noexcept {
-    wait_series_ = s;
-    wait_series_id_ = sid;
-  }
-  obs::TimeSeries* wait_series() const noexcept { return wait_series_; }
-  int wait_series_id() const noexcept { return wait_series_id_; }
+  /// The event stream (mach/event_sink.h): every later run of this machine
+  /// reports its contexts' flag and payload events to `s`, after the
+  /// ledger, until detached. Observational only. Attach and detach outside
+  /// parallel regions, each sink once and at most kMaxSinks; `s` must
+  /// outlive the runs it is attached for. Null does nothing.
+  void attach(EventSink* s);
+  void detach(EventSink* s) noexcept;
 
   /// Modeled coherence observatory (overridden by SimMachine; the defaults
   /// keep consumers free of machine downcasts — RealMachine has no modeled
@@ -222,11 +207,27 @@ class Machine {
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
+ protected:
+  /// What a run starting now reports to: this machine's own ledger while it
+  /// is enabled, then the attached sinks in attach order.
+  EventSinks run_sinks();
+
  private:
   verify::Ledger verify_ledger_;
-  obs::HistSet* wait_hist_ = nullptr;
-  obs::TimeSeries* wait_series_ = nullptr;
-  int wait_series_id_ = 0;
+  std::array<EventSink*, kMaxSinks> sinks_{};
+};
+
+/// Attaches a sink (or nothing, for null) for the scope's lifetime.
+class ScopedSink {
+ public:
+  ScopedSink(Machine& m, EventSink* s) : m_(m), s_(s) { m_.attach(s_); }
+  ~ScopedSink() { m_.detach(s_); }
+  ScopedSink(const ScopedSink&) = delete;
+  ScopedSink& operator=(const ScopedSink&) = delete;
+
+ private:
+  Machine& m_;
+  EventSink* const s_;
 };
 
 /// RAII owner for a machine allocation (C++ Core Guidelines R.1).

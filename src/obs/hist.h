@@ -11,9 +11,6 @@
 // regardless of merge order. min/max/sum are tracked exactly, and reported
 // percentiles are clamped into [min, max] so degenerate distributions
 // (single sample, constant samples) yield exact values.
-//
-// This header must stay free of mach/ includes: mach::Machine embeds a
-// HistSet hook and would otherwise create an include cycle.
 
 #include <array>
 #include <cstddef>
@@ -73,7 +70,7 @@ class Histogram {
 
 /// What a latency sample measured. One histogram per (rank, kind).
 enum class HistKind : int {
-  kFlagWait = 0,  ///< blocking flag waits at the machine layer (mach/, sim/)
+  kFlagWait = 0,  ///< blocked flag waits the machines report (WaitRecorder)
   kWaitSite,      ///< named wait sites in the collective core (core/)
   kChunk,         ///< per-chunk pipeline latencies (core/)
   kOp,            ///< whole collective operations

@@ -19,7 +19,9 @@ void Observer::absorb(const p2p::TrafficCounter& traffic) {
   metrics_.add(0, Counter::kMsgInterSocket, traffic.inter_socket());
 }
 
-util::Table Observer::span_table() const {
+util::Table Observer::span_table() const { return obs::span_table({&trace_}); }
+
+util::Table span_table(const std::vector<const Recorder*>& recorders) {
   struct Agg {
     std::uint64_t count = 0;
     double total = 0.0;
@@ -27,13 +29,15 @@ util::Table Observer::span_table() const {
   };
   // Ordered by (cat, name) for stable output.
   std::map<std::pair<std::string, std::string>, Agg> by_site;
-  for (int r = 0; r < n_ranks(); ++r) {
-    for (const Span& s : trace_.spans(r)) {
-      Agg& a = by_site[{s.cat, s.name}];
-      ++a.count;
-      const double d = s.t1 - s.t0;
-      a.total += d;
-      a.max = std::max(a.max, d);
+  for (const Recorder* rec : recorders) {
+    for (int r = 0; r < rec->n_ranks(); ++r) {
+      for (const Span& s : rec->spans(r)) {
+        Agg& a = by_site[{s.cat, s.name}];
+        ++a.count;
+        const double d = s.t1 - s.t0;
+        a.total += d;
+        a.max = std::max(a.max, d);
+      }
     }
   }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "obs/hist.h"
 #include "obs/metrics.h"
@@ -54,5 +55,9 @@ class Observer {
   Metrics metrics_;
   HistSet hists_;
 };
+
+/// Per-(cat, name) span aggregation over `recorders`, read in order and
+/// each rank by rank: count, total/avg/max duration.
+util::Table span_table(const std::vector<const Recorder*>& recorders);
 
 }  // namespace xhc::obs

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "mach/machine.h"
-#include "sim/access_sink.h"
 #include "sim/cache_model.h"
 #include "sim/coh_stats.h"
 #include "sim/line_model.h"
@@ -68,7 +67,7 @@ class SimMachine final : public mach::Machine {
 
   /// Timing-only data plane (mach::Machine hook): write_payload, copy and
   /// reduce skip the byte work and nothing else — pricing, cache model,
-  /// resource ledger, access sink and scheduler advance are unchanged, so
+  /// resource ledger, events and scheduler advance are unchanged, so
   /// virtual timestamps are identical either way. Honoured; set between
   /// runs only.
   bool set_timing_only(bool on) override {
@@ -77,15 +76,14 @@ class SimMachine final : public mach::Machine {
   }
   bool timing_only() const noexcept override { return timing_only_; }
 
-  /// Exploration hooks (src/check/). The pick hook perturbs the scheduler's
-  /// run order; the access sink observes every flag/data operation. Both
-  /// default to null (zero behavioral change) and are installed on the
-  /// per-run scheduler by run(), so set them before run() and clear them —
-  /// set_pick_hook(nullptr) / set_access_sink(nullptr) — when done.
+  /// Exploration hook (src/check/): perturbs the scheduler's run order.
+  /// Null by default (zero behavioral change) and installed on the per-run
+  /// scheduler by run(), so set it before run() and clear it —
+  /// set_pick_hook(nullptr) — when done. The explorer observes the accesses
+  /// through the machine's event stream (mach::Machine::attach).
   void set_pick_hook(VirtualScheduler::PickHook hook) {
     pick_hook_ = std::move(hook);
   }
-  void set_access_sink(AccessSink* sink) noexcept { access_ = sink; }
 
   /// Test hooks.
   const mach::AllocRegistry& registry() const noexcept { return registry_; }
@@ -149,7 +147,6 @@ class SimMachine final : public mach::Machine {
   std::uint64_t frees_ = 0;
   std::unique_ptr<VirtualScheduler> sched_;  // alive during run()
   VirtualScheduler::PickHook pick_hook_;     // exploration; usually null
-  AccessSink* access_ = nullptr;             // exploration; usually null
   SimBackend backend_ = backend_from_env();
   // Fills the padding after backend_. sizeof(SimMachine) (1424 B) sizes its
   // heap block, so a layout change moves host heap placement, and with it

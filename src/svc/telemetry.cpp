@@ -147,6 +147,7 @@ Telemetry::Telemetry(mach::Machine& parent, TelemetryConfig cfg,
     : parent_(&parent),
       cfg_(std::move(cfg)),
       wait_hists_(parent.n_ranks()),
+      waits_(&wait_hists_),
       parent_metrics_(parent.n_ranks()),
       svc_metrics_(1) {
   XHC_REQUIRE(cfg_.slo.empty() || cfg_.window_seconds > 0.0,
@@ -155,7 +156,8 @@ Telemetry::Telemetry(mach::Machine& parent, TelemetryConfig cfg,
   if (cfg_.window_seconds > 0.0) {
     series_ = std::make_unique<obs::TimeSeries>(
         parent.n_ranks(), cfg_.window_seconds, cfg_.max_windows);
-    sid_flag_wait_ = series_->add_series("flag_wait");
+    waits_ = obs::WaitRecorder(&wait_hists_, series_.get(),
+                               series_->add_series("flag_wait"));
     for (int k = 0; k < kNumOpClasses; ++k) {
       const auto kk = static_cast<std::size_t>(k);
       const std::string cls = to_string(static_cast<OpClass>(k));
@@ -197,10 +199,7 @@ void Telemetry::attach(CommRegistry& reg) {
     }
     observers_.push_back(std::move(obs));
   }
-  if (series_ != nullptr) {
-    parent_->set_wait_series(series_.get(), sid_flag_wait_);
-  }
-  parent_->set_wait_hist(&wait_hists_);
+  parent_->attach(&waits_);
   attached_ = true;
 }
 
@@ -279,32 +278,9 @@ util::Table Telemetry::metrics_table() const {
 }
 
 util::Table Telemetry::span_table() const {
-  struct Agg {
-    std::uint64_t count = 0;
-    double total = 0.0;
-    double max = 0.0;
-  };
-  std::map<std::pair<std::string, std::string>, Agg> by_site;
-  for (const auto& o : observers_) {
-    for (int r = 0; r < o->n_ranks(); ++r) {
-      for (const obs::Span& s : o->trace().spans(r)) {
-        Agg& a = by_site[{s.cat, s.name}];
-        ++a.count;
-        const double d = s.t1 - s.t0;
-        a.total += d;
-        a.max = std::max(a.max, d);
-      }
-    }
-  }
-  util::Table table({"Cat", "Span", "Count", "Total us", "Avg us", "Max us"});
-  for (const auto& [site, a] : by_site) {
-    table.add_row({site.first, site.second, std::to_string(a.count),
-                   util::Table::fmt_double(a.total * 1e6),
-                   util::Table::fmt_double(a.total * 1e6 /
-                                           static_cast<double>(a.count)),
-                   util::Table::fmt_double(a.max * 1e6)});
-  }
-  return table;
+  std::vector<const obs::Recorder*> recorders;
+  for (const auto& o : observers_) recorders.push_back(&o->trace());
+  return obs::span_table(recorders);
 }
 
 std::uint64_t Telemetry::spans_recorded() const noexcept {

@@ -8,7 +8,8 @@
 //     one Observer per communicator, so the single-writer-per-row
 //     discipline holds even when two tenants share a parent rank;
 //   * a windowed obs::TimeSeries over the *parent* rank set: machine-level
-//     flag-wait durations (Machine::set_wait_series), per-op-class
+//     flag-wait durations (an obs::WaitRecorder on the parent's event
+//     stream), per-op-class
 //     queued/exec phase samples, and watermarked per-window deltas of
 //     every tenant's counters (each parent rank samples only the rows it
 //     writes itself, so mid-run sampling is race-free and deterministic);
@@ -42,6 +43,7 @@
 #include "obs/hist.h"
 #include "obs/observer.h"
 #include "obs/timeseries.h"
+#include "obs/wait_recorder.h"
 #include "svc/loadgen.h"
 #include "util/table.h"
 
@@ -100,8 +102,9 @@ class Telemetry {
   ~Telemetry();
 
   /// Wires the plane into a created registry: one Observer per
-  /// communicator, counter watchers, and the machine wait hooks. Called by
-  /// run_loadgen before the parallel region; idempotent.
+  /// communicator, counter watchers, and the flag-wait recorder on the
+  /// parent machine, which stays attached. Called by run_loadgen before the
+  /// parallel region; idempotent.
   void attach(CommRegistry& reg);
 
   // --- hot path (called from run_loadgen's parallel region) ----------------
@@ -216,10 +219,11 @@ class Telemetry {
   TelemetryConfig cfg_;
   std::vector<SloRule> rules_;
   std::unique_ptr<obs::TimeSeries> series_;
-  int sid_flag_wait_ = 0;
   std::array<int, kNumOpClasses> sid_queued_{};
   std::array<int, kNumOpClasses> sid_exec_{};
   obs::HistSet wait_hists_;
+  /// Feeds wait_hists_ and the series' "flag_wait" from attach on.
+  obs::WaitRecorder waits_;
   obs::Metrics parent_metrics_;
   obs::Metrics svc_metrics_;  ///< service-level counters (slo_*)
   std::vector<std::unique_ptr<obs::Observer>> observers_;

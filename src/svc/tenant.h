@@ -7,7 +7,7 @@
 // tenant is parent rank ranks[r], mapped to the same physical core, backed
 // by the same allocator, cost model and — critically — the same verify
 // ledger, so every flag a tenant component registers is named in the ledger
-// the parent's flag hooks consult, and concurrent communicators police each
+// the parent's runs report to, and concurrent communicators police each
 // other's single-writer discipline.
 //
 // TenantMachine never executes: the service drives the *parent* machine's
@@ -49,8 +49,8 @@ class TenantMachine final : public mach::Machine {
   /// and hands TenantCtx views to the tenant's component. Always throws.
   mach::RunResult run(const std::function<void(mach::Ctx&)>& fn) override;
 
-  /// The parent's ledger: tenant flags must be registered where the parent's
-  /// flag hooks look them up.
+  /// The parent's ledger: tenant flags must be registered in the ledger the
+  /// parent's runs report to.
   verify::Ledger& verify_ledger() noexcept override {
     return parent_->verify_ledger();
   }

@@ -194,6 +194,15 @@ void Ledger::on_rmw(const mach::Flag* f, int rank, std::uint64_t result,
   check_store(touch(f), f, rank, result, vtime, /*is_rmw=*/true);
 }
 
+void Ledger::on_event(const mach::Event& e) {
+  using K = mach::Event::Kind;
+  if (e.kind == K::kStore) on_store(e.flag, e.rank, e.value, e.vtime);
+  if (e.kind == K::kRmw) on_rmw(e.flag, e.rank, e.value, e.vtime);
+  if (e.vtime == kNoTime) return;
+  if (e.kind == K::kRead) on_observe(e.flag, e.rank, e.value, e.vtime);
+  if (e.kind == K::kWaitEnd) on_wait_resume(e.flag, e.rank, e.value, e.vtime);
+}
+
 void Ledger::check_published(Record& rec, const mach::Flag* f, int rank,
                              std::uint64_t value, double vtime, bool exact) {
   if (value == 0) return;  // the initial value is visible at any time

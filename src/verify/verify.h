@@ -6,12 +6,13 @@
 // distinct cache lines — used to be enforced by comment alone. This ledger
 // turns it into a runtime check: every Machine owns one, components register
 // their flags (name + writer policy), and while the ledger's switch is on
-// (Ledger::set_enabled, default from XHC_VERIFY=0|1) RealMachine/SimMachine
-// route every flag store/load through it.
+// (Ledger::set_enabled, default from XHC_VERIFY=0|1) each run puts it in
+// front of the machine's event stream (mach/event_sink.h), so it sees every
+// flag store and load.
 //
 // Registration, the layout lint and the direct API (used by tests and
-// diagnostics) work whatever the switch says; it gates only the machines'
-// per-operation hooks, which cost one predictable branch when it is off.
+// diagnostics) work whatever the switch says; it gates only whether runs
+// report to the ledger.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "mach/event_sink.h"
 #include "mach/flag.h"
 
 namespace xhc::verify {
@@ -95,17 +97,16 @@ struct LintItem {
   bool expect_shared = false;  ///< deliberately packed (Fig. 10 "shared")
 };
 
-/// Per-machine flag ledger. All methods are thread-safe (RealMachine calls
-/// the hooks from concurrent rank threads); SimMachine's single host thread
-/// pays one uncontended lock per op while the switch is on.
-class Ledger {
+/// Per-machine flag ledger. All methods are thread-safe (RealMachine reports
+/// from concurrent rank threads); SimMachine's single host thread pays one
+/// uncontended lock per op while the switch is on.
+class Ledger final : public mach::EventSink {
  public:
   /// Sentinel for hooks called without a virtual clock (RealMachine).
-  static constexpr double kNoTime = -1.0;
+  static constexpr double kNoTime = mach::kNoTime;
 
-  /// Whether the machines' flag operations feed this ledger (on_store,
-  /// on_rmw, on_observe, on_wait_resume). Set only outside parallel
-  /// regions: rank threads read it unsynchronized.
+  /// Whether runs report their flag events to this ledger. Read at the
+  /// start of each run; set only outside parallel regions.
   bool enabled() const noexcept { return enabled_; }
   void set_enabled(bool on) noexcept { enabled_ = on; }
 
@@ -124,6 +125,11 @@ class Ledger {
   /// any flag not whitelisted as WriterPolicy::kShared.
   void on_rmw(const mach::Flag* f, int rank, std::uint64_t result,
               double vtime = kNoTime);
+
+  /// Event sink: stores and RMWs go to on_store / on_rmw; reads and wait
+  /// ends carrying a virtual time (SimMachine) go to on_observe /
+  /// on_wait_resume.
+  void on_event(const mach::Event& e) override;
 
   // --- read side (SimMachine only) -----------------------------------------
   /// A read returned `observed` at virtual time `vtime`: verifies the value

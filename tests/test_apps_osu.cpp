@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/cntk.h"
 #include "apps/miniamr.h"
@@ -29,6 +30,42 @@ TEST(OsuHarness, DefaultSizesArePowersOfTwo) {
   ASSERT_EQ(sizes.size(), 5u);
   EXPECT_EQ(sizes.front(), 4u);
   EXPECT_EQ(sizes.back(), 64u);
+}
+
+// run_points hands every index to exactly one worker at any --jobs (0 is
+// one per host core; 16 is more workers than points), so results filled by
+// index equal the inline run's, and the lowest-index error is the one
+// rethrown, whichever worker reaches it first.
+TEST(OsuHarness, RunPointsRunsEveryPointOnceAtAnyJobs) {
+  constexpr std::size_t kPoints = 7;
+  const auto run = [&](int jobs) {
+    std::vector<std::atomic<int>> calls(kPoints);
+    std::vector<std::size_t> out(kPoints, 0);
+    osu::run_points(kPoints, jobs, [&](std::size_t i) {
+      calls[i].fetch_add(1);
+      out[i] = i * i + 3;
+    });
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      EXPECT_EQ(calls[i].load(), 1) << "jobs " << jobs << ", index " << i;
+    }
+    return out;
+  };
+  const std::vector<std::size_t> inline_run = run(1);
+  for (const int jobs : {0, 3, 16}) {
+    EXPECT_EQ(run(jobs), inline_run) << "jobs " << jobs;
+  }
+  for (const int jobs : {0, 1, 3, 16}) {
+    try {
+      osu::run_points(kPoints, jobs, [](std::size_t i) {
+        if (i == 2 || i == 5) {
+          throw std::runtime_error("point " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "jobs " << jobs << ": no error rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "point 2") << "jobs " << jobs;
+    }
+  }
 }
 
 TEST(OsuHarness, BcastSweepProducesOrderedResults) {

@@ -511,13 +511,15 @@ TEST(SchedulerBackend, EnvSelection) {
 
 /// Records every payload access as (rank, buffer index, bytes, write), so
 /// the streams of two machines with different heap addresses compare equal.
-class DataRecorder final : public AccessSink {
+class DataRecorder final : public mach::EventSink {
  public:
   explicit DataRecorder(std::vector<void*> bufs) : bufs_(std::move(bufs)) {}
-  void on_flag(int, const mach::Flag*, FlagOp, std::uint64_t) override {}
-  void on_data(int rank, const void* p, std::size_t n, bool write) override {
-    const auto at = std::find(bufs_.begin(), bufs_.end(), p) - bufs_.begin();
-    events.emplace_back(rank, at, n, write);
+  void on_event(const mach::Event& e) override {
+    using K = mach::Event::Kind;
+    if (e.kind != K::kDataRead && e.kind != K::kDataWrite) return;
+    const auto at =
+        std::find(bufs_.begin(), bufs_.end(), e.data) - bufs_.begin();
+    events.emplace_back(e.rank, at, e.bytes, e.kind == K::kDataWrite);
   }
   std::vector<std::tuple<int, std::ptrdiff_t, std::size_t, bool>> events;
 
@@ -558,7 +560,7 @@ PlaneTrace run_payload_program(bool timing_only) {
   void* far = bufs[2];
   void* acc = bufs[3];
   DataRecorder rec(bufs);
-  m.set_access_sink(&rec);
+  m.attach(&rec);
   PlaneTrace t;
   t.now.resize(16);
   m.run([&](mach::Ctx& ctx) {
@@ -583,7 +585,7 @@ PlaneTrace run_payload_program(bool timing_only) {
       ctx.barrier();
     }
   });
-  m.set_access_sink(nullptr);
+  m.detach(&rec);
   t.events = rec.events;
   t.epoch = m.epoch();
   for (std::size_t i = 0; i < bufs.size(); ++i) {

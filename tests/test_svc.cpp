@@ -670,7 +670,7 @@ TEST(SvcCheck, TwoCommInterleavingsNeverCorrupt) {
   util::fill_pattern(eb.data(), kBytes, 9);
 
   const check::Runner run = [&](const sim::VirtualScheduler::PickHook& hook,
-                                sim::AccessSink* sink) {
+                                mach::EventSink* sink) {
     for (int r = 0; r < kRanks; ++r) {
       std::memset(ba[static_cast<std::size_t>(r)].get(), 0, kBytes);
       std::memset(bb[static_cast<std::size_t>(r)].get(), 0, kBytes);
@@ -678,9 +678,9 @@ TEST(SvcCheck, TwoCommInterleavingsNeverCorrupt) {
     std::memcpy(ba[0].get(), ea.data(), kBytes);
     std::memcpy(bb[2].get(), eb.data(), kBytes);  // comm b local root 1
     machine.set_pick_hook(hook);
-    machine.set_access_sink(sink);
     check::RunOutcome out;
     try {
+      const mach::ScopedSink attach(machine, sink);
       machine.run([&](mach::Ctx& ctx) {
         const auto i = static_cast<std::size_t>(ctx.rank());
         {
@@ -708,7 +708,6 @@ TEST(SvcCheck, TwoCommInterleavingsNeverCorrupt) {
       out.diag = e.what();
     }
     machine.set_pick_hook(nullptr);
-    machine.set_access_sink(nullptr);
     return out;
   };
 
