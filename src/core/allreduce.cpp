@@ -560,8 +560,7 @@ void XhcComponent::reduce_rs_gather(mach::Ctx& ctx, const void* sbuf,
   // (stage k ends with a peer's prog snap to rs_slot(k+1)) and, above the
   // leaf, by its one gather puller (waited for above). Once they are past,
   // nobody reads them again this op, so the rank returns without the
-  // allreduce's global fence, its prog snapped to the op's end for the
-  // timeline's next base.
+  // allreduce's global fence.
   for (int k = 0; k < sched.n_stages(); ++k) {
     for (const int j : sched.stages[static_cast<std::size_t>(k)].peers) {
       if (j == r) continue;
@@ -569,7 +568,6 @@ void XhcComponent::reduce_rs_gather(mach::Ctx& ctx, const void* sbuf,
             k, j);
     }
   }
-  ctx.flag_store(*sc.prog[r], base + sched.total());
 }
 
 void XhcComponent::reduce_scatter(mach::Ctx& ctx, const ShardSchedule& sched,

@@ -376,8 +376,6 @@ void XhcComponent::bcast_striped(mach::Ctx& ctx, const CommView& view,
     }
     record_traffic(owner, r);
   }
-  // End the stripe counter at the op's last value, as the root does.
-  ctx.flag_store(*sc.stripe_ready[r], base + bytes);
 
   // Completion: collect the led subtrees, then the top-group all-to-all
   // barrier — this rank's buffer is read by its children *and* by every

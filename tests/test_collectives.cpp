@@ -986,14 +986,14 @@ TEST_P(CollectivesTimeline, EveryPathBackToBack) {
   const Case cases[] = {
       {"mini16", "default",
        {1.5840467266, 19.129370871, 63.067918459, 76.307500283, 125.72152683,
-        133.46557137, 144.72745829, 145.66870829, 147.16672983, 164.83207916,
-        208.69262675, 215.04924094, 228.26958621, 236.54263075, 248.02808452,
-        249.23283452}},
+        133.46557137, 144.64170829, 145.58295829, 147.08097983, 164.74632916,
+        208.60687675, 214.96349094, 228.18383621, 236.45688075, 247.85658452,
+        249.06133452}},
       {"mini16", "stripe4k",
        {1.5840467266, 21.66618388, 72.957007395, 86.196589218, 135.61061576,
-        143.3546603, 154.61654723, 155.55779723, 157.05581876, 175.73912989,
-        221.38652806, 227.82064224, 241.19754038, 249.47058492, 260.95603869,
-        262.16078869}},
+        143.3546603, 154.53079723, 155.47204723, 156.97006876, 175.65337989,
+        221.30077806, 227.73489224, 241.11179038, 249.38483492, 260.78453869,
+        261.98928869}},
       {"mini16", "atomic",
        {3.136789973, 19.74321512, 64.245262709, 81.115089147, 130.58700395,
         142.18854849, 192.24014038, 194.16739038, 196.91118036, 213.5176055,
@@ -1001,14 +1001,14 @@ TEST_P(CollectivesTimeline, EveryPathBackToBack) {
         339.84204187}},
       {"grid12n", "default",
        {2.7124172, 19.192680388, 57.831532995, 72.380492794, 121.23163416,
-        131.07233292, 145.78483242, 147.29383242, 150.01624962, 166.6615128,
-        201.46265778, 209.63381351, 227.61478314, 237.36348191, 251.92486348,
-        253.27261348}},
+        131.07233292, 145.74883242, 147.25783242, 149.98024962, 166.6255128,
+        201.42665778, 209.59781351, 227.4326963, 237.18139507, 251.70677664,
+        253.05452664}},
       {"grid12n", "stripe4k",
        {2.7124172, 22.04723991, 64.752449249, 79.386409048, 127.87667753,
-        137.71737629, 152.42987578, 153.93887578, 156.66129298, 174.02713023,
-        210.14791803, 218.43407377, 236.70958013, 246.42827889, 260.98966047,
-        262.33741047}},
+        137.71737629, 152.39387578, 153.90287578, 156.62529298, 173.99113023,
+        210.11191803, 218.39807377, 236.54199418, 246.26069295, 260.78607452,
+        262.13382452}},
       {"grid12n", "atomic",
        {3.3291672, 20.618530233, 61.269523601, 78.848415174, 127.83046616,
         139.9850322, 173.93468227, 175.77468227, 179.71009947, 196.9994625,
