@@ -17,8 +17,9 @@ std::unique_ptr<Component> make_component(std::string_view name,
                                                 "xhc");
   }
   if (name == "xhc-flat") {
-    // Striping pays off for a flat tree's one wide group at large sizes
-    // (EXPERIMENTS.md), so xhc-flat keeps it, at ucc's 128 KiB.
+    // xhc-flat stripes from ucc's 128 KiB. On Fig. 8 that pays off only at
+    // 4 MiB on the Epycs and costs 2.7-3.8x at 256 KiB and 1 MiB (ROADMAP
+    // item 3 has the table); the pin stays, as Fig. 8's baseline.
     tuning.sensitivity = "flat";
     tuning.stripe_threshold = 128 * 1024;
     return std::make_unique<core::XhcComponent>(machine, std::move(tuning),

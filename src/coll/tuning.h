@@ -107,8 +107,9 @@ struct Tuning {
   /// Striping stays off by default: under xhc's tree the hierarchical
   /// pipeline, whose upper levels pull along a chain once the payload leaves
   /// the cache (DESIGN.md § Large-message paths), beats it at every size
-  /// from 256 KiB to 4 MiB. ucc and xhc-flat, whose wide top groups it pays
-  /// off for, pin 128 KiB themselves.
+  /// from 256 KiB to 4 MiB. ucc and xhc-flat pin 128 KiB themselves, though
+  /// on Fig. 8 it pays off for them only at some sizes and presets (ROADMAP
+  /// item 3).
   std::size_t rs_ag_threshold = 8 * 1024;
   std::size_t stripe_threshold = 0;
 
