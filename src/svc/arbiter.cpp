@@ -97,9 +97,4 @@ std::size_t Arbiter::segment_bytes_free() const {
   return seg_free_;
 }
 
-std::size_t Arbiter::regcache_entries_free() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reg_free_;
-}
-
 }  // namespace xhc::svc

@@ -119,7 +119,6 @@ class Arbiter {
   }
 
   std::size_t segment_bytes_free() const;
-  std::size_t regcache_entries_free() const;
 
   Arbiter(const Arbiter&) = delete;
   Arbiter& operator=(const Arbiter&) = delete;

@@ -303,15 +303,6 @@ Summary Ledger::summary() const {
   return s;
 }
 
-void Ledger::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  violations_.clear();
-  expected_.clear();
-  stores_ = 0;
-  loads_ = 0;
-}
-
 std::string Ledger::flag_name(const void* addr) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = records_.upper_bound(addr);

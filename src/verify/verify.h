@@ -159,7 +159,6 @@ class Ledger final : public mach::EventSink {
   std::vector<Violation> violations() const;
   std::vector<Violation> expected_findings() const;
   Summary summary() const;
-  void reset();
 
   /// Registered name of the flag at `addr` (the greatest record at or below
   /// it — flags are registered by base address), or "" when untracked. Used
