@@ -84,7 +84,7 @@ static int run(int argc, char** argv) {
     // Per point: the bcast sizes, the allreduce sizes, then the barrier.
     std::vector<std::vector<osu::SizeResult>> res(systems.size() *
                                                   kTrees.size());
-    osu::run_points(res.size(), args.effective_jobs(), [&](std::size_t i) {
+    osu::run_points(res.size(), args.jobs, [&](std::size_t i) {
       const std::size_t ti = i % kTrees.size();
       auto machine = bench::make_system(systems[i / kTrees.size()]);
       coll::Tuning tuning;
@@ -284,7 +284,7 @@ static int run(int argc, char** argv) {
     // --jobs runs them in any order and the tables stay byte-identical.
     const std::size_t per_system = 2 * kVariants.size();
     std::vector<std::vector<osu::SizeResult>> res(systems.size() * per_system);
-    osu::run_points(res.size(), args.effective_jobs(), [&](std::size_t i) {
+    osu::run_points(res.size(), args.jobs, [&](std::size_t i) {
       const Variant& v = kVariants[i % per_system / 2];
       auto machine = bench::make_system(systems[i / per_system]);
       coll::Tuning tuning;

@@ -31,11 +31,13 @@ struct ReducePoint {
   std::function<void(coll::Tuning&)> tune;  ///< extra tuning, if any
 };
 
+/// Runs one point; a non-null `report` observes it (a reduce point, whose
+/// output is labelled "<system>/<comp>/reduce/r<root>").
 std::vector<osu::SizeResult> run_point(const bench::BenchArgs& args,
                                        std::string_view system,
                                        const ReducePoint& p,
                                        const std::vector<std::size_t>& sizes,
-                                       obs::Observer* observer) {
+                                       bench::PointReport* report) {
   auto machine = bench::make_system(system);
   coll::Tuning tuning;
   args.apply_tuning(tuning);
@@ -46,10 +48,14 @@ std::vector<osu::SizeResult> run_point(const bench::BenchArgs& args,
   cfg.iters = args.quick ? 1 : 2;
   cfg.verify = args.verify;
   cfg.root = p.root;
-  cfg.observer = observer;
-  const bench::WaitHist wait_hist(*machine, observer);
-  return p.allreduce ? osu::allreduce_sweep(*machine, *comp, sizes, cfg)
-                     : osu::reduce_sweep(*machine, *comp, sizes, cfg);
+  bench::PointObs point(args, *machine, cfg, report);
+  auto res = p.allreduce ? osu::allreduce_sweep(*machine, *comp, sizes, cfg)
+                         : osu::reduce_sweep(*machine, *comp, sizes, cfg);
+  if (report != nullptr) {
+    point.finish(*comp, std::string(system) + "/" + p.comp + "/reduce/r" +
+                            std::to_string(p.root));
+  }
+  return res;
 }
 
 }  // namespace
@@ -71,19 +77,15 @@ static int run(int argc, char** argv) {
       }
     }
   }
-  // --critpath/--metrics/--trace-out follow xhc's reduce at the far root
-  // (one observer per system; observability runs the points in order).
-  std::vector<std::unique_ptr<obs::Observer>> observers(systems.size());
+  // The observability output follows xhc's reduce at the far root.
+  std::vector<bench::PointReport> observed(systems.size());
   std::vector<std::vector<osu::SizeResult>> results(points.size());
-  osu::run_points(points.size(), args.effective_jobs(), [&](std::size_t i) {
+  osu::run_points(points.size(), args.jobs, [&](std::size_t i) {
     const ReducePoint& p = points[i];
-    obs::Observer* o = nullptr;
     const int n = topo::by_name(systems[p.system]).n_cores();
-    if (args.observe() && p.comp == "xhc" && !p.allreduce && p.root == n - 1) {
-      observers[p.system] = std::make_unique<obs::Observer>(n);
-      o = observers[p.system].get();
-    }
-    results[i] = run_point(args, systems[p.system], p, sizes, o);
+    const bool far_xhc = p.comp == "xhc" && !p.allreduce && p.root == n - 1;
+    results[i] = run_point(args, systems[p.system], p, sizes,
+                           far_xhc ? &observed[p.system] : nullptr);
   });
 
   for (std::size_t si = 0; si < systems.size(); ++si) {
@@ -123,11 +125,8 @@ static int run(int argc, char** argv) {
                   "slowest rank, the root or just after it), " +
                       system + " root " + std::to_string(root));
     }
-    if (observers[si]) {
-      const std::string label = system + "/xhc/reduce/r" + std::to_string(n - 1);
-      bench::emit_observability(args, *observers[si], label);
-      bench::emit_critpath(args, *observers[si], label);
-    }
+    const std::string label = system + "/xhc/reduce/r" + std::to_string(n - 1);
+    bench::emit_points(args, label, {&observed[si], 1}, {"xhc"});
   }
 
   // --- Crossover: latency path vs reduce-scatter + rooted gather -----------
@@ -141,7 +140,7 @@ static int run(int argc, char** argv) {
         [](coll::Tuning& t) { t.rs_ag_threshold = 1; }, nullptr};
     std::vector<std::vector<osu::SizeResult>> xres(systems.size() *
                                                    variants.size());
-    osu::run_points(xres.size(), args.effective_jobs(), [&](std::size_t i) {
+    osu::run_points(xres.size(), args.jobs, [&](std::size_t i) {
       const ReducePoint p{i / variants.size(), 0, "xhc", false,
                           variants[i % variants.size()]};
       xres[i] = run_point(args, systems[p.system], p, xsizes, nullptr);

@@ -38,13 +38,11 @@ static int run(int argc, char** argv) {
   };
 
   std::vector<std::vector<osu::SizeResult>> results(points.size());
-  std::unique_ptr<obs::Observer> observer;
-  std::vector<std::vector<obs::NamedHist>> hists(points.size());
-  std::vector<std::string> coh_reports(points.size());
+  std::vector<bench::PointReport> obs_points(points.size());
   std::vector<obs::CohReport> reports(points.size());
   std::vector<char> have_report(points.size(), 0);
 
-  osu::run_points(points.size(), args.effective_jobs(), [&](std::size_t i) {
+  osu::run_points(points.size(), args.jobs, [&](std::size_t i) {
     auto machine = bench::make_system(system);
     coll::Tuning tuning;
     args.apply_tuning(tuning);
@@ -55,25 +53,14 @@ static int run(int argc, char** argv) {
     cfg.warmup = 1;
     cfg.iters = args.quick ? 2 : 4;
     cfg.verify = args.verify;
-    if (args.observe()) {
-      // Observability forces effective_jobs()==1, so sharing one Observer
-      // across the four layout points stays race-free.
-      if (!observer) {
-        observer = std::make_unique<obs::Observer>(machine->n_ranks());
-      }
-      cfg.observer = observer.get();
-    }
-    if (args.hist_on()) cfg.size_hists = &hists[i];
-    const bench::WaitHist wait_hist(*machine, cfg.observer);
-    bench::wire_coherence(args, *machine);
+    bench::PointObs point(args, *machine, cfg, &obs_points[i]);
     // The announce-line assertion below needs the modeled counters even in
     // default runs; tracking never changes virtual time.
     machine->set_coh_tracking(true);
     results[i] = osu::bcast_sweep(*machine, comp, sizes, cfg);
     have_report[i] =
         machine->coh_report(&reports[i]) ? char(1) : char(0);
-    coh_reports[i] = bench::coh_report_string(
-        args, *machine, system + "/" + points[i].label);
+    point.finish(comp, system + "/" + points[i].label);
   });
 
   util::Table table([&] {
@@ -91,18 +78,9 @@ static int run(int argc, char** argv) {
   bench::emit(args, table,
               "Fig. 10: bcast latency (us) by flag cache-line scheme, " +
                   system);
-  for (const std::string& r : coh_reports) std::cout << r;
-  if (args.hist_on()) {
-    std::vector<std::pair<std::string, std::vector<obs::NamedHist>>> per_comp;
-    for (std::size_t pi = 0; pi < points.size(); ++pi) {
-      per_comp.emplace_back(points[pi].label, std::move(hists[pi]));
-    }
-    bench::emit_hists(args, system, per_comp, observer.get());
-  }
-  if (observer) {
-    bench::emit_observability(args, *observer, system);
-    bench::emit_critpath(args, *observer, system);
-  }
+  std::vector<std::string> names;
+  for (const Point& p : points) names.emplace_back(p.label);
+  bench::emit_points(args, system, obs_points, names);
 
   // Scenario assertion (paper Fig. 10 mechanism): across the sweep, the
   // packed announce lines must pay strictly more HITM-class coherence

@@ -39,13 +39,11 @@ static int run(int argc, char** argv) {
 
   const std::size_t n_points = rank_counts.size() * 2;
   std::vector<double> lat(n_points, 0.0);
-  std::unique_ptr<obs::Observer> observer;
-  std::vector<std::vector<obs::NamedHist>> hists(n_points);
-  std::vector<std::string> coh_reports(n_points);
+  std::vector<bench::PointReport> points(n_points);
   std::vector<obs::CohReport> reports(n_points);
   std::vector<char> have_report(n_points, 0);
 
-  osu::run_points(n_points, args.effective_jobs(), [&](std::size_t i) {
+  osu::run_points(n_points, args.jobs, [&](std::size_t i) {
     const std::size_t ri = i / 2;
     const bool atomics = (i % 2) != 0;
     const int ranks = rank_counts[ri];
@@ -61,25 +59,15 @@ static int run(int argc, char** argv) {
     cfg.warmup = 1;
     cfg.iters = args.quick ? 2 : 4;
     cfg.verify = args.verify;
-    if (args.observe()) {
-      // Observability forces effective_jobs()==1; size the shared Observer
-      // for the largest point so every rank has a metrics row.
-      if (!observer) observer = std::make_unique<obs::Observer>(n_cores);
-      cfg.observer = observer.get();
-    }
-    if (args.hist_on()) cfg.size_hists = &hists[i];
-    const bench::WaitHist wait_hist(machine, cfg.observer);
-    bench::wire_coherence(args, machine);
+    bench::PointObs point(args, machine, cfg, &points[i]);
     // The RMW-transfer assertion below needs the modeled counters even in
     // default runs; tracking never changes virtual time.
     machine.set_coh_tracking(true);
     const auto res = osu::bcast_sweep(machine, comp, {4}, cfg);
     lat[i] = res.front().avg_us;
     have_report[i] = machine.coh_report(&reports[i]) ? char(1) : char(0);
-    coh_reports[i] = bench::coh_report_string(
-        args, machine,
-        system + "/" + std::to_string(ranks) +
-            (atomics ? " atomics" : " single-writer"));
+    point.finish(comp, system + "/" + std::to_string(ranks) +
+                           (atomics ? " atomics" : " single-writer"));
   });
 
   util::Table table({"Ranks", "single-writer (us)", "atomics (us)", "ratio"});
@@ -93,20 +81,12 @@ static int run(int argc, char** argv) {
   bench::emit(args, table,
               "Fig. 4: 4 B broadcast, atomics vs single-writer sync, " +
                   system);
-  for (const std::string& r : coh_reports) std::cout << r;
-  if (args.hist_on()) {
-    std::vector<std::pair<std::string, std::vector<obs::NamedHist>>> per_comp;
-    for (std::size_t i = 0; i < n_points; ++i) {
-      per_comp.emplace_back(std::to_string(rank_counts[i / 2]) +
-                                ((i % 2) != 0 ? "-atomic" : "-sw"),
-                            std::move(hists[i]));
-    }
-    bench::emit_hists(args, system, per_comp, observer.get());
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < n_points; ++i) {
+    names.push_back(std::to_string(rank_counts[i / 2]) +
+                    ((i % 2) != 0 ? "-atomic" : "-sw"));
   }
-  if (observer) {
-    bench::emit_observability(args, *observer, system);
-    bench::emit_critpath(args, *observer, system);
-  }
+  bench::emit_points(args, system, points, names);
 
   // Scenario assertion (paper Fig. 4 mechanism): the shared counter's line
   // must migrate ownership on the overwhelming majority of RMW bumps (each

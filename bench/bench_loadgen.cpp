@@ -26,8 +26,11 @@
 // per-op-class latency targets per window (nonzero exit on violation;
 // defaults --windows to 10 ms when unset). The standard observability set
 // (--trace-out/--metrics/--hist/--hist-out/--critpath/--coherence) works
-// here too, aggregated over every tenant. All of it is off-path: without
-// these flags the soak is bit-identical to the un-instrumented build.
+// here too, merged over every tenant by the figure benches' obs/ reports,
+// and byte-identical at any --jobs. All of it is off-path: without these
+// flags the soak is bit-identical to the un-instrumented build.
+#include <deque>
+
 #include "bench/bench_common.h"
 #include "obs/timeseries.h"
 #include "svc/loadgen.h"
@@ -45,8 +48,7 @@ struct LoadgenArgs {
   std::string reqlog;
   std::string slo;
 
-  /// Any telemetry surface requested? Attaches the plane and forces the
-  /// sequential sweep path (per-system state, deterministic print order).
+  /// Any telemetry surface requested? Attaches the plane.
   bool telemetry_on() const {
     return base.observe() || windows > 0.0 || !reqlog.empty();
   }
@@ -97,19 +99,18 @@ static int run(int argc, char** argv) {
   const bool tele_on = a.telemetry_on();
 
   // One independent point per system: each owns a private machine, arbiter,
-  // registry and telemetry plane, so the worker pool keeps the tables
-  // byte-identical to a sequential sweep under any --jobs. Telemetry forces
-  // the sequential path (same policy as BenchArgs::effective_jobs).
+  // registry and telemetry plane, so the worker pool keeps the tables and
+  // every telemetry output byte-identical to a sequential sweep under any
+  // --jobs.
   std::vector<svc::LoadgenResult> results(systems.size());
   std::vector<std::unique_ptr<svc::Telemetry>> tels(systems.size());
   std::vector<std::string> coh_reports(systems.size());
-  osu::run_points(systems.size(), tele_on ? 1 : a.base.effective_jobs(),
-                  [&](std::size_t i) {
+  osu::run_points(systems.size(), a.base.jobs, [&](std::size_t i) {
     auto machine = bench::make_system(systems[i]);
     coll::Tuning tuning;
     a.base.apply_tuning(tuning);
     if (tele_on) tuning.trace = true;  // observer gate (spans + counters)
-    bench::wire_coherence(a.base, *machine);
+    bench::PointObs::arm_coherence(a.base, *machine);
     svc::Budget budget = a.budget;
     if (a.budget_mb > 0) {
       budget.segment_bytes = static_cast<std::size_t>(a.budget_mb) << 20;
@@ -137,8 +138,8 @@ static int run(int argc, char** argv) {
       // --metrics table and the trace show them next to the tenant counters.
       machine->publish_coh_counters(tels[i]->parent_metrics());
     }
-    coh_reports[i] =
-        bench::coh_report_string(a.base, *machine, std::string(systems[i]));
+    coh_reports[i] = bench::PointObs::coherence_report(
+        a.base, *machine, std::string(systems[i]));
   });
 
   std::uint64_t total_integrity_failures = 0;
@@ -182,21 +183,26 @@ static int run(int argc, char** argv) {
       total_slo_violations += tele->slo_violations();
     }
     if (a.base.metrics) {
+      std::deque<obs::Snapshot> tenants;
+      std::vector<const obs::Snapshot*> spans;
+      for (int c = 0; c < tele->n_comms(); ++c) {
+        spans.push_back(&tenants.emplace_back(*tele->observer(c)));
+      }
       std::cout << "\n== Spans, " << label << " ==\n";
-      tele->span_table().print(std::cout);
+      obs::span_table(spans).print(std::cout);
       std::cout << "\n== Metrics, " << label << " ==\n";
-      tele->metrics_table().print(std::cout);
+      obs::metrics_table(tele->registries()).print(std::cout);
     }
     // Histograms: service phase latencies, machine flag waits, then each
     // tenant's component-level kinds — all through the fig8-style emitter.
     std::vector<std::pair<std::string, std::vector<obs::NamedHist>>> per_comp;
     per_comp.emplace_back("svc", tele->phase_hists());
-    per_comp.emplace_back("mach", obs::named_hists(tele->wait_hists()));
+    per_comp.emplace_back("mach", obs::named_hists({&tele->wait_hists()}));
     for (int c = 0; c < tele->n_comms(); ++c) {
       per_comp.emplace_back(tele->comm_label(c),
-                            obs::named_hists(tele->observer(c)->hists()));
+                            obs::named_hists({&tele->observer(c)->hists()}));
     }
-    bench::emit_hists(a.base, label, per_comp, nullptr);
+    bench::emit_hists(a.base, label, per_comp, {});
     if (a.base.critpath) {
       for (int c = 0; c < tele->n_comms(); ++c) {
         std::cout << "\n== Critical path, " << label << " "
@@ -209,9 +215,14 @@ static int run(int argc, char** argv) {
     if (!coh_reports[si].empty()) std::cout << coh_reports[si];
     if (!a.base.trace_out.empty()) {
       const std::string path = bench::trace_path_for(a.base.trace_out, label);
-      tele->write_chrome_trace_file(path, label);
-      std::cout << "trace written: " << path << " (" << tele->spans_recorded()
-                << " spans)\n";
+      obs::write_file(path, "trace", [&](std::ostream& os) {
+        tele->write_chrome_trace(os, label);
+      });
+      std::uint64_t spans = 0;
+      for (int c = 0; c < tele->n_comms(); ++c) {
+        spans += tele->observer(c)->trace().recorded();
+      }
+      std::cout << "trace written: " << path << " (" << spans << " spans)\n";
     }
     if (!a.windows_out.empty()) {
       const std::string path = bench::trace_path_for(a.windows_out, label);

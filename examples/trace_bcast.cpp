@@ -48,15 +48,17 @@ int main(int argc, char** argv) {
                    kBytes / sizeof(float), mach::DType::kF32, mach::ROp::kSum);
   });
 
-  obs::write_chrome_trace_file(out, observer.trace(), "xhc");
+  const obs::Snapshot snap(observer);
+  obs::write_file(out, "trace", [&](std::ostream& os) {
+    obs::write_chrome_trace(os, {&snap}, "xhc");
+  });
   std::printf("wrote %s: %llu spans over %d ranks (%llu dropped)\n",
-              out.c_str(),
-              static_cast<unsigned long long>(observer.trace().recorded()), n,
-              static_cast<unsigned long long>(observer.trace().dropped()));
+              out.c_str(), static_cast<unsigned long long>(snap.recorded), n,
+              static_cast<unsigned long long>(snap.dropped));
 
   std::cout << "\nSpan summary:\n";
-  observer.span_table().print(std::cout);
+  obs::span_table({&snap}).print(std::cout);
   std::cout << "\nCounter summary:\n";
-  observer.metrics_table().print(std::cout);
+  obs::metrics_table({&snap.metrics}).print(std::cout);
   return 0;
 }

@@ -34,14 +34,13 @@ std::string chain_string(const OpReport& op) {
 
 }  // namespace
 
-std::vector<OpReport> analyze_critical_paths(const Recorder& rec) {
-  const int n = rec.n_ranks();
-  std::vector<std::vector<Span>> spans(static_cast<std::size_t>(n));
+std::vector<OpReport> analyze_critical_paths(
+    const std::vector<std::vector<Span>>& spans) {
+  const int n = static_cast<int>(spans.size());
   std::vector<std::vector<std::size_t>> colls(static_cast<std::size_t>(n));
   std::size_t n_ops = std::numeric_limits<std::size_t>::max();
   bool any = false;
   for (int r = 0; r < n; ++r) {
-    spans[r] = rec.spans(r);
     for (std::size_t i = 0; i < spans[r].size(); ++i) {
       if (is_cat(spans[r][i], "collective")) colls[r].push_back(i);
     }
@@ -128,6 +127,12 @@ std::vector<OpReport> analyze_critical_paths(const Recorder& rec) {
     }
   }
   return reports;
+}
+
+std::vector<OpReport> analyze_critical_paths(const Recorder& rec) {
+  std::vector<std::vector<Span>> spans;
+  for (int r = 0; r < rec.n_ranks(); ++r) spans.push_back(rec.spans(r));
+  return analyze_critical_paths(spans);
 }
 
 util::Table critpath_table(const std::vector<OpReport>& ops) {

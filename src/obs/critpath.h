@@ -101,6 +101,9 @@ struct OpReport {
 /// oldest); ranks that recorded no collective spans at all are treated as
 /// non-participants and simply contribute nothing.
 std::vector<OpReport> analyze_critical_paths(const Recorder& rec);
+/// The same over each rank's retained spans, oldest first (Snapshot::spans).
+std::vector<OpReport> analyze_critical_paths(
+    const std::vector<std::vector<Span>>& spans);
 
 /// Summary table: one row per op (name, bytes, latency, bound rank, wait
 /// share of the bound rank, chain rendered as "r3<-r1<-r0").

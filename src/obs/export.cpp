@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -65,14 +66,38 @@ void write_json_number_exact(std::ostream& os, double v) {
   os << buf;
 }
 
-void write_chrome_trace(std::ostream& os, const Recorder& rec,
-                        const std::string& label, const Metrics* metrics) {
+void write_span_events(std::ostream& os, const std::vector<Span>& spans,
+                       int pid, int tid) {
+  for (const Span& s : spans) {
+    os << ",{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
+       << ",\"cat\":";
+    write_json_escaped(os, s.cat);
+    os << ",\"name\":";
+    write_json_escaped(os, s.name);
+    os << ",\"ts\":";
+    write_json_number(os, s.t0 * 1e6);
+    os << ",\"dur\":";
+    write_json_number(os, (s.t1 - s.t0) * 1e6);
+    os << ",\"args\":{\"arg\":" << s.arg << "}}";
+  }
+}
+
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<const Snapshot*>& points,
+                        const std::string& label) {
+  int width = 0;
+  for (const Snapshot* p : points) {
+    width = std::max(width, p->metrics.n_ranks());
+  }
+  // Modeled coherence counters as counter events: whole-run aggregates,
+  // placed at ts 0 (the counters are cumulative, not per-span).
+  Metrics counters(std::max(width, 1));
+  for (const Snapshot* p : points) counters.merge(p->metrics);
+
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (int r = 0; r < rec.n_ranks(); ++r) {
+  for (int r = 0; r < width; ++r) {
     // Process-name metadata so Perfetto labels each rank's track.
-    if (!first) os << ',';
-    first = false;
+    if (r != 0) os << ',';
     os << "{\"ph\":\"M\",\"pid\":" << r
        << ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":";
     write_json_escaped(os, (label + " rank " + std::to_string(r)).c_str());
@@ -80,43 +105,22 @@ void write_chrome_trace(std::ostream& os, const Recorder& rec,
        << ",\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":";
     write_json_escaped(os, ("rank " + std::to_string(r)).c_str());
     os << "}}";
-
-    for (const Span& s : rec.spans(r)) {
-      os << ",{\"ph\":\"X\",\"pid\":" << r << ",\"tid\":0,\"cat\":";
-      write_json_escaped(os, s.cat);
-      os << ",\"name\":";
-      write_json_escaped(os, s.name);
-      os << ",\"ts\":";
-      write_json_number(os, s.t0 * 1e6);
-      os << ",\"dur\":";
-      write_json_number(os, (s.t1 - s.t0) * 1e6);
-      os << ",\"args\":{\"arg\":" << s.arg << "}}";
-    }
-
-    // Modeled coherence counters as counter events: whole-run aggregates,
-    // placed at ts 0 (the counters are cumulative, not per-span).
-    if (metrics != nullptr && r < metrics->n_ranks()) {
-      for (int i = 0; i < kNumCounters; ++i) {
-        const auto c = static_cast<Counter>(i);
-        if (!is_coherence(c)) continue;
-        const std::uint64_t v = metrics->value(r, c);
-        if (v == 0) continue;
-        os << ",{\"ph\":\"C\",\"pid\":" << r << ",\"tid\":0,\"name\":";
-        write_json_escaped(os, to_string(c));
-        os << ",\"ts\":0,\"args\":{\"value\":" << v << "}}";
+    for (const Snapshot* p : points) {
+      if (static_cast<std::size_t>(r) < p->spans.size()) {
+        write_span_events(os, p->spans[static_cast<std::size_t>(r)], r, 0);
       }
+    }
+    for (int i = 0; i < kNumCounters; ++i) {
+      const auto c = static_cast<Counter>(i);
+      if (!is_coherence(c)) continue;
+      const std::uint64_t v = counters.value(r, c);
+      if (v == 0) continue;
+      os << ",{\"ph\":\"C\",\"pid\":" << r << ",\"tid\":0,\"name\":";
+      write_json_escaped(os, to_string(c));
+      os << ",\"ts\":0,\"args\":{\"value\":" << v << "}}";
     }
   }
   os << "]}\n";
-}
-
-void write_chrome_trace_file(const std::string& path, const Recorder& rec,
-                             const std::string& label, const Metrics* metrics) {
-  std::ofstream os(path, std::ios::trunc);
-  XHC_CHECK(os.good(), "cannot open trace file ", path);
-  write_chrome_trace(os, rec, label, metrics);
-  os.flush();
-  XHC_CHECK(os.good(), "failed writing trace file ", path);
 }
 
 util::Table hist_table(const std::vector<NamedHist>& hists) {
@@ -174,14 +178,13 @@ void write_hist_json(std::ostream& os, const std::vector<NamedHist>& hists,
   os << "]}\n";
 }
 
-void write_hist_json_file(const std::string& path,
-                          const std::vector<NamedHist>& hists,
-                          const std::string& label) {
+void write_file(const std::string& path, const char* what,
+                const std::function<void(std::ostream&)>& write) {
   std::ofstream os(path, std::ios::trunc);
-  XHC_CHECK(os.good(), "cannot open histogram file ", path);
-  write_hist_json(os, hists, label);
+  XHC_CHECK(os.good(), "cannot open ", what, " file ", path);
+  write(os);
   os.flush();
-  XHC_CHECK(os.good(), "failed writing histogram file ", path);
+  XHC_CHECK(os.good(), "failed writing ", what, " file ", path);
 }
 
 }  // namespace xhc::obs

@@ -11,6 +11,7 @@
 // exact count/sum/min/max, all in seconds).
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -32,20 +33,20 @@ void write_json_number(std::ostream& os, double v);
 /// Full-precision %.17g — round-trips any double, byte-deterministic.
 void write_json_number_exact(std::ostream& os, double v);
 
-/// Writes the full trace (all ranks' retained spans) as Chrome trace-event
-/// JSON. `label` prefixes the per-rank process names ("<label> rank 3").
-/// When `metrics` is non-null, each rank's non-zero modeled coherence
-/// counters (is_coherence) are appended as Chrome counter ("C") events so
-/// Perfetto renders coh_* tracks next to the span timeline.
-void write_chrome_trace(std::ostream& os, const Recorder& rec,
-                        const std::string& label = "xhc",
-                        const Metrics* metrics = nullptr);
+/// Writes `points` as one trace: a process per rank of the widest point
+/// ("<label> rank 3") holding that rank's spans of every point in list
+/// order, then its non-zero modeled coherence counters (is_coherence),
+/// summed over the points, as Chrome counter ("C") events so Perfetto
+/// renders coh_* tracks next to the span timeline.
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<const Snapshot*>& points,
+                        const std::string& label = "xhc");
 
-/// Convenience: opens `path` (truncating) and writes the trace; throws
-/// util::Error when the file cannot be written.
-void write_chrome_trace_file(const std::string& path, const Recorder& rec,
-                             const std::string& label = "xhc",
-                             const Metrics* metrics = nullptr);
+/// Appends `spans` as complete ("X") events of process `pid`, thread `tid`,
+/// each after a comma. The one span writer of every trace (svc::Telemetry's
+/// too).
+void write_span_events(std::ostream& os, const std::vector<Span>& spans,
+                       int pid, int tid);
 
 /// Percentile summary, one row per histogram (times reported in us).
 util::Table hist_table(const std::vector<NamedHist>& hists);
@@ -55,10 +56,9 @@ util::Table hist_table(const std::vector<NamedHist>& hists);
 void write_hist_json(std::ostream& os, const std::vector<NamedHist>& hists,
                      const std::string& label = "xhc");
 
-/// Convenience: opens `path` (truncating) and writes the histogram JSON;
-/// throws util::Error when the file cannot be written.
-void write_hist_json_file(const std::string& path,
-                          const std::vector<NamedHist>& hists,
-                          const std::string& label = "xhc");
+/// Opens `path` (truncating) and hands it to `write`; throws util::Error
+/// when the file (a `what` file: "trace", "histogram") cannot be written.
+void write_file(const std::string& path, const char* what,
+                const std::function<void(std::ostream&)>& write);
 
 }  // namespace xhc::obs

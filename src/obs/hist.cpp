@@ -74,14 +74,6 @@ double Histogram::percentile(double q) const noexcept {
   return max_;
 }
 
-void Histogram::clear() noexcept {
-  counts_.fill(0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 const char* to_string(HistKind k) noexcept {
   switch (k) {
     case HistKind::kFlagWait: return "flag_wait";
@@ -101,16 +93,13 @@ Histogram HistSet::merged(HistKind k) const {
   return out;
 }
 
-void HistSet::clear() noexcept {
-  for (Row& row : rows_) {
-    for (Histogram& h : row.h) h.clear();
-  }
-}
-
-std::vector<NamedHist> named_hists(const HistSet& set) {
+std::vector<NamedHist> named_hists(const std::vector<const HistSet*>& sets) {
   std::vector<NamedHist> out;
   for (int k = 0; k < kNumHistKinds; ++k) {
-    Histogram merged = set.merged(static_cast<HistKind>(k));
+    Histogram merged;
+    for (const HistSet* set : sets) {
+      merged.merge(set->merged(static_cast<HistKind>(k)));
+    }
     if (merged.count() == 0) continue;
     out.push_back({to_string(static_cast<HistKind>(k)), merged});
   }

@@ -58,8 +58,6 @@ class Histogram {
     return counts_[static_cast<std::size_t>(idx)];
   }
 
-  void clear() noexcept;
-
  private:
   std::array<std::uint64_t, kNumBuckets> counts_{};
   std::uint64_t count_ = 0;
@@ -97,9 +95,12 @@ class HistSet {
   /// Merge one kind across all ranks.
   Histogram merged(HistKind k) const;
 
-  int n_ranks() const noexcept { return static_cast<int>(rows_.size()); }
+  /// Folds `h` into `rank`'s `k` histogram (outside parallel regions).
+  void merge(int rank, HistKind k, const Histogram& h) noexcept {
+    rows_[static_cast<std::size_t>(rank)].h[static_cast<int>(k)].merge(h);
+  }
 
-  void clear() noexcept;
+  int n_ranks() const noexcept { return static_cast<int>(rows_.size()); }
 
  private:
   struct Row {
@@ -114,7 +115,8 @@ struct NamedHist {
   Histogram hist;
 };
 
-/// One NamedHist per non-empty kind, merged across ranks, in kind order.
-std::vector<NamedHist> named_hists(const HistSet& set);
+/// One NamedHist per non-empty kind, in kind order, merged over every set's
+/// ranks in list order.
+std::vector<NamedHist> named_hists(const std::vector<const HistSet*>& sets);
 
 }  // namespace xhc::obs

@@ -21,7 +21,7 @@ Recorder::Recorder(int n_ranks, std::size_t capacity) {
   mask_ = cap - 1;
   rings_ = std::vector<Ring>(static_cast<std::size_t>(n_ranks));
   for (auto& ring : rings_) {
-    ring.slots.resize(cap);
+    ring.slots = std::make_unique_for_overwrite<Span[]>(cap);
   }
 }
 
@@ -44,12 +44,6 @@ std::uint64_t Recorder::dropped(int rank) const noexcept {
   const Ring& ring = rings_[static_cast<std::size_t>(rank)];
   const std::size_t cap = mask_ + 1;
   return ring.head > cap ? ring.head - cap : 0;
-}
-
-void Recorder::clear() {
-  for (auto& ring : rings_) {
-    ring.head = 0;
-  }
 }
 
 }  // namespace xhc::obs

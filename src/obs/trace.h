@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mach/machine.h"
@@ -27,11 +28,11 @@ namespace xhc::obs {
 /// "wait", "collective", "smsc"); `name` the specific site
 /// ("bcast.pull_chunk"); `arg` an optional payload (bytes, level, ...).
 struct Span {
-  const char* cat = nullptr;
-  const char* name = nullptr;
-  double t0 = 0.0;  ///< seconds since run start (wall or virtual)
-  double t1 = 0.0;
-  std::uint64_t arg = 0;
+  const char* cat;
+  const char* name;
+  double t0;  ///< seconds since run start (wall or virtual)
+  double t1;
+  std::uint64_t arg;
 };
 
 /// Lock-free per-rank span sink. Constructed (and sized) off the hot path;
@@ -84,16 +85,14 @@ class Recorder {
     return sum;
   }
 
-  /// Forgets every span (counters of the owning Observer are unaffected).
-  void clear();
-
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
  private:
   /// Line-aligned so neighbouring ranks' heads never share a cache line.
+  /// Slots are left unwritten (Span has no member defaults) until recorded.
   struct alignas(util::kCacheLine) Ring {
-    std::vector<Span> slots;
+    std::unique_ptr<Span[]> slots;
     std::uint64_t head = 0;  ///< total spans recorded; slot index = head&mask
   };
 

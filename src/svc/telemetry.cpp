@@ -258,35 +258,12 @@ std::vector<obs::NamedHist> Telemetry::phase_hists() const {
   return out;
 }
 
-util::Table Telemetry::metrics_table() const {
-  util::Table table({"Metric", "Total"});
-  for (int i = 0; i < obs::kNumCounters; ++i) {
-    const auto c = static_cast<obs::Counter>(i);
-    std::uint64_t total = parent_metrics_.total(c) + svc_metrics_.total(c);
-    for (const auto& o : observers_) total += o->metrics().total(c);
-    if (total == 0) continue;
-    table.add_row({obs::to_string(c), std::to_string(total)});
-  }
-  for (int i = 0; i < obs::kNumGauges; ++i) {
-    const auto g = static_cast<obs::Gauge>(i);
-    std::uint64_t total = 0;
-    for (const auto& o : observers_) total += o->metrics().gauge(g);
-    if (total == 0) continue;
-    table.add_row({obs::to_string(g), std::to_string(total)});
-  }
-  return table;
-}
-
-util::Table Telemetry::span_table() const {
-  std::vector<const obs::Recorder*> recorders;
-  for (const auto& o : observers_) recorders.push_back(&o->trace());
-  return obs::span_table(recorders);
-}
-
-std::uint64_t Telemetry::spans_recorded() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto& o : observers_) sum += o->trace().recorded();
-  return sum;
+std::vector<const obs::Metrics*> Telemetry::registries() const {
+  std::vector<const obs::Metrics*> out;
+  for (const auto& o : observers_) out.push_back(&o->metrics());
+  out.push_back(&parent_metrics_);
+  out.push_back(&svc_metrics_);
+  return out;
 }
 
 void Telemetry::eval_slo() {
@@ -603,18 +580,7 @@ void Telemetry::write_chrome_trace(std::ostream& os,
          << ",\"name\":\"thread_name\",\"args\":{\"name\":";
       obs::write_json_escaped(os, info.label.c_str());
       os << "}}";
-      for (const obs::Span& s : rec.spans(l)) {
-        os << ",{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << c + 1
-           << ",\"cat\":";
-        obs::write_json_escaped(os, s.cat);
-        os << ",\"name\":";
-        obs::write_json_escaped(os, s.name);
-        os << ",\"ts\":";
-        obs::write_json_number(os, s.t0 * 1e6);
-        os << ",\"dur\":";
-        obs::write_json_number(os, (s.t1 - s.t0) * 1e6);
-        os << ",\"args\":{\"arg\":" << s.arg << "}}";
-      }
+      obs::write_span_events(os, rec.spans(l), pid, c + 1);
     }
   }
   // Windowed plane as counter tracks under a synthetic service process,
@@ -657,15 +623,6 @@ void Telemetry::write_chrome_trace(std::ostream& os,
     }
   }
   os << "]}\n";
-}
-
-void Telemetry::write_chrome_trace_file(const std::string& path,
-                                        const std::string& label) const {
-  std::ofstream os(path, std::ios::trunc);
-  XHC_CHECK(os.good(), "cannot open trace file ", path);
-  write_chrome_trace(os, label);
-  os.flush();
-  XHC_CHECK(os.good(), "failed writing trace file ", path);
 }
 
 }  // namespace xhc::svc

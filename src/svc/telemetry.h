@@ -156,12 +156,9 @@ class Telemetry {
   /// queued additionally covers shed ones — their chain ended there).
   std::vector<obs::NamedHist> phase_hists() const;
 
-  /// Counters merged over every tenant observer + the parent registry + the
-  /// service-level slo_* counters, then gauges (summed over tenants).
-  util::Table metrics_table() const;
-  /// Span aggregation over every tenant observer, (cat, name)-keyed.
-  util::Table span_table() const;
-  std::uint64_t spans_recorded() const noexcept;
+  /// What --metrics merges: each tenant observer's registry in communicator
+  /// order, the parent's, then the service's slo_* counters.
+  std::vector<const obs::Metrics*> registries() const;
 
   // --- SLO monitor (populated by finalize when a spec was given) -----------
   std::uint64_t slo_windows_checked() const noexcept { return slo_checked_; }
@@ -191,8 +188,6 @@ class Telemetry {
   /// (pid = parent rank, tid = communicator id + 1) plus stable-sorted
   /// counter events from the windowed plane under a synthetic service pid.
   void write_chrome_trace(std::ostream& os, const std::string& label) const;
-  void write_chrome_trace_file(const std::string& path,
-                               const std::string& label) const;
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
