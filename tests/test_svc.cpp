@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -557,6 +558,98 @@ TEST(SvcTelemetry, AttachedPlaneLeavesServiceResultsUntouched) {
   }
   EXPECT_EQ(completed, r.completed);
   EXPECT_EQ(shed, r.shed);
+}
+
+TEST(SvcTelemetry, ReportsCarryEveryTenantsSpansAndCountersOnce) {
+  // Tracing on, so every tenant observer records spans and counters; the
+  // soak runs on a registry the test keeps, to read each tenant's ranks.
+  sim::SimMachine machine(topo::mini8(), 8);
+  machine.set_coh_tracking(true);
+  svc::LoadgenConfig cfg = small_soak_config();
+  svc::Telemetry tele(machine, svc::TelemetryConfig{}, cfg.requests);
+  cfg.telemetry = &tele;
+  coll::Tuning tuning;
+  tuning.trace = true;
+  svc::Arbiter arbiter(generous_budget(8, cfg.n_comms, tuning));
+  svc::CommRegistry reg(machine, arbiter);
+  for (const svc::CommSpec& spec : svc::make_comm_plan(8, cfg, tuning)) {
+    reg.create(spec);
+  }
+  svc::run_loadgen(reg, svc::make_schedule(cfg, reg), cfg);
+  machine.publish_coh_counters(tele.parent_metrics());
+
+  // Each counter row of the merged table is the sum over the tenant
+  // registries plus the parent's; a counter that sums to zero has no row.
+  std::ostringstream table;
+  obs::metrics_table(tele.registries()).print(table);
+  std::map<std::string, std::string> totals;
+  std::istringstream lines(table.str());
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string name;
+    std::string total;
+    fields >> name >> total;
+    totals[name] = total;
+  }
+  for (int ci = 0; ci < obs::kNumCounters; ++ci) {
+    const auto c = static_cast<obs::Counter>(ci);
+    std::uint64_t sum = tele.parent_metrics().total(c);
+    for (int t = 0; t < tele.n_comms(); ++t) {
+      sum += tele.observer(t)->metrics().total(c);
+    }
+    const auto row = totals.find(obs::to_string(c));
+    if (sum == 0) {
+      EXPECT_EQ(row, totals.end()) << obs::to_string(c);
+    } else {
+      ASSERT_NE(row, totals.end()) << obs::to_string(c);
+      EXPECT_EQ(row->second, std::to_string(sum)) << obs::to_string(c);
+    }
+  }
+  EXPECT_GT(tele.parent_metrics().total(obs::Counter::kCohLlcHit), 0u);
+
+  // The trace's complete events, keyed (pid, tid): each tenant's retained
+  // spans exactly once, in ring order, at pid = parent rank and
+  // tid = communicator + 1.
+  using Events =
+      std::map<std::pair<int, int>, std::vector<std::pair<std::string, double>>>;
+  Events want;
+  for (int t = 0; t < tele.n_comms(); ++t) {
+    const obs::Recorder& rec = tele.observer(t)->trace();
+    for (int l = 0; l < rec.n_ranks(); ++l) {
+      auto& events = want[{reg.comm(t).ranks()[static_cast<std::size_t>(l)],
+                           t + 1}];
+      for (const obs::Span& s : rec.spans(l)) {
+        events.emplace_back('"' + std::string(s.name) + '"', s.t0 * 1e6);
+      }
+    }
+  }
+  std::ostringstream trace;
+  tele.write_chrome_trace(trace, "soak");
+  const std::string json = trace.str();
+  Events got;
+  const std::string x = "{\"ph\":\"X\"";
+  std::size_t n_got = 0;
+  for (std::size_t at = json.find(x); at != std::string::npos;
+       at = json.find(x, at + 1)) {
+    const auto field = [&](const std::string& key) {
+      const std::size_t k = json.find("\"" + key + "\":", at) + key.size() + 3;
+      return json.substr(k, json.find_first_of(",}", k) - k);
+    };
+    got[{std::stoi(field("pid")), std::stoi(field("tid"))}].emplace_back(
+        field("name"), std::stod(field("ts")));
+    ++n_got;
+  }
+  EXPECT_GT(n_got, 0u);
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [key, events] : want) {
+    const auto& have = got[key];
+    ASSERT_EQ(have.size(), events.size())
+        << "pid " << key.first << " tid " << key.second;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(have[i].first, events[i].first);
+      EXPECT_NEAR(have[i].second, events[i].second, 1e-6);
+    }
+  }
 }
 
 TEST(SvcTelemetry, WaitMatrixAttributesAdmissionWaitsToTokenHolders) {
