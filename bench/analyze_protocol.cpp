@@ -44,6 +44,7 @@
 #include "check/record.h"
 #include "coll/tuning.h"
 #include "core/xhc_component.h"
+#include "osu/harness.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
 #include "util/check.h"
@@ -103,9 +104,7 @@ const std::vector<std::string> kFlagTreeTargets = {"mini16", "grid12"};
 const std::vector<std::string> kChainTargets = {"grid12n"};
 constexpr std::size_t kChainBytes = (std::size_t{128} << 10) + 4;
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Args args(argc, argv);
   const std::string only_preset = args.get("preset", "");
   const std::string only_op = args.get("op", "");
@@ -216,4 +215,10 @@ int main(int argc, char** argv) {
     std::cout << body;
   }
   return total_findings == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return xhc::osu::guarded_main([&] { return run(argc, argv); });
 }

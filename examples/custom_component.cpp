@@ -27,7 +27,10 @@ class LinearComponent final : public coll::Component {
  public:
   explicit LinearComponent(mach::Machine& machine)
       : machine_(&machine), arena_() {
-    ctl_ = arena_.add_group(machine, /*home_rank=*/0, machine.n_ranks());
+    // One group block, of which it reads seq, info, member_seq, minfo and
+    // the acks.
+    ctl_ = arena_.add_group(machine, /*home_rank=*/0, machine.n_ranks(),
+                            {.groups = true, .ack = true});
   }
 
   std::string_view name() const noexcept override { return "linear"; }

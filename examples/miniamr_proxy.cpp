@@ -9,12 +9,15 @@
 
 #include "apps/miniamr.h"
 #include "coll/registry.h"
+#include "osu/harness.h"
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
 #include "util/str.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace xhc;
   const util::Args args(argc, argv);
   const std::string system = args.get("system", "armn1");
@@ -43,4 +46,10 @@ int main(int argc, char** argv) {
   std::cout << "\nThe gap between components is confined to the "
                "in-allreduce column; compute time is identical.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return xhc::osu::guarded_main([&] { return run(argc, argv); });
 }

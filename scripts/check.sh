@@ -477,7 +477,7 @@ case "$mode" in
   *)
     echo "usage: $0" \
          "[thread|address|undefined|fault|bench|largemsg|coherence|" \
-         "service|lint|analyze|timing] [ctest args...]" >&2
+         "service|telemetry|lint|analyze|timing] [ctest args...]" >&2
     exit 2
     ;;
 esac

@@ -9,9 +9,11 @@
 # traffic on the mach::Ctx data operations.
 #
 #   scripts/lint_flags.sh             # grep passes + clang-tidy (if installed)
-#   scripts/lint_flags.sh --selftest  # prove rules 5, 6 and 7 can fail: a
-#                                     # seeded unregistered wait and await,
-#                                     # a seeded mixer copy and a seeded
+#   scripts/lint_flags.sh --selftest  # prove rules 4, 5, 6 and 7 can fail:
+#                                     # a seeded control-block flag missing
+#                                     # from the field list, a seeded
+#                                     # unregistered wait and await, a
+#                                     # seeded mixer copy and a seeded
 #                                     # memcpy in a component must be
 #                                     # rejected
 #
@@ -20,16 +22,55 @@ set -euo pipefail
 shopt -s inherit_errexit
 cd "$(dirname "$0")/.."
 
-# --- rule 5 machinery (defined early so --selftest can reuse it) -----------
+# --- rule 4 machinery (defined early so --selftest can reuse it) -----------
 #
-# Registered flag fields: every identifier that appears as the flag operand
-# of a verify::Ledger::register_flag call (src/verify/layout.cpp for the
-# XHC control blocks, plus the shm/p2p components' and the service layer's
-# own registrations).
-reg_fields=$(grep -RhoE 'register_flag\(&\*?[A-Za-z_][A-Za-z0-9_>.-]*' \
-    src/verify src/core src/base src/p2p src/smsc src/svc 2> /dev/null \
-  | sed -E 's/.*[.>]([A-Za-z_][A-Za-z0-9_]*)$/\1/' \
-  | grep -vE '[(&*]' | sort -u)
+# The XHC control blocks are described by one field list per block kind in
+# src/core/ctl.cpp (`f(c.seq, {"seq", ...})` entries in fields_of), which
+# sizes, places, names and lints every block CtlArena builds. Prints the
+# listed fields.
+ctl_list_fields() {
+  local root="$1"
+  { grep -oE '\bf\(c\.[A-Za-z_]+,' "$root/src/core/ctl.cpp" 2> /dev/null \
+      || true; } | sed -E 's/^f\(c\.([A-Za-z_]+),$/\1/' | sort -u
+}
+
+# Every mach::Flag field declared in the shared control blocks
+# (src/core/ctl.h) must be in the field list: a flag the list never names
+# is invisible to both the protocol ledger and the false-sharing lint, so
+# adding a field without listing it silently shrinks verification coverage.
+check_ctl_fields() {
+  local root="$1"
+  local declared listed f unlisted=""
+  declared=$(grep -oE \
+      '(util::CachePadded<mach::Flag>|mach::Flag)\* *[A-Za-z_]+' \
+      "$root/src/core/ctl.h" | awk '{print $NF}' | sort -u)
+  listed=$(ctl_list_fields "$root")
+  for f in $declared; do
+    if ! grep -qxF "$f" <<< "$listed"; then
+      unlisted+=" $f"
+    fi
+  done
+  if [ -n "$unlisted" ]; then
+    echo "error: mach::Flag fields in src/core/ctl.h missing from the field" >&2
+    echo "lists in src/core/ctl.cpp:$unlisted" >&2
+    return 1
+  fi
+  return 0
+}
+
+# --- rule 5 machinery -------------------------------------------------------
+#
+# Registered flag fields: the control-block fields of the field lists
+# (rule 4), which CtlArena registers, plus every identifier that appears as
+# the flag operand of a verify::Ledger::register_flag call (the shm/p2p
+# components' and the service layer's own registrations).
+reg_fields=$( {
+  ctl_list_fields .
+  grep -RhoE 'register_flag\(&\*?[A-Za-z_][A-Za-z0-9_>.-]*' \
+      src/core src/base src/p2p src/smsc src/svc 2> /dev/null \
+    | sed -E 's/.*[.>]([A-Za-z_][A-Za-z0-9_]*)$/\1/' \
+    | grep -vE '[(&*]'
+} | sort -u)
 fields_re=$(echo "$reg_fields" | paste -sd'|' -)
 
 # Every blocking wait site must name a ledger-registered flag: the wait's
@@ -126,6 +167,16 @@ if [ "${1:-}" = "--selftest" ]; then
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT
   mkdir -p "$tmp/src/core" "$tmp/src/svc" "$tmp/src/util"
+  cp src/core/ctl.h src/core/ctl.cpp "$tmp/src/core/"
+  check_ctl_fields "$tmp"
+  sed -i 's|^struct GroupCtl {$|&\n  util::CachePadded<mach::Flag>* seeded = nullptr;|' \
+      "$tmp/src/core/ctl.h"
+  if ! grep -q 'seeded = nullptr' "$tmp/src/core/ctl.h" \
+      || check_ctl_fields "$tmp" > /dev/null 2>&1; then
+    echo "lint_flags --selftest: FAILED (seeded unlisted ctl flag passed)" >&2
+    exit 1
+  fi
+  rm "$tmp/src/core/ctl.h" "$tmp/src/core/ctl.cpp"
   cat > "$tmp/src/core/seeded.cpp" << 'EOF'
 void seeded(xhc::mach::Ctx& ctx, xhc::mach::Flag& scratch) {
   ctx.flag_wait_ge(scratch, 1);  // seeded violation: unregistered flag
@@ -179,8 +230,9 @@ void fine(xhc::mach::Ctx& ctx, void* dst, const void* src, std::size_t n) {
 }
 EOF
   check_payload_bypass "$tmp"
-  echo "lint_flags --selftest: OK (seeded violations caught; registered" \
-       "waits, the mixer in prng.h and Ctx copies pass)"
+  echo "lint_flags --selftest: OK (seeded violations caught; the listed" \
+       "ctl fields, registered waits, the mixer in prng.h and Ctx copies" \
+       "pass)"
   exit 0
 fi
 
@@ -229,22 +281,9 @@ if [ -n "$coh" ]; then
   fail=1
 fi
 
-# 4. Every mach::Flag field declared in the shared control blocks must be
-#    registered in src/verify/layout.cpp (register_group_ctl /
-#    register_shard_ctl): a flag the layout pass never sees is invisible to
-#    both the protocol ledger and the false-sharing lint, so adding a field
-#    without registering it silently shrinks verification coverage.
-ctl_fields=$(grep -oE '(util::CachePadded<mach::Flag>|mach::Flag)\* *[A-Za-z_]+' \
-               src/core/ctl.h | awk '{print $NF}' | sort -u)
-unreg=""
-for f in $ctl_fields; do
-  if ! grep -qE "ctl\.$f\b" src/verify/layout.cpp; then
-    unreg+=" $f"
-  fi
-done
-if [ -n "$unreg" ]; then
-  echo "error: mach::Flag fields in src/core/ctl.h never registered in" >&2
-  echo "src/verify/layout.cpp:$unreg" >&2
+# 4. Every mach::Flag field of the shared control blocks is in the field
+#    lists (machinery above; self-testable via --selftest).
+if ! check_ctl_fields .; then
   fail=1
 fi
 

@@ -65,7 +65,8 @@ ShmComponent::ShmComponent(mach::Machine& machine, coll::Tuning tuning,
     : machine_(&machine),
       tuning_(std::move(tuning)),
       name_(std::move(name)),
-      tree_(machine, topo::parse_sensitivity(tuning_.sensitivity)) {
+      // Shapes and views only: the rings carry every flag (build_groups).
+      tree_(machine, topo::parse_sensitivity(tuning_.sensitivity), {}) {
   fault_ = fault::make_injector(tuning_.faults, tuning_.fault_seed,
                                 machine.n_ranks());
   // Under injected shm exhaustion: retry each segment a bounded number of

@@ -40,6 +40,8 @@ class ShmComponent final : public coll::Component {
   /// injected shm exhaustion degraded the rings to smaller slots.
   std::size_t slot_bytes() const noexcept { return slot_; }
 
+  core::CommTree& tree() noexcept { return tree_; }
+
  private:
   static constexpr std::size_t kDefaultSlot = 32 * 1024;  ///< ring slot bytes
   static constexpr std::uint64_t kDepth = 8;      ///< ring slots per stream

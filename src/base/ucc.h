@@ -53,6 +53,8 @@ class UccComponent final : public coll::Component {
     inner_->set_observer(observer);
   }
 
+  core::XhcComponent& inner() noexcept { return *inner_; }
+
  private:
   /// Per-operation library dispatch cost (team lookup, task scheduling).
   static constexpr double kDispatchOverhead = 1.2e-6;

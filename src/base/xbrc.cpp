@@ -9,7 +9,10 @@ namespace xhc::base {
 XbrcComponent::XbrcComponent(mach::Machine& machine, coll::Tuning tuning)
     : machine_(&machine),
       tuning_(std::move(tuning)),
-      tree_(machine, /*sensitivity=*/{}) {
+      // Group 0's seq, announce and info carry the bcast, its member_seq,
+      // minfo and reduce_done the allreduce, and its acks close both.
+      tree_(machine, /*sensitivity=*/{},
+            {.groups = true, .announce = true, .ack = true}) {
   ranks_.reserve(static_cast<std::size_t>(machine.n_ranks()));
   for (int r = 0; r < machine.n_ranks(); ++r) {
     auto rs = std::make_unique<RankState>();

@@ -35,6 +35,8 @@ class XbrcComponent final : public coll::Component {
 
   std::optional<smsc::RegCache::Stats> reg_cache_stats() const override;
 
+  core::CommTree& tree() noexcept { return tree_; }
+
  private:
   struct RankState {
     std::uint64_t op_seq = 0;

@@ -14,8 +14,8 @@ int GroupShape::slot_of(int rank) const {
 }
 
 CommTree::CommTree(mach::Machine& machine,
-                   std::vector<topo::Domain> sensitivity, std::string scope,
-                   bool cache_tree)
+                   std::vector<topo::Domain> sensitivity,
+                   const CtlReads& reads, std::string scope, bool cache_tree)
     : machine_(&machine),
       sensitivity_(std::move(sensitivity)),
       scope_(std::move(scope)) {
@@ -24,11 +24,11 @@ CommTree::CommTree(mach::Machine& machine,
       topo::domain_nest(topo, machine_->map(), sensitivity_);
   n_levels_ = static_cast<int>(nest.size());
   for (int l = 0; l < n_levels_; ++l) {
-    add_level(nest[static_cast<std::size_t>(l)], l);
+    add_level(nest[static_cast<std::size_t>(l)], l, reads);
   }
   n_flag_groups_ = n_groups();
   shard_ctl_ =
-      arena_.add_shard_plane(*machine_, machine_->n_ranks(), scope_);
+      arena_.add_shard_plane(*machine_, machine_->n_ranks(), reads, scope_);
   if (cache_tree && topo.has_shared_llc() && n_levels_ >= 2) {
     // Two levels unless this rank map puts every rank in one LLC, or each
     // in its own (the hierarchy then drops the LLC level). The top level's
@@ -36,12 +36,12 @@ CommTree::CommTree(mach::Machine& machine,
     // block it shares; only the LLC groups are new.
     const topo::DomainNest llc =
         topo::domain_nest(topo, machine_->map(), {topo::Domain::kLlc});
-    if (llc.size() == 2) add_level(llc.front(), 0);
+    if (llc.size() == 2) add_level(llc.front(), 0, reads);
   }
 }
 
 void CommTree::add_level(const std::vector<std::vector<int>>& domains,
-                         int level) {
+                         int level, const CtlReads& reads) {
   for (std::size_t gi = 0; gi < domains.size(); ++gi) {
     GroupShape shape;
     shape.level = level;
@@ -51,7 +51,7 @@ void CommTree::add_level(const std::vector<std::vector<int>>& domains,
     shape.home_rank = shape.domain_ranks.front();
     ctls_.push_back(arena_.add_group(
         *machine_, shape.home_rank,
-        static_cast<int>(shape.domain_ranks.size()), scope_));
+        static_cast<int>(shape.domain_ranks.size()), reads, scope_));
     shapes_.push_back(std::move(shape));
   }
 }

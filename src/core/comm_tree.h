@@ -71,14 +71,16 @@ class CommView {
 
 class CommTree {
  public:
-  /// Builds shapes and control blocks for `machine`'s rank map under the
-  /// given sensitivity (empty = flat). `scope` prefixes every ledger flag
-  /// name of the tree's control planes (see CtlArena::add_group); empty
-  /// keeps the historical single-communicator names. With `cache_tree` it
-  /// also builds the cache tree, where one pays: on a machine whose cores
-  /// share an LLC, under a flag tree of at least two levels.
+  /// Builds shapes and control blocks, holding the fields `reads` names,
+  /// for `machine`'s rank map under the given sensitivity (empty = flat).
+  /// `scope` prefixes every ledger flag name of the tree's control planes
+  /// (see CtlArena::add_group); empty keeps the historical
+  /// single-communicator names. With `cache_tree` it also builds the cache
+  /// tree, where one pays: on a machine whose cores share an LLC, under a
+  /// flag tree of at least two levels.
   CommTree(mach::Machine& machine, std::vector<topo::Domain> sensitivity,
-           std::string scope = {}, bool cache_tree = false);
+           const CtlReads& reads, std::string scope = {},
+           bool cache_tree = false);
 
   int n_ranks() const noexcept { return machine_->n_ranks(); }
   /// Levels of the flag tree.
@@ -113,7 +115,8 @@ class CommTree {
 
  private:
   /// Appends one shape and control block per domain, at `level`.
-  void add_level(const std::vector<std::vector<int>>& domains, int level);
+  void add_level(const std::vector<std::vector<int>>& domains, int level,
+                 const CtlReads& reads);
   std::unique_ptr<CommView> build_view(int root, bool cache) const;
   const CommView& cached_view(int root, bool cache);
 

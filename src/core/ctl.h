@@ -8,6 +8,10 @@
 // experiments: the packed `announce_shared` array (Fig. 10, "shared") and
 // the `atomic_ctr` counter (Fig. 4, atomics-based sync).
 //
+// A block holds only the fields its component reads (CtlReads); the others
+// stay null. Each block kind is described once, by its field list in
+// ctl.cpp, which sizes, places, names and lints it.
+//
 // All counters are monotone across operations (cumulative bytes / operation
 // sequence numbers), so flags never need to be reset — reuse is governed by
 // the hierarchical acknowledgement step alone.
@@ -35,6 +39,23 @@ struct MemberInfo {
   const void* contrib = nullptr;  ///< member's contribution buffer (on the
                                   ///< allreduce fan-in: its partial's)
   const void* result = nullptr;   ///< member's result buffer (XBRC allgather)
+};
+
+/// The control-plane fields a component reads, filled in by its owner
+/// (XhcComponent from its tuning). `groups` gives every group a block with
+/// `seq`, `info`, `member_seq`, `minfo`, `reduce_ready` and `reduce_done`,
+/// `shards` a shard plane with `shard_seq`, `sinfo` and `prog`; each other
+/// flag names the field of that name. The default reads nothing: a CommTree
+/// then holds shapes and views only.
+struct CtlReads {
+  bool groups = false;
+  bool announce = false;
+  bool announce_shared = false;
+  bool announce_sep = false;
+  bool ack = false;
+  bool atomic_ctr = false;
+  bool shards = false;
+  bool stripe_ready = false;
 };
 
 /// Typed view over one group's shared control block. The pointers target a
@@ -109,30 +130,33 @@ class CtlArena {
   CtlArena(const CtlArena&) = delete;
   CtlArena& operator=(const CtlArena&) = delete;
 
-  /// Builds a control block for a group with `slots` member slots; the
-  /// allocation is owned by `home_rank` (placed on its NUMA node). `scope`
-  /// prefixes the ledger names of every flag in the block — empty (the
-  /// default, single-communicator case) keeps the historical "ctlN/hM"
-  /// names; multi-tenant service communicators pass "comm<id>'<name>'/" so
+  /// Builds a control block for a group with `slots` member slots, holding
+  /// the fields `reads` selects (none: no block); the allocation is owned by
+  /// `home_rank` (placed on its NUMA node). `scope` prefixes the ledger
+  /// names of every flag in the block — empty (the default,
+  /// single-communicator case) keeps the historical "ctlN/hM" names;
+  /// multi-tenant service communicators pass "comm<id>'<name>'/" so
   /// watchdog and deadlock diagnostics name the owning communicator.
   GroupCtl add_group(mach::Machine& m, int home_rank, int slots,
-                     const std::string& scope = {});
+                     const CtlReads& reads, const std::string& scope = {});
 
   /// Builds the per-communicator shard/stripe plane with one slot per rank
   /// (owned by rank 0's NUMA node; every slot is cache-line padded, so home
   /// placement only affects line-fetch distance, not sharing).
-  ShardCtl add_shard_plane(mach::Machine& m, int slots,
+  ShardCtl add_shard_plane(mach::Machine& m, int slots, const CtlReads& reads,
                            const std::string& scope = {});
 
-  /// Observability accessors (obs::Gauge::kCtlBytes / kCtlGroups).
+  /// Bytes of every block built (obs::Gauge::kCtlBytes).
   std::size_t total_bytes() const noexcept { return total_bytes_; }
-  std::size_t n_groups() const noexcept { return allocations_.size(); }
 
  private:
   struct Allocation {
     mach::Machine* machine = nullptr;
     void* p = nullptr;
   };
+  /// Allocates `bytes` (if any) for one block, owned by `home_rank`.
+  std::byte* allocate(mach::Machine& m, int home_rank, std::size_t bytes);
+
   std::vector<Allocation> allocations_;
   std::size_t total_bytes_ = 0;
 };

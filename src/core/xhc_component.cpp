@@ -13,9 +13,22 @@ XhcComponent::XhcComponent(mach::Machine& machine, coll::Tuning tuning,
     : machine_(&machine),
       tuning_(std::move(tuning)),
       name_(std::move(name)),
-      // The cache tree carries the single-flag, single-writer protocol
-      // only; the Fig. 10 layouts and Fig. 4's atomics keep the flag tree.
+      // One announce family, one ack family, and stripe_ready only where
+      // this component stripes (under single-writer sync, see bcast). The
+      // cache tree carries the single-flag, single-writer protocol only;
+      // the Fig. 10 layouts and Fig. 4's atomics keep the flag tree.
       tree_(machine, topo::parse_sensitivity(tuning_.sensitivity),
+            {.groups = true,
+             .announce = tuning_.flag_layout == coll::FlagLayout::kSingle,
+             .announce_shared =
+                 tuning_.flag_layout == coll::FlagLayout::kMultiSharedLine,
+             .announce_sep =
+                 tuning_.flag_layout == coll::FlagLayout::kMultiSeparateLines,
+             .ack = tuning_.sync == coll::SyncMethod::kSingleWriter,
+             .atomic_ctr = tuning_.sync == coll::SyncMethod::kAtomicFetchAdd,
+             .shards = true,
+             .stripe_ready = tuning_.stripe_threshold > 0 &&
+                             tuning_.sync == coll::SyncMethod::kSingleWriter},
             tuning_.comm_name,
             tuning_.llc_aware &&
                 tuning_.flag_layout == coll::FlagLayout::kSingle &&

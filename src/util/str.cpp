@@ -1,9 +1,34 @@
 #include "util/str.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
+#include "util/check.h"
+
 namespace xhc::util {
+
+namespace {
+
+/// Parses the whole of flag `key`'s value with `parse` (strtol / strtod);
+/// throws util::Error naming the flag when the value is not one `kind` or
+/// is out of range.
+template <typename T, typename Parse>
+T parse_whole(std::string_view key, const std::string& v, const char* kind,
+              Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  const T x = parse(v.c_str(), &end);
+  if (*end != '\0') {
+    throw Error(detail::concat("--", key, "=", v, ": not ", kind));
+  }
+  if (errno == ERANGE) {
+    throw Error(detail::concat("--", key, "=", v, ": out of range"));
+  }
+  return x;
+}
+
+}  // namespace
 
 std::vector<std::string> split(std::string_view s, char sep) {
   std::vector<std::string> out;
@@ -90,14 +115,24 @@ std::string Args::get(std::string_view key, std::string def) const {
 
 long Args::get_long(std::string_view key, long def) const {
   for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) return std::strtol(v.c_str(), nullptr, 10);
+    if (k == key && !v.empty()) {
+      return parse_whole<long>(key, v, "an integer",
+                               [](const char* p, char** end) {
+                                 return std::strtol(p, end, 10);
+                               });
+    }
   }
   return def;
 }
 
 double Args::get_double(std::string_view key, double def) const {
   for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) return std::strtod(v.c_str(), nullptr);
+    if (k == key && !v.empty()) {
+      return parse_whole<double>(key, v, "a number", [](const char* p,
+                                                        char** end) {
+        return std::strtod(p, end);
+      });
+    }
   }
   return def;
 }

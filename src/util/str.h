@@ -28,6 +28,9 @@ class Args {
   std::string get(std::string_view key, std::string def) const;
   /// Every value given for a repeatable --key=value flag, in argv order.
   std::vector<std::string> get_all(std::string_view key) const;
+  /// A numeric flag's value, or `def` when it is absent or empty. Throws
+  /// util::Error naming the flag when the value is not one whole number
+  /// (e.g. "four", "1e5" or "0x10" for get_long) or is out of range.
   long get_long(std::string_view key, long def) const;
   double get_double(std::string_view key, double def) const;
 

@@ -1,4 +1,4 @@
-#include "verify/layout.h"
+#include "verify/verify.h"
 
 #include <cstdint>
 #include <map>
@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/ctl.h"
 #include "sim/coh_stats.h"
 #include "sim/line_model.h"
 #include "sim/params.h"
@@ -91,13 +90,11 @@ ReplayCost replay(const topo::Topology& topo, const sim::SimParams& params,
   return c;
 }
 
-/// Predictive lint shared by every control-block kind: every line holding
-/// more than one flag is replayed through the node's line model against a
-/// synthetic separated baseline; costlier-than-separated layouts are
-/// reported as Kind::kCostlyLayout.
-void run_layout_lint(Ledger& ledger, const topo::Topology& topo,
-                     const std::vector<LintItem>& items,
-                     const std::string& prefix) {
+}  // namespace
+
+void lint_layout(Ledger& ledger, const topo::Topology& topo,
+                 const std::vector<LintItem>& items,
+                 const std::string& prefix) {
   const sim::SimParams params = sim::params_for(topo);
   std::map<std::uintptr_t, std::vector<const LintItem*>> by_line;
   for (const LintItem& item : items) {
@@ -137,89 +134,6 @@ void run_layout_lint(Ledger& ledger, const topo::Topology& topo,
         "Fig. 10)";
     ledger.report_layout(std::move(v), all_expected);
   }
-}
-
-}  // namespace
-
-void register_group_ctl(Ledger& ledger, const topo::Topology& topo,
-                        const core::GroupCtl& ctl, const std::string& prefix) {
-  const int n = ctl.slots;
-  auto name = [&](const char* field, int i) {
-    return prefix + "." + field + "[" + std::to_string(i) + "]";
-  };
-
-  ledger.register_flag(&*ctl.atomic_ctr[0], prefix + ".atomic_ctr",
-                       WriterPolicy::kShared);
-  for (int i = 0; i < n; ++i) {
-    // seq/announce slot i is published only by the rank occupying slot i
-    // while it leads the group for the current root — a fixed writer even
-    // under rotating roots (the single-mailbox kRotating design let op N's
-    // leader clobber the pointer a straggler of op N-1 had yet to read).
-    ledger.register_flag(&*ctl.seq[i], name("seq", i), WriterPolicy::kFixed);
-    ledger.register_flag(&*ctl.announce[i], name("announce", i),
-                         WriterPolicy::kFixed);
-    ledger.register_flag(&*ctl.ack[i], name("ack", i), WriterPolicy::kFixed);
-    ledger.register_flag(&*ctl.member_seq[i], name("member_seq", i),
-                         WriterPolicy::kFixed);
-    ledger.register_flag(&*ctl.reduce_ready[i], name("reduce_ready", i),
-                         WriterPolicy::kFixed);
-    ledger.register_flag(&*ctl.reduce_done[i], name("reduce_done", i),
-                         WriterPolicy::kFixed);
-    ledger.register_flag(&*ctl.announce_sep[i], name("announce_sep", i),
-                         WriterPolicy::kRotating);
-    ledger.register_flag(&ctl.announce_shared[i], name("announce_shared", i),
-                         WriterPolicy::kRotating);
-  }
-
-  // Layout lint: one item per flag, with the writer/spinner identity the
-  // protocol assigns.
-  std::vector<LintItem> items;
-  items.reserve(static_cast<std::size_t>(1 + 8 * n));
-  items.push_back({&*ctl.atomic_ctr[0], kNone, kAny, "atomic_ctr", false});
-  // Field names for slot arrays stay stable strings (LintItem keeps a
-  // pointer); the slot index is recoverable from the reported addresses.
-  for (int i = 0; i < n; ++i) {
-    items.push_back({&*ctl.seq[i], i, kAny, "seq", false});
-    items.push_back({&*ctl.announce[i], i, kAny, "announce", false});
-    items.push_back({&*ctl.ack[i], i, kLeader, "ack", false});
-    items.push_back({&*ctl.member_seq[i], i, kLeader, "member_seq", false});
-    items.push_back({&*ctl.reduce_ready[i], i, kLeader, "reduce_ready", false});
-    items.push_back({&*ctl.reduce_done[i], i, kAny, "reduce_done", false});
-    items.push_back({&*ctl.announce_sep[i], kLeader, i, "announce_sep", false});
-    items.push_back(
-        {&ctl.announce_shared[i], kLeader, i, "announce_shared", true});
-  }
-
-  // Predictive lint: packing is legal only where the protocol makes the
-  // sharing free (single writer and a single reading core), or where it is
-  // a deliberate experiment variant (expect_shared).
-  run_layout_lint(ledger, topo, items, prefix);
-}
-
-void register_shard_ctl(Ledger& ledger, const topo::Topology& topo,
-                        const core::ShardCtl& ctl, const std::string& prefix) {
-  const int n = ctl.slots;
-  auto name = [&](const char* field, int i) {
-    return prefix + "." + field + "[" + std::to_string(i) + "]";
-  };
-
-  // Slot i belongs to global rank i on every communicator view — shard and
-  // stripe ownership follows the rank, not an elected role — so the writer
-  // is fixed even under rotating roots.
-  std::vector<LintItem> items;
-  items.reserve(static_cast<std::size_t>(3 * n));
-  for (int i = 0; i < n; ++i) {
-    ledger.register_flag(&*ctl.shard_seq[i], name("shard_seq", i),
-                         WriterPolicy::kFixed);
-    ledger.register_flag(&*ctl.prog[i], name("prog", i), WriterPolicy::kFixed);
-    ledger.register_flag(&*ctl.stripe_ready[i], name("stripe_ready", i),
-                         WriterPolicy::kFixed);
-    items.push_back({&*ctl.shard_seq[i], i, kAny, "shard_seq", false});
-    items.push_back({&*ctl.prog[i], i, kAny, "prog", false});
-    items.push_back({&*ctl.stripe_ready[i], i, kAny, "stripe_ready", false});
-  }
-
-  run_layout_lint(ledger, topo, items, prefix);
 }
 
 }  // namespace xhc::verify

@@ -316,6 +316,13 @@ std::string Ledger::flag_name(const void* addr) const {
   return it->second.name;
 }
 
+std::vector<std::string> Ledger::flag_names() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> names;
+  for (const auto& [addr, rec] : records_) names.push_back(rec.name);
+  return names;
+}
+
 std::optional<WriterPolicy> Ledger::flag_policy(const void* addr) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = records_.upper_bound(addr);

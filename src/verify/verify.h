@@ -26,6 +26,10 @@
 #include "mach/event_sink.h"
 #include "mach/flag.h"
 
+namespace xhc::topo {
+class Topology;
+}  // namespace xhc::topo
+
 namespace xhc::verify {
 
 /// Default of Ledger::enabled(): the XHC_VERIFY environment variable, "1" on
@@ -146,7 +150,7 @@ class Ledger final : public mach::EventSink {
   void forget_range(const void* base, std::size_t bytes);
 
   /// Records a finding produced by the predictive layout lint
-  /// (verify::register_group_ctl's line-model replay). `expected` findings
+  /// (verify::lint_layout's line-model replay). `expected` findings
   /// are whitelisted (Fig. 10 deliberately packed layouts); the rest count
   /// as violations and honor abort-on-violation.
   void report_layout(Violation v, bool expected);
@@ -164,6 +168,8 @@ class Ledger final : public mach::EventSink {
   /// it — flags are registered by base address), or "" when untracked. Used
   /// by the watchdog / deadlock reports to name blocked channels.
   std::string flag_name(const void* addr) const;
+  /// Every registered name, in address order.
+  std::vector<std::string> flag_names() const;
   /// Registered writer policy of the flag covering `addr` (same lookup as
   /// flag_name), or std::nullopt when untracked. The static schedule
   /// analyzer (src/check/) pairs each modeled flag with its declared
@@ -210,5 +216,16 @@ class Ledger final : public mach::EventSink {
   bool abort_ = true;
   bool enabled_ = enabled_from_env();
 };
+
+/// Predictive layout lint over one control block's flags (verify/layout.cpp;
+/// core::CtlArena builds the items from its field lists): every cache line
+/// holding more than one item is replayed through the node's line model
+/// against a synthetic separated-layout baseline, and a layout whose
+/// predicted HITM-class services + ownership transfers exceed the baseline
+/// is reported under `prefix` as Kind::kCostlyLayout — an expected finding
+/// when every flag on the line is `expect_shared` (the Fig. 10
+/// `announce_shared` array), a violation otherwise.
+void lint_layout(Ledger& ledger, const topo::Topology& topo,
+                 const std::vector<LintItem>& items, const std::string& prefix);
 
 }  // namespace xhc::verify

@@ -306,24 +306,30 @@ TEST(FaultShm, SmhcRingsDegradeTheSameWay) {
 // Dropped publications: a diagnostic naming rank + flag, never a hang
 
 TEST(FaultDrop, SimDeadlockReportNamesTheStrandedFlag) {
-  constexpr int kRanks = 8;
-  sim::SimMachine machine(topo::mini8(), kRanks);
-  coll::Tuning tuning;
-  tuning.faults = "flagdrop,rank=0";  // root drops every publication
-  auto comp = coll::make_component("xhc", machine, tuning);
-  std::vector<mach::Buffer> bufs;
-  for (int r = 0; r < kRanks; ++r) bufs.emplace_back(machine, r, 65536);
-  try {
-    machine.run([&](mach::Ctx& ctx) {
-      comp->bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
-                  65536, 0);
-    });
-    FAIL() << "expected a deadlock report";
-  } catch (const util::Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("deadlock"), std::string::npos) << msg;
-    // The report names the ledger-registered flag the ranks block on.
-    EXPECT_NE(msg.find("announce"), std::string::npos) << msg;
+  // Names are registered at construction, so the report carries them with
+  // the ledger switched off too, as in the benches and perfbench.
+  for (const bool ledger_on : {true, false}) {
+    constexpr int kRanks = 8;
+    sim::SimMachine machine(topo::mini8(), kRanks);
+    machine.verify_ledger().set_enabled(ledger_on);
+    coll::Tuning tuning;
+    tuning.faults = "flagdrop,rank=0";  // root drops every publication
+    auto comp = coll::make_component("xhc", machine, tuning);
+    std::vector<mach::Buffer> bufs;
+    for (int r = 0; r < kRanks; ++r) bufs.emplace_back(machine, r, 65536);
+    try {
+      machine.run([&](mach::Ctx& ctx) {
+        comp->bcast(ctx, bufs[static_cast<std::size_t>(ctx.rank())].get(),
+                    65536, 0);
+      });
+      FAIL() << "expected a deadlock report";
+    } catch (const util::Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("deadlock"), std::string::npos) << msg;
+      // The report names the ledger-registered flag the ranks block on.
+      EXPECT_NE(msg.find("announce"), std::string::npos)
+          << "ledger " << (ledger_on ? "on: " : "off: ") << msg;
+    }
   }
 }
 

@@ -124,7 +124,8 @@ TEST(ShardPlan, UniformOnAllPresets) {
     mach::RealMachine m(std::move(topo), ranks);
     const ShardPlan plan(m, flag_nest());
     EXPECT_TRUE(plan.uniform()) << name;
-    EXPECT_EQ(plan.n_stages(), CommTree(m, flag_nest()).n_levels()) << name;
+    EXPECT_EQ(plan.n_stages(), CommTree(m, flag_nest(), CtlReads{}).n_levels())
+        << name;
     EXPECT_TRUE(ShardPlan(m, llc_nest()).uniform()) << name;
   }
 }

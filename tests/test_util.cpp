@@ -159,6 +159,31 @@ TEST(Str, ArgsParsing) {
   EXPECT_EQ(args.get_long("n", 0), 42);
   EXPECT_DOUBLE_EQ(args.get_double("rate", 0.0), 1.5);
   EXPECT_EQ(args.get("missing", "def"), "def");
+
+  // A numeric value must be one whole number in range; an empty one keeps
+  // the default.
+  const char* bad[] = {"prog",          "--jobs=four",
+                       "--duration=1e5", "--seed=0x10",
+                       "--rate=1.5x",    "--big=99999999999999999999",
+                       "--huge=1e999",   "--empty=",
+                       "--neg=-3",       "--exp=2.5e3"};
+  Args b(10, const_cast<char**>(bad));
+  for (const char* key : {"jobs", "duration", "seed", "big"}) {
+    try {
+      (void)b.get_long(key, 0);
+      ADD_FAILURE() << "--" << key << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)b.get_double("rate", 0.0), Error);
+  EXPECT_THROW((void)b.get_double("huge", 0.0), Error);
+  EXPECT_EQ(b.get_long("empty", 7), 7);
+  EXPECT_DOUBLE_EQ(b.get_double("empty", 0.5), 0.5);
+  EXPECT_EQ(b.get_long("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(b.get_double("exp", 0.0), 2500.0);
 }
 
 TEST(Prng, Deterministic) {

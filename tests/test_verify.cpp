@@ -17,7 +17,6 @@
 #include "sim/sim_machine.h"
 #include "topo/presets.h"
 #include "util/check.h"
-#include "verify/layout.h"
 #include "verify/verify.h"
 
 namespace xhc {
@@ -180,7 +179,13 @@ TEST(VerifyLedger, SummaryCountsOperations) {
 TEST(VerifyLayout, GroupCtlRegistersCleanWithExpectedFig10Finding) {
   sim::SimMachine m(topo::mini8(), 8);
   core::CtlArena arena;
-  (void)arena.add_group(m, /*home_rank=*/0, /*slots=*/8);
+  // One block per announce layout; only the packed one may be flagged.
+  for (const core::CtlReads& reads :
+       {core::CtlReads{.groups = true, .announce = true, .ack = true},
+        core::CtlReads{.groups = true, .announce_shared = true, .ack = true},
+        core::CtlReads{.groups = true, .announce_sep = true, .ack = true}}) {
+    (void)arena.add_group(m, /*home_rank=*/0, /*slots=*/8, reads);
+  }
   const verify::Summary s = m.verify_ledger().summary();
   EXPECT_EQ(s.violations, 0u);           // the proper layout passes the lint
   EXPECT_GE(s.expected_findings, 1u);    // the packed Fig. 10 array is seen
@@ -197,7 +202,8 @@ TEST(VerifyLayout, ShardPlaneRegistersCleanPerRankSlots) {
   // must stay silent and tracking must cover all three arrays.
   sim::SimMachine m(topo::mini8(), 8);
   core::CtlArena arena;
-  core::ShardCtl ctl = arena.add_shard_plane(m, 8);
+  core::ShardCtl ctl = arena.add_shard_plane(
+      m, 8, {.shards = true, .stripe_ready = true});
   const verify::Summary s = m.verify_ledger().summary();
   EXPECT_EQ(s.violations, 0u);
   EXPECT_GE(s.flags_tracked, 3u * 8u);

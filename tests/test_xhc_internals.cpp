@@ -4,9 +4,14 @@
 // the cache tree that ends every one-chunk op.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <string>
 
+#include "base/shm_component.h"
+#include "base/ucc.h"
+#include "base/xbrc.h"
 #include "coll/registry.h"
 #include "core/comm_tree.h"
 #include "core/xhc_component.h"
@@ -24,7 +29,7 @@ namespace {
 
 TEST(CommTree, ShapesMatchHierarchy) {
   mach::RealMachine m(topo::epyc2p(), 64);
-  CommTree tree(m, topo::parse_sensitivity("numa+socket"));
+  CommTree tree(m, topo::parse_sensitivity("numa+socket"), CtlReads{});
   EXPECT_EQ(tree.n_levels(), 3);
   // 8 NUMA groups + 2 socket groups + 1 top group.
   EXPECT_EQ(tree.n_groups(), 11);
@@ -38,7 +43,7 @@ TEST(CommTree, ShapesMatchHierarchy) {
 
 TEST(CommTree, SlotLookup) {
   mach::RealMachine m(topo::mini8(), 8);
-  CommTree tree(m, topo::parse_sensitivity("numa+socket"));
+  CommTree tree(m, topo::parse_sensitivity("numa+socket"), CtlReads{});
   const GroupShape& shape = tree.shape(0);
   EXPECT_EQ(shape.slot_of(shape.domain_ranks.front()), 0);
   EXPECT_EQ(shape.slot_of(9999), -1);
@@ -46,7 +51,7 @@ TEST(CommTree, SlotLookup) {
 
 TEST(CommTree, ViewFollowsRoot) {
   mach::RealMachine m(topo::epyc2p(), 64);
-  CommTree tree(m, topo::parse_sensitivity("numa+socket"));
+  CommTree tree(m, topo::parse_sensitivity("numa+socket"), CtlReads{});
   const CommView& v0 = tree.view(0);
   const CommView& v10 = tree.view(10);
   // Rank 10 (NUMA 1) becomes its NUMA leader, a socket member, and the top
@@ -63,7 +68,7 @@ TEST(CommTree, ViewFollowsRoot) {
 
 TEST(CommTree, MembershipSlotsConsistent) {
   mach::RealMachine m(topo::epyc1p(), 32);
-  CommTree tree(m, topo::parse_sensitivity("numa+socket"));
+  CommTree tree(m, topo::parse_sensitivity("numa+socket"), CtlReads{});
   const CommView& v = tree.view(0);
   for (int r = 0; r < 32; ++r) {
     for (const auto& mb : v.memberships(r)) {
@@ -78,15 +83,19 @@ TEST(CommTree, MembershipSlotsConsistent) {
 TEST(CtlArena, PerWriterFlagsOnDistinctLines) {
   mach::RealMachine m(topo::mini8(), 8);
   CtlArena arena;
-  GroupCtl ctl = arena.add_group(m, 0, 8);
+  // One block per announce layout: each carries only its own family.
+  const GroupCtl ctl =
+      arena.add_group(m, 0, 8, {.groups = true, .announce = true, .ack = true});
+  const GroupCtl sep = arena.add_group(m, 0, 8, {.announce_sep = true});
+  const GroupCtl shared = arena.add_group(m, 0, 8, {.announce_shared = true});
   // Different members' single-writer flags must never share a line.
   for (int i = 0; i < 8; ++i) {
     for (int j = i + 1; j < 8; ++j) {
       EXPECT_NE(util::line_of(&ctl.ack[i]->v), util::line_of(&ctl.ack[j]->v));
       EXPECT_NE(util::line_of(&ctl.reduce_done[i]->v),
                 util::line_of(&ctl.reduce_done[j]->v));
-      EXPECT_NE(util::line_of(&ctl.announce_sep[i]->v),
-                util::line_of(&ctl.announce_sep[j]->v));
+      EXPECT_NE(util::line_of(&sep.announce_sep[i]->v),
+                util::line_of(&sep.announce_sep[j]->v));
     }
   }
   // Leader-written flags on lines distinct from member-written ones.
@@ -94,8 +103,182 @@ TEST(CtlArena, PerWriterFlagsOnDistinctLines) {
   EXPECT_NE(util::line_of(&ctl.announce[0]->v),
             util::line_of(&ctl.seq[0]->v));
   // The deliberately packed variant *does* share lines (Fig. 10 "shared").
-  EXPECT_EQ(util::line_of(&ctl.announce_shared[0].v),
-            util::line_of(&ctl.announce_shared[7].v));
+  EXPECT_EQ(util::line_of(&shared.announce_shared[0].v),
+            util::line_of(&shared.announce_shared[7].v));
+}
+
+/// The communicator tree behind a component's control plane.
+CommTree& tree_of(coll::Component& c) {
+  if (auto* x = dynamic_cast<XhcComponent*>(&c)) return x->tree();
+  if (auto* u = dynamic_cast<base::UccComponent*>(&c)) return u->inner().tree();
+  if (auto* b = dynamic_cast<base::XbrcComponent*>(&c)) return b->tree();
+  return dynamic_cast<base::ShmComponent&>(c).tree();
+}
+
+/// Checks the ledger name of the last slot of every field `c` carries.
+void expect_names(const verify::Ledger& led, const GroupCtl& c,
+                  const std::string& prefix) {
+  const int i = c.slots - 1;
+  const auto name = [&](const char* field) {
+    return prefix + "." + field + "[" + std::to_string(i) + "]";
+  };
+  EXPECT_EQ(led.flag_name(&*c.seq[i]), name("seq"));
+  EXPECT_EQ(led.flag_name(&*c.member_seq[i]), name("member_seq"));
+  EXPECT_EQ(led.flag_name(&*c.reduce_ready[i]), name("reduce_ready"));
+  EXPECT_EQ(led.flag_name(&*c.reduce_done[i]), name("reduce_done"));
+  if (c.announce) {
+    EXPECT_EQ(led.flag_name(&*c.announce[i]), name("announce"));
+  }
+  if (c.announce_sep) {
+    EXPECT_EQ(led.flag_name(&*c.announce_sep[i]), name("announce_sep"));
+  }
+  if (c.announce_shared) {
+    EXPECT_EQ(led.flag_name(&c.announce_shared[i]), name("announce_shared"));
+  }
+  if (c.ack) {
+    EXPECT_EQ(led.flag_name(&*c.ack[i]), name("ack"));
+  }
+  if (c.atomic_ctr) {
+    EXPECT_EQ(led.flag_name(&*c.atomic_ctr[0]), prefix + ".atomic_ctr");
+  }
+}
+
+TEST(CtlArena, EachComponentHoldsExactlyWhatItReads) {
+  using coll::FlagLayout;
+  using coll::SyncMethod;
+  struct Case {
+    const char* component;
+    FlagLayout layout;
+    SyncMethod sync;
+    CtlReads want;
+  };
+  const CtlReads striping{.groups = true, .announce = true, .ack = true,
+                          .shards = true, .stripe_ready = true};
+  const Case cases[] = {
+      {"xhc", FlagLayout::kSingle, SyncMethod::kSingleWriter,
+       {.groups = true, .announce = true, .ack = true, .shards = true}},
+      {"xhc", FlagLayout::kMultiSharedLine, SyncMethod::kSingleWriter,
+       {.groups = true, .announce_shared = true, .ack = true, .shards = true}},
+      {"xhc", FlagLayout::kMultiSeparateLines, SyncMethod::kSingleWriter,
+       {.groups = true, .announce_sep = true, .ack = true, .shards = true}},
+      {"xhc", FlagLayout::kSingle, SyncMethod::kAtomicFetchAdd,
+       {.groups = true, .announce = true, .atomic_ctr = true,
+        .shards = true}},
+      {"xhc-flat", FlagLayout::kSingle, SyncMethod::kSingleWriter, striping},
+      {"ucc", FlagLayout::kSingle, SyncMethod::kSingleWriter, striping},
+      {"xbrc", FlagLayout::kSingle, SyncMethod::kSingleWriter,
+       {.groups = true, .announce = true, .ack = true}},
+      {"sm", FlagLayout::kSingle, SyncMethod::kSingleWriter, {}},
+      {"smhc", FlagLayout::kSingle, SyncMethod::kSingleWriter, {}},
+  };
+  // The last group of the default xhc tree is an LLC group, built after
+  // the shard plane.
+  const std::pair<const char*, const char*> presets[] = {
+      {"mini8", "ctl11/h6"}, {"epyc2p", "ctl27/h60"}};
+  for (const auto& [preset, last_prefix] : presets) {
+    const topo::Topology topo = topo::by_name(preset);
+    for (const Case& c : cases) {
+      const std::string what = std::string(preset) + " " + c.component +
+                               " " + coll::to_string(c.layout) + " " +
+                               coll::to_string(c.sync);
+      sim::SimMachine m(topo, topo.n_cores());
+      coll::Tuning tuning;
+      tuning.flag_layout = c.layout;
+      tuning.sync = c.sync;
+      auto comp = coll::make_component(c.component, m, tuning);
+      CommTree& tree = tree_of(*comp);
+      const CtlReads& w = c.want;
+
+      std::uint64_t group_flags = 0;
+      for (int g = 0; g < tree.n_groups(); ++g) {
+        const GroupCtl& ctl = tree.ctl(g);
+        EXPECT_EQ(ctl.seq != nullptr, w.groups) << what;
+        EXPECT_EQ(ctl.info != nullptr, w.groups) << what;
+        EXPECT_EQ(ctl.member_seq != nullptr, w.groups) << what;
+        EXPECT_EQ(ctl.minfo != nullptr, w.groups) << what;
+        EXPECT_EQ(ctl.reduce_ready != nullptr, w.groups) << what;
+        EXPECT_EQ(ctl.reduce_done != nullptr, w.groups) << what;
+        EXPECT_EQ(ctl.announce != nullptr, w.announce) << what;
+        EXPECT_EQ(ctl.announce_shared != nullptr, w.announce_shared) << what;
+        EXPECT_EQ(ctl.announce_sep != nullptr, w.announce_sep) << what;
+        EXPECT_EQ(ctl.ack != nullptr, w.ack) << what;
+        EXPECT_EQ(ctl.atomic_ctr != nullptr, w.atomic_ctr) << what;
+        // seq, member_seq, reduce_ready and reduce_done per slot, each
+        // per-slot variant, and the single atomic counter.
+        if (!w.groups) continue;
+        group_flags += tree.shape(g).domain_ranks.size() *
+                           (4u + w.announce + w.announce_shared +
+                            w.announce_sep + w.ack) +
+                       w.atomic_ctr;
+      }
+      const ShardCtl& sc = tree.shard_ctl();
+      EXPECT_EQ(sc.shard_seq != nullptr, w.shards) << what;
+      EXPECT_EQ(sc.sinfo != nullptr, w.shards) << what;
+      EXPECT_EQ(sc.prog != nullptr, w.shards) << what;
+      EXPECT_EQ(sc.stripe_ready != nullptr, w.stripe_ready) << what;
+      const std::uint64_t shard_flags =
+          w.shards ? static_cast<std::uint64_t>(m.n_ranks()) *
+                         (2u + w.stripe_ready)
+                   : 0u;
+
+      // The ledger holds exactly those flags under control-plane names
+      // (sm and smhc register their rings' own flags besides), and only
+      // the packed Fig. 10 array leaves a lint finding.
+      const verify::Ledger& led = m.verify_ledger();
+      const std::vector<std::string> names = led.flag_names();
+      const auto named = [&](const char* prefix) {
+        return static_cast<std::uint64_t>(
+            std::count_if(names.begin(), names.end(), [&](const auto& n) {
+              return n.rfind(prefix, 0) == 0;
+            }));
+      };
+      EXPECT_EQ(named("ctl"), group_flags) << what;
+      EXPECT_EQ(named("shards."), shard_flags) << what;
+      const verify::Summary sum = led.summary();
+      if (w.groups) {
+        EXPECT_EQ(sum.flags_tracked, group_flags + shard_flags) << what;
+      }
+      EXPECT_EQ(sum.violations, 0u) << what;
+      EXPECT_EQ(sum.expected_findings > 0, w.announce_shared) << what;
+
+      if (!w.groups) continue;
+      expect_names(led, tree.ctl(0), "ctl0/h0");
+      if (std::string(c.component) == "xhc" && tree.has_cache_tree()) {
+        expect_names(led, tree.ctl(tree.n_groups() - 1), last_prefix);
+      }
+      if (w.shards) {
+        const int last = m.n_ranks() - 1;
+        EXPECT_EQ(led.flag_name(&*sc.shard_seq[last]),
+                  "shards.shard_seq[" + std::to_string(last) + "]");
+        EXPECT_EQ(led.flag_name(&*sc.prog[last]),
+                  "shards.prog[" + std::to_string(last) + "]");
+      }
+      if (w.stripe_ready) {
+        EXPECT_EQ(led.flag_name(&*sc.stripe_ready[1]),
+                  "shards.stripe_ready[1]");
+      }
+    }
+    // A tenant's names carry its communicator's scope.
+    sim::SimMachine m(topo, topo.n_cores());
+    coll::Tuning tuning;
+    tuning.comm_name = "comm3'training'/";
+    XhcComponent comp(m, tuning, "xhc");
+    EXPECT_EQ(m.verify_ledger().flag_name(&*comp.tree().ctl(0).seq[1]),
+              "comm3'training'/ctl0/h0.seq[1]")
+        << preset;
+    EXPECT_EQ(m.verify_ledger().flag_name(&*comp.tree().shard_ctl().prog[2]),
+              "comm3'training'/shards.prog[2]")
+        << preset;
+  }
+  // Today's names, spelled out.
+  sim::SimMachine m(topo::epyc2p(), 64);
+  XhcComponent comp(m, {}, "xhc");
+  const verify::Ledger& led = m.verify_ledger();
+  CommTree& tree = comp.tree();
+  EXPECT_EQ(led.flag_name(&*tree.ctl(1).seq[7]), "ctl1/h8.seq[7]");
+  EXPECT_EQ(led.flag_name(&*tree.ctl(1).ack[0]), "ctl1/h8.ack[0]");
+  EXPECT_EQ(led.flag_name(&*tree.ctl(26).announce[3]), "ctl27/h60.announce[3]");
+  EXPECT_EQ(led.flag_name(&*tree.shard_ctl().prog[63]), "shards.prog[63]");
 }
 
 TEST(XhcTuning, FlagLayoutsAllCorrect) {
@@ -303,9 +486,10 @@ TEST(CacheTree, ShapesFollowTheLlc) {
     ASSERT_TRUE(tree.has_cache_tree()) << name;
     // Flag groups, then one group per LLC; the top group is the flag
     // tree's.
-    const int flag_groups = CommTree(m, topo::parse_sensitivity(
-                                            comp.tuning().sensitivity))
-                                .n_groups();
+    const int flag_groups =
+        CommTree(m, topo::parse_sensitivity(comp.tuning().sensitivity),
+                 CtlReads{})
+            .n_groups();
     EXPECT_EQ(tree.n_groups(), flag_groups + n / 4) << name;
     const int top_level = tree.n_levels() - 1;
     for (const int root : {0, 6, n - 1}) {
